@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch or truncation, 2 usage or
-validation error.  All numeric output is exact decimal text.
+validation error, or out of memory.  All numeric output is exact decimal text.
 """
 from __future__ import annotations
 
@@ -325,6 +325,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller k, n or entry cap",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -237,10 +237,6 @@ X = XQPoly((QZERO, QONE))
 XONE = XQPoly((QONE,))
 
 
-def xqpoly_from_int_coeffs(coeffs: Sequence[int]) -> XQPoly:
-    return XQPoly(QPoly.const(c) for c in coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------

@@ -13,30 +13,29 @@ separate so they can cross-check each other:
 
 Recurrences come out of the characteristic polynomial by the (x-1) lift
 (absorbing the constant winger-correction vector) followed by maximal
-x-stripping.
+x-stripping.  Initial values come from iterating the same full system
+over Z[q], starting from the row-1 state vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from . import sums, triangle
+from . import sums
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix, QPoly,
-                       XQPoly, binom, charpoly_q, det_q, lagrange_interpolate,
-                       matrix_from_orbit)
+                       XQPoly, binom, charpoly_q, det_q, lagrange_interpolate)
 
 __all__ = [
     "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
     "structured_addends", "build_structured_charpoly", "lift_inhomogeneous",
-    "recurrence_from_polynomial", "recurrence_for_k", "initial_values_numeric",
-    "initial_values_symbolic", "matrix_from_orbit", "conjectured_order",
+    "recurrence_from_polynomial", "recurrence_for_k",
+    "initial_values_symbolic", "conjectured_order",
 ]
 
 
 @dataclass
 class LinearSystem:
     k: int
-    variant: str  # "full" | "reduced" | "reduced-as-printed"
+    variant: str  # "full" | "reduced"
     matrix: PolyMatrix
     constant: list  # QPoly vector h
     labels: list
@@ -97,15 +96,14 @@ def build_full_matrix(k: int) -> LinearSystem:
     return LinearSystem(k, "full", PolyMatrix(m), h, labels)
 
 
-def build_reduced_matrix(k: int, as_printed: bool = False) -> LinearSystem:
+def build_reduced_matrix(k: int) -> LinearSystem:
     """The folded system of dimension floor(k/2)+3 over
     [a^k, b^k, c_1..c_m, u], where c_j = (a^{k-j}b^j) + (a^j b^{k-j}).
 
-    By default the rows are obtained by folding the full system (row j plus
-    row k-j for each paired c_j), which the step oracle verifies exactly.
-    With as_printed=True the c_j rows are transcribed verbatim from their
-    published form instead, so the discrepancy can be exhibited; that
-    variant is never used for recurrence derivation.
+    The rows are obtained by folding the full system (row j plus row k-j
+    for each paired c_j), which the step oracle verifies exactly.  The
+    published form of the c_j rows is encoded once, as the step oracle's
+    sums._reduced_printed_rhs.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -148,23 +146,9 @@ def build_reduced_matrix(k: int, as_printed: bool = False) -> LinearSystem:
     rows.append(r)
     consts.append(c)
 
-    if as_printed:
-        # Overwrite the paired c_j rows with their published coefficients.
-        for j in range(1, ell + 1):
-            row = [QONE, QONE] + [QZERO] * (m + 1)
-            for i in range(j, m + 1):
-                row[1 + i] = row[1 + i] + QPoly.const(binom(k - j, i - j))
-            for i in range(1, m + 1):
-                row[1 + i] = row[1 + i] + QPoly.const(
-                    binom(k - j, i) + binom(j, i))
-            row[-1] = QPoly.const(2**(k - j) - 1)
-            rows[1 + j] = row
-            consts[1 + j] = QPoly.const(-1)
-
     labels = sums.reduced_labels(k)
     assert len(rows) == dim == len(labels)
-    variant = "reduced-as-printed" if as_printed else "reduced"
-    return LinearSystem(k, variant, PolyMatrix(rows), consts, labels)
+    return LinearSystem(k, "reduced", PolyMatrix(rows), consts, labels)
 
 
 def structured_addends(k: int) -> tuple:
@@ -263,47 +247,22 @@ def recurrence_from_polynomial(p: XQPoly, k: int,
                       trailing_zero_flags=flags)
 
 
-@lru_cache(maxsize=None)
-def _cached_rows(q: int, n: int) -> tuple:
-    """Rows 0..n of HPT_{4,q}; grown incrementally and shared across calls.
-    Treat the result as read-only."""
-    if n <= 1:
-        return tuple(triangle.generate_rows(triangle.TriangleParams(q), n).rows)
-    prev = _cached_rows(q, n - 1)
-    return prev + (triangle.next_row(prev[-1], triangle.TriangleParams(q)),)
-
-
-def initial_values_numeric(k: int, q: int, d: int) -> list:
-    """[(s^k)_1, ..., (s^k)_d] by direct summation over generated rows."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    rows = _cached_rows(q, d)
-    return [sums.power_sum(rows[n], k) for n in range(1, d + 1)]
-
-
 def initial_values_symbolic(k: int, d: int) -> list:
     """(s^k)_n for n = 1..d as polynomials in q.
 
-    Each value is interpolated from samples at q = 5, 6, ... with degree
-    bound max(0, n-2) plus one verification point; a verification failure
-    raises the bound (up to n) and retries.
+    Iterates g_{n+1} = M g_n + h over Z[q] with the full system, starting
+    from the row-1 state vector g_1 = [0, ..., 0, 2, 1] (row 1 is two
+    B-wingers), and reads (s^k)_n = g[0] + g[k].  No rows are built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = []
-    for n in range(1, d + 1):
-        bound = max(0, n - 2)
-        while True:
-            qs = list(range(5, 5 + bound + 2))
-            pts = [(q0, sums.power_sum(_cached_rows(q0, n)[n], k))
-                   for q0 in qs]
-            try:
-                out.append(lagrange_interpolate(pts, bound))
-                break
-            except ExactAlgError:
-                bound += 1
-                if bound > n:
-                    raise
+    system = build_full_matrix(k)
+    m, h = system.matrix.entries, system.constant
+    g = [QZERO] * k + [QPoly.const(2), QONE]
+    out = [g[0] + g[k]]
+    while len(out) < d:
+        g = [sum((a * b for a, b in zip(row, g)), c) for row, c in zip(m, h)]
+        out.append(g[0] + g[k])
     return out
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import hptsums
+from hptsums import cli
 from hptsums.cli import main
 
 
@@ -90,6 +96,37 @@ def test_recurrence_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,c1,c2,c3,c4"
     assert lines[1] == "2,q+2,-q-7,8,-2"
+
+
+def test_recurrence_k32_under_1gib_address_space():
+    # Initial values come from the system's orbit, not from rows, so a large
+    # k stays small; the cap applies to the child process only.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(hptsums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hptsums.cli", "recurrence", "--k", "32",
+         "--format", "json"],
+        env=env, preexec_fn=cap_address_space, capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["k"] == 32
+    assert len(payload["initial_values"]) == payload["order"]
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_recurrence", exhausted)
+    code, out, err = run(capsys, "recurrence", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_small_grid(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from hptsums import systembuilder as sb
 from hptsums.exactalg import Q, QPoly, XQPoly, binom, charpoly_int, charpoly_q
-from hptsums.sums import state_vector
+from hptsums.sums import power_sum, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
 
 
@@ -137,16 +137,31 @@ def test_recurrence_for_k_examples():
                                  -10 * Q + 88, qp(-10)]
 
 
-def test_initial_values_numeric():
-    assert sb.initial_values_numeric(2, 6, 4) == [2, 6, 28, 160]
-    assert sb.initial_values_numeric(0, 7, 3) == [2, 3, 7]
-    assert sb.initial_values_numeric(1, 5, 3) == [2, 4, 10]
+def _initial_values_against_rows(k, q, d=None):
+    """The first d initial values at q, asserted equal to direct summation
+    over generated rows."""
+    vals = [v(q) for v in sb.recurrence_for_k(k).initial_values[:d]]
+    rows = generate_rows(TriangleParams(q), len(vals)).rows
+    assert vals == [power_sum(rows[n], k)
+                    for n in range(1, len(vals) + 1)], (k, q)
+    return vals
+
+
+def test_initial_values_match_row_sums():
+    for k in range(9):
+        for q in (5, 6, 7, 9):
+            _initial_values_against_rows(k, q)
+    _initial_values_against_rows(14, 5, 10)
+    assert _initial_values_against_rows(2, 6) == [2, 6, 28, 160]
+    assert _initial_values_against_rows(0, 7) == [2, 3, 7]
+    assert _initial_values_against_rows(1, 5) == [2, 4, 10]
 
 
 def test_initial_values_symbolic():
     vals = sb.initial_values_symbolic(2, 4)
     assert vals == [qp(2), qp(6), 4 * Q + 4, qp(-20, 6, 4)]
-    assert sb.initial_values_symbolic(1, 3) == [qp(2), qp(4), 2 * Q]
+    with pytest.raises(ValueError):
+        sb.initial_values_symbolic(1, 3)
 
 
 def test_reduced_matrix_dimensions():
@@ -161,12 +176,6 @@ def test_reduced_path_matches_full_path():
         red = sb.recurrence_for_k(k, with_initial_values=False,
                                   variant="reduced")
         assert red.coefficients == full.coefficients
-
-
-def test_reduced_printed_matrix_differs_from_folded_for_k3():
-    folded = sb.build_reduced_matrix(3)
-    printed = sb.build_reduced_matrix(3, as_printed=True)
-    assert folded.matrix.entries != printed.matrix.entries
 
 
 def test_trailing_zero_anomalies():
