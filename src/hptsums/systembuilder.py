@@ -11,10 +11,19 @@ separate so they can cross-check each other:
                                      binomial matrix and a 0/1 matrix);
   * sums.check_system_step        -- the definition-level step oracle.
 
+The product path derives from the folded reduced system of dimension
+r = floor(k/2)+3.  The fold P (full coordinates -> [a^k, b^k, c_1.., u])
+satisfies P M = M_red P, so ker P, spanned by e_j - e_{k-j} for
+1 <= j < k/2, is M-invariant; M maps it to zero, because rows 0..k-1 of M
+are symmetric under j <-> k-j and rows k, k+1 touch only columns 0, k and
+k+1.  Hence det(xI - M) = x^(k+2-r) det(xI - M_red), and the full
+characteristic polynomial is read off the reduced one exactly; the full
+matrix stays as the cross-check in the tests.
+
 Recurrences come out of the characteristic polynomial by the (x-1) lift
 (absorbing the constant winger-correction vector) followed by maximal
-x-stripping.  Initial values come from iterating the same full system
-over Z[q], starting from the row-1 state vector.
+x-stripping.  Initial values come from iterating the same reduced system
+over Z[q], starting from the folded row-1 state vector.
 """
 from __future__ import annotations
 
@@ -250,19 +259,22 @@ def recurrence_from_polynomial(p: XQPoly, k: int,
 def initial_values_symbolic(k: int, d: int) -> list:
     """(s^k)_n for n = 1..d as polynomials in q.
 
-    Iterates g_{n+1} = M g_n + h over Z[q] with the full system, starting
-    from the row-1 state vector g_1 = [0, ..., 0, 2, 1] (row 1 is two
-    B-wingers), and reads (s^k)_n = g[0] + g[k].  No rows are built.
+    Iterates g_{n+1} = M g_n + h over Z[q] with the reduced system, starting
+    from the folded row-1 state vector g_1 = [0, 2, 0, ..., 0, 1] over
+    [a^k, b^k, c_1..c_m, u] (row 1 is two B-wingers), and reads
+    (s^k)_n = g[0] + g[1].  The fold maps every full-system state and
+    constant onto its reduced one, so this is the full orbit, folded.
+    No rows are built.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    system = build_full_matrix(k)
+    system = build_reduced_matrix(k)
     m, h = system.matrix.entries, system.constant
-    g = [QZERO] * k + [QPoly.const(2), QONE]
-    out = [g[0] + g[k]]
+    g = [QZERO, QPoly.const(2)] + [QZERO] * (len(m) - 3) + [QONE]
+    out = [g[0] + g[1]]
     while len(out) < d:
         g = [sum((a * b for a, b in zip(row, g)), c) for row, c in zip(m, h)]
-        out.append(g[0] + g[k])
+        out.append(g[0] + g[1])
     return out
 
 
@@ -272,7 +284,9 @@ def recurrence_for_k(k: int, with_initial_values: bool = True,
 
     k = 0 and k = 1 are the known ternary recurrences for vertex counts and
     plain row sums; k >= 2 runs the characteristic-polynomial pipeline on
-    the full (or reduced) system matrix.
+    the reduced system matrix.  The "full" variant first multiplies by
+    x^(k+2-r), which gives the full system's characteristic polynomial, so
+    its x_strip_count is the full system's.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -286,13 +300,14 @@ def recurrence_for_k(k: int, with_initial_values: bool = True,
         if with_initial_values:
             rec.initial_values = [QPoly.const(2), QPoly.const(4), 2 * Q]
         return rec
-    if variant == "full":
-        system = build_full_matrix(k)
-    elif variant == "reduced":
-        system = build_reduced_matrix(k)
-    else:
+    if variant not in ("full", "reduced"):
         raise ValueError(f"unknown variant {variant!r}")
-    poly = lift_inhomogeneous(charpoly_q(system.matrix))
+    reduced = build_reduced_matrix(k).matrix
+    cp = charpoly_q(reduced)
+    if variant == "full":
+        # det(xI - M) = x^(k+2-r) det(xI - M_red): see the module docstring.
+        cp = XQPoly((QZERO,) * (k + 2 - reduced.dim) + cp.coeffs)
+    poly = lift_inhomogeneous(cp)
     rec = recurrence_from_polynomial(poly, k, variant=variant)
     if with_initial_values:
         rec.initial_values = initial_values_symbolic(k, rec.order)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hptsums import systembuilder as sb
-from hptsums.exactalg import Q, QPoly, XQPoly, binom, charpoly_int, charpoly_q
+from hptsums.exactalg import (Q, QZERO, QPoly, XQPoly, binom, charpoly_int,
+                              charpoly_q)
 from hptsums.sums import power_sum, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
 
@@ -171,11 +172,44 @@ def test_reduced_matrix_dimensions():
 
 
 def test_reduced_path_matches_full_path():
-    for k in range(2, 9):
-        full = sb.recurrence_for_k(k, with_initial_values=False)
-        red = sb.recurrence_for_k(k, with_initial_values=False,
-                                  variant="reduced")
-        assert red.coefficients == full.coefficients
+    # the product path (reduced charpoly times x^(k+2-r)) against the
+    # direct route through the full matrix's own characteristic polynomial
+    for k in range(2, 17):
+        derived = sb.recurrence_for_k(k, with_initial_values=False)
+        direct = sb.recurrence_from_polynomial(sb.lift_inhomogeneous(
+            charpoly_q(sb.build_full_matrix(k).matrix)), k)
+        for attr in ("coefficients", "order", "x_strip_count",
+                     "trailing_zero_flags"):
+            assert getattr(derived, attr) == getattr(direct, attr), (k, attr)
+
+
+def test_full_matrix_annihilates_fold_kernel():
+    for k in range(2, 65):
+        m = sb.build_full_matrix(k).matrix.entries
+        kernel = [(j, k - j) for j in range(1, k) if 2 * j < k]
+        assert len(kernel) == k + 2 - sb.build_reduced_matrix(k).matrix.dim
+        for j, jj in kernel:
+            assert all(row[j] == row[jj] for row in m), (k, j)
+
+
+def test_full_charpoly_is_x_power_times_reduced():
+    for k in range(2, 21):
+        reduced = sb.build_reduced_matrix(k).matrix
+        nullity = k + 2 - reduced.dim
+        assert charpoly_q(sb.build_full_matrix(k).matrix) == XQPoly(
+            (QZERO,) * nullity + charpoly_q(reduced).coeffs), k
+
+
+def test_initial_values_match_full_orbit():
+    for k in list(range(2, 13)) + [32]:
+        full = sb.build_full_matrix(k)
+        g = [QZERO] * k + [qp(2), qp(1)]
+        orbit = [g[0] + g[k]]
+        while len(orbit) < sb.conjectured_order(k) + 1:
+            g = [sum((a * b for a, b in zip(row, g)), c)
+                 for row, c in zip(full.matrix.entries, full.constant)]
+            orbit.append(g[0] + g[k])
+        assert sb.initial_values_symbolic(k, len(orbit)) == orbit, k
 
 
 def test_trailing_zero_anomalies():
