@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import sums, systembuilder, tables, triangle, verify
-from .exactalg import QPoly, format_qpoly
+from .exactalg import format_qpoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -120,8 +120,7 @@ def _recurrence_dict(rec) -> dict:
         "order": rec.order,
         "coefficients": [list(c.coeffs) for c in rec.coefficients],
         "x_strip_count": rec.x_strip_count,
-        "initial_values": [list(v.coeffs) if isinstance(v, QPoly) else v
-                           for v in rec.initial_values],
+        "initial_values": [list(v.coeffs) for v in rec.initial_values],
         "variant": rec.variant,
     }
 
@@ -130,23 +129,24 @@ def cmd_recurrence(args) -> int:
     if args.k < 0:
         print("error: k must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    variant = "reduced" if args.reduced and args.k >= 2 else "full"
-    rec = systembuilder.recurrence_for_k(args.k, variant=variant)
+    rec = systembuilder.recurrence_for_k(args.k)
     if args.format == "json":
         _emit(json.dumps(_recurrence_dict(rec)), args.output)
     elif args.format == "csv":
-        head = ["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
-        _emit(_csv_rows([head, [rec.k] + [format_qpoly(c)
-                                          for c in rec.coefficients]]),
-              args.output)
+        head = (["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
+                + ["x_strip_count", "variant"]
+                + [f"iv{n}" for n in range(1, len(rec.initial_values) + 1)])
+        body = ([rec.k] + [format_qpoly(c) for c in rec.coefficients]
+                + [rec.x_strip_count, rec.variant]
+                + [format_qpoly(v) for v in rec.initial_values])
+        _emit(_csv_rows([head, body]), args.output)
     else:
         lines = [f"k={rec.k} order={rec.order} "
                  f"x_strip_count={rec.x_strip_count} variant={rec.variant}"]
         lines += [f"  c{j} = {format_qpoly(c)}"
                   for j, c in enumerate(rec.coefficients, 1)]
         if rec.initial_values:
-            vals = ", ".join(format_qpoly(v) if isinstance(v, QPoly) else
-                             str(v) for v in rec.initial_values)
+            vals = ", ".join(format_qpoly(v) for v in rec.initial_values)
             lines.append(f"  initial values (n=1..{len(rec.initial_values)}):"
                          f" {vals}")
         _emit("\n".join(lines), args.output)
@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recurrence", help="derive the recurrence for one k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reduced", action="store_true",
-                   help="derive via the folded reduced system")
     common(p)
     p.set_defaults(func=cmd_recurrence)
 
@@ -300,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="Q1,Q2,...")
     p.add_argument("--cap", type=int, default=verify.DEFAULT_ENTRY_CAP)
     p.add_argument("--reduced", action="store_true",
-                   help="also verify the reduced path and sweep the printed "
-                        "reduced equations")
+                   help="also sweep the printed reduced equations")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -233,10 +233,6 @@ class XQPoly:
         return f"XQPoly({[list(c.coeffs) for c in self.coeffs]!r})"
 
 
-X = XQPoly((QZERO, QONE))
-XONE = XQPoly((QONE,))
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------

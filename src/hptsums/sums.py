@@ -70,9 +70,6 @@ class StateVector:
     def u(self) -> int:
         return self.coords[self.k + 1]
 
-    def s_power_sum(self) -> int:
-        return self.a + self.b
-
 
 def state_vector(row: Row, k: int) -> StateVector:
     a, b = type_power_sums(row, k)
@@ -173,29 +170,29 @@ def _reduced_printed_rhs(folded: list, k: int, q: int) -> list:
 
 def check_system_step(g_n: StateVector, g_next: StateVector,
                       params: TriangleParams, k: int,
-                      variant: str = "full") -> StepReport:
+                      system: str = "full") -> StepReport:
     """Check every equation of the chosen system between consecutive state
     vectors (rows n and n+1, n >= 1).  Exact integer comparison per equation.
 
-    variant "full" uses the k+2 equation system; "reduced-as-printed" folds
+    system "full" uses the k+2 equation system; "reduced-as-printed" folds
     both vectors and evaluates the reduced equations verbatim, reporting any
     mismatch rather than correcting it.
     """
     if g_n.k != k or g_next.k != k:
         raise ValueError("state vectors must match k")
     q = params.q
-    if variant == "full":
+    if system == "full":
         labels = (["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)]
                   + ["b^k", "u"])
         rhs = _full_rhs(g_n, q)
         actual = g_next.coords
-    elif variant == "reduced-as-printed":
+    elif system == "reduced-as-printed":
         labels = reduced_labels(k)
         # Equation order: a^k, b^k, c_1..c_m, u (matching the labels).
         rhs = _reduced_printed_rhs(fold_state(g_n), k, q)
         actual = fold_state(g_next)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown system {system!r}")
     checks = [EquationCheck(name, p, x)
               for name, p, x in zip(labels, rhs, actual)]
-    return StepReport(k, variant, checks)
+    return StepReport(k, system, checks)

@@ -12,13 +12,22 @@ separate so they can cross-check each other:
   * sums.check_system_step        -- the definition-level step oracle.
 
 The product path derives from the folded reduced system of dimension
-r = floor(k/2)+3.  The fold P (full coordinates -> [a^k, b^k, c_1.., u])
-satisfies P M = M_red P, so ker P, spanned by e_j - e_{k-j} for
-1 <= j < k/2, is M-invariant; M maps it to zero, because rows 0..k-1 of M
-are symmetric under j <-> k-j and rows k, k+1 touch only columns 0, k and
-k+1.  Hence det(xI - M) = x^(k+2-r) det(xI - M_red), and the full
-characteristic polynomial is read off the reduced one exactly; the full
-matrix stays as the cross-check in the tests.
+r = floor(k/2)+3.  The fold P maps the full coordinates [a^k, mixed pairs,
+b^k, u] onto [a^k, b^k, c_1.., u] by summing each fold class
+
+  (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
+
+where c_j = (a^{k-j} b^j) + (a^j b^{k-j}) is the class (j, k-j).  The
+reduced row of a class is the sum of its full rows, read at the first
+column of every class, and the reduced constant is the sum of its full
+constants; this is exact because every summed row is fold-symmetric
+(equal at both columns of each pair), so P M = M_red P and P h = h_red.
+Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2, is M-invariant;
+M maps it to zero, because rows 0..k-1 of M are symmetric under j <-> k-j
+and rows k, k+1 touch only columns 0, k and k+1.  So
+det(xI - M) = x^(k+2-r) det(xI - M_red), and the full characteristic
+polynomial is read off the reduced one exactly; the full matrix stays as
+the cross-check in the tests.
 
 Recurrences come out of the characteristic polynomial by the (x-1) lift
 (absorbing the constant winger-correction vector) followed by maximal
@@ -28,8 +37,9 @@ over Z[q], starting from the folded row-1 state vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
-from . import sums
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix, QPoly,
                        XQPoly, binom, charpoly_q, det_q, lagrange_interpolate)
 
@@ -44,10 +54,8 @@ __all__ = [
 @dataclass
 class LinearSystem:
     k: int
-    variant: str  # "full" | "reduced"
     matrix: PolyMatrix
     constant: list  # QPoly vector h
-    labels: list
 
 
 @dataclass
@@ -63,8 +71,8 @@ class Recurrence:
     order: int
     coefficients: list  # QPoly c_1..c_order
     x_strip_count: int
-    variant: str = "full"
-    initial_values: list = field(default_factory=list)  # QPoly or int per n
+    variant: str = "full"  # "full" | "closed" (k = 0, 1)
+    initial_values: list = field(default_factory=list)  # QPoly per n
     trailing_zero_flags: list = field(default_factory=list)
 
     def coefficients_padded(self, width: int) -> list:
@@ -101,63 +109,37 @@ def build_full_matrix(k: int) -> LinearSystem:
     m[k + 1][0], m[k + 1][k] = Q - 5, Q - 4
     h = [QPoly.const(-2)] + [QPoly.const(-1)] * (k - 1) \
         + [-2 * (Q - 4), -2 * (Q - 4)]
-    labels = ["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)] + ["b^k", "u"]
-    return LinearSystem(k, "full", PolyMatrix(m), h, labels)
+    return LinearSystem(k, PolyMatrix(m), h)
 
 
 def build_reduced_matrix(k: int) -> LinearSystem:
     """The folded system of dimension floor(k/2)+3 over
     [a^k, b^k, c_1..c_m, u], where c_j = (a^{k-j}b^j) + (a^j b^{k-j}).
 
-    The rows are obtained by folding the full system (row j plus row k-j
-    for each paired c_j), which the step oracle verifies exactly.  The
-    published form of the c_j rows is encoded once, as the step oracle's
-    sums._reduced_printed_rhs.
+    Each row and constant is the sum of the full ones in its fold class;
+    a summed row that differs at the two columns of a pair cannot be folded
+    and raises ExactAlgError.  The published form of the c_j rows is
+    encoded once, as the step oracle's sums._reduced_printed_rhs.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     full = build_full_matrix(k)
-    ell = (k - 1) // 2
-    m = -(-(k - 1) // 2)
-    dim = m + 3
-
-    def fold_row(row, const):
-        # full columns: 0 -> a^k, e -> c_{min(e,k-e)}, k -> b^k, k+1 -> u
-        out = [row[0], row[k]]
-        for i in range(1, ell + 1):
-            if row[i] != row[k - i]:
-                raise ExactAlgError(
-                    f"row not fold-symmetric at columns {i}/{k - i}")
-            out.append(row[i])
-        if k % 2 == 0:
-            out.append(row[k // 2])
-        out.append(row[k + 1])
-        return out, const
-
-    fm = full.matrix.entries
-    rows, consts = [], []
-    for src, const in (((0,), QPoly.const(-2)),
-                       ((k,), -2 * (Q - 4))):
-        summed = fm[src[0]]
-        r, c = fold_row(summed, const)
-        rows.append(r)
-        consts.append(c)
-    for j in range(1, ell + 1):
-        summed = [a + b for a, b in zip(fm[j], fm[k - j])]
-        r, c = fold_row(summed, QPoly.const(-2))
-        rows.append(r)
-        consts.append(c)
+    # fold classes, in the reduced order [a^k, b^k, c_1..c_m, u]
+    classes = [(0,), (k,)] + [(j, k - j) for j in range(1, (k + 1) // 2)]
     if k % 2 == 0:
-        r, c = fold_row(fm[k // 2], QPoly.const(-1))
-        rows.append(r)
-        consts.append(c)
-    r, c = fold_row(fm[k + 1], -2 * (Q - 4))
-    rows.append(r)
-    consts.append(c)
-
-    labels = sums.reduced_labels(k)
-    assert len(rows) == dim == len(labels)
-    return LinearSystem(k, "reduced", PolyMatrix(rows), consts, labels)
+        classes.append((k // 2,))
+    classes.append((k + 1,))
+    rows, consts = [], []
+    for cls in classes:
+        summed = [reduce(add, col)
+                  for col in zip(*(full.matrix.entries[i] for i in cls))]
+        for c in classes:
+            if summed[c[0]] != summed[c[-1]]:
+                raise ExactAlgError(
+                    f"row not fold-symmetric at columns {c[0]}/{c[-1]}")
+        rows.append([summed[c[0]] for c in classes])
+        consts.append(reduce(add, (full.constant[i] for i in cls)))
+    return LinearSystem(k, PolyMatrix(rows), consts)
 
 
 def structured_addends(k: int) -> tuple:
@@ -228,8 +210,7 @@ def lift_inhomogeneous(p: XQPoly) -> XQPoly:
     return p * XQPoly((QPoly.const(-1), QONE))
 
 
-def recurrence_from_polynomial(p: XQPoly, k: int,
-                               variant: str = "full") -> Recurrence:
+def recurrence_from_polynomial(p: XQPoly, k: int) -> Recurrence:
     """Strip the maximal power of x, normalize to monic, and read off the
     recurrence coefficients as the negated lower coefficients."""
     if not p:
@@ -252,8 +233,7 @@ def recurrence_from_polynomial(p: XQPoly, k: int,
     if k >= 2 and d < conjectured_order(k):
         width = conjectured_order(k)
         flags = [j > d for j in range(1, width + 1)]
-    return Recurrence(k, d, cs, strip, variant=variant,
-                      trailing_zero_flags=flags)
+    return Recurrence(k, d, cs, strip, trailing_zero_flags=flags)
 
 
 def initial_values_symbolic(k: int, d: int) -> list:
@@ -278,15 +258,14 @@ def initial_values_symbolic(k: int, d: int) -> list:
     return out
 
 
-def recurrence_for_k(k: int, with_initial_values: bool = True,
-                     variant: str = "full") -> Recurrence:
+def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     """The scalar recurrence for (s^k)_n.
 
     k = 0 and k = 1 are the known ternary recurrences for vertex counts and
     plain row sums; k >= 2 runs the characteristic-polynomial pipeline on
-    the reduced system matrix.  The "full" variant first multiplies by
-    x^(k+2-r), which gives the full system's characteristic polynomial, so
-    its x_strip_count is the full system's.
+    the reduced system matrix, first multiplied by x^(k+2-r), which gives
+    the full system's characteristic polynomial, so x_strip_count is the
+    full system's.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -300,15 +279,11 @@ def recurrence_for_k(k: int, with_initial_values: bool = True,
         if with_initial_values:
             rec.initial_values = [QPoly.const(2), QPoly.const(4), 2 * Q]
         return rec
-    if variant not in ("full", "reduced"):
-        raise ValueError(f"unknown variant {variant!r}")
     reduced = build_reduced_matrix(k).matrix
-    cp = charpoly_q(reduced)
-    if variant == "full":
-        # det(xI - M) = x^(k+2-r) det(xI - M_red): see the module docstring.
-        cp = XQPoly((QZERO,) * (k + 2 - reduced.dim) + cp.coeffs)
-    poly = lift_inhomogeneous(cp)
-    rec = recurrence_from_polynomial(poly, k, variant=variant)
+    # det(xI - M) = x^(k+2-r) det(xI - M_red): see the module docstring.
+    cp = XQPoly((QZERO,) * (k + 2 - reduced.dim)
+                + charpoly_q(reduced).coeffs)
+    rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:
         rec.initial_values = initial_values_symbolic(k, rec.order)
     return rec

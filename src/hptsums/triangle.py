@@ -28,12 +28,6 @@ class Row:
     index: int
     entries: list  # list of (value, tag) pairs, left to right
 
-    def values(self) -> list:
-        return [v for v, _ in self.entries]
-
-    def tags(self) -> list:
-        return [t for _, t in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -98,7 +92,6 @@ def next_row(row: Row, params: TriangleParams) -> Row:
 class GenerationResult:
     rows: list = field(default_factory=list)
     truncated: bool = False
-    n_requested: int = 0
 
 
 def generate_rows(params: TriangleParams, n_max: int,
@@ -109,7 +102,7 @@ def generate_rows(params: TriangleParams, n_max: int,
         raise ValueError("n_max must be >= 0")
     if entry_cap <= 0:
         raise ValueError("entry_cap must be > 0")
-    result = GenerationResult(n_requested=n_max)
+    result = GenerationResult()
     rows = result.rows
     rows.append(row0())
     if n_max >= 1:

@@ -97,9 +97,8 @@ class ConjectureFinding:
 
 
 @lru_cache(maxsize=None)
-def _recurrence(k: int, variant: str = "full"):
-    return systembuilder.recurrence_for_k(k, with_initial_values=False,
-                                          variant=variant)
+def _recurrence(k: int):
+    return systembuilder.recurrence_for_k(k, with_initial_values=False)
 
 
 @lru_cache(maxsize=8)
@@ -110,11 +109,11 @@ def _capped_rows(q: int, entry_cap: int, depth_limit: int = 64) -> list:
 
 
 def verify_recurrence(k: int, q: int,
-                      depth_cap_entries: int = DEFAULT_ENTRY_CAP,
-                      variant: str = "full") -> RecurrenceCheck:
+                      depth_cap_entries: int = DEFAULT_ENTRY_CAP
+                      ) -> RecurrenceCheck:
     """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every generated row past
     the initial segment, with exact integer equality."""
-    rec = _recurrence(k, variant if k >= 2 else "full")
+    rec = _recurrence(k)
     cs = rec.evaluated_at(q)
     rows = _capped_rows(q, depth_cap_entries)
     seq = [sums.power_sum(r, k) for r in rows]  # seq[n] = (s^k)_n
@@ -130,15 +129,16 @@ def verify_recurrence(k: int, q: int,
 
 def verify_system_steps(k: int, q: int,
                         depth_cap_entries: int = DEFAULT_ENTRY_CAP,
-                        variant: str = "full") -> SystemStepCheck:
-    """Run the step oracle on every consecutive generated row pair, n >= 1."""
+                        system: str = "full") -> SystemStepCheck:
+    """Run the step oracle on every consecutive generated row pair, n >= 1,
+    for the "full" or the "reduced-as-printed" system of equations."""
     params = triangle.TriangleParams(q)
     rows = _capped_rows(q, depth_cap_entries)
-    check = SystemStepCheck(k, q, variant, first_n=1, last_n=len(rows) - 2)
+    check = SystemStepCheck(k, q, system, first_n=1, last_n=len(rows) - 2)
     vectors = [sums.state_vector(r, k) for r in rows[1:]]
     for idx in range(len(vectors) - 1):
         rep = sums.check_system_step(vectors[idx], vectors[idx + 1], params,
-                                     k, variant)
+                                     k, system)
         for c in rep.failures():
             check.failing_equations.append((idx + 1, c.name, c.predicted,
                                             c.actual))
@@ -170,8 +170,8 @@ def verify_counting(q: int, depth: int = 12,
         ahat.append(a1)
         bhat.append(b1)
     while len(counts) <= depth:  # continue by the step rules
-        a, b = counts[-1]
-        counts.append((a + b - 1, 2 + (q - 4) * a + (q - 3) * (b - 2)))
+        rc = triangle.row_counts(params, len(counts))
+        counts.append((rc.a, rc.b))
         ah, bh = ahat[-1], bhat[-1]
         ahat.append(2 * (ah + bh) - 2)
         bhat.append(2 + (q - 4) * ah + (q - 3) * (bh - 2))
@@ -263,10 +263,9 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
              reduced: bool = False) -> VerificationReport:
     """Verify recurrences and system steps over a (k, q) grid.
 
-    With reduced=True the reduced-path recurrence is checked too and the
-    printed reduced equations are swept by the oracle; their failures are
-    recorded in the report (they do not flip all_exact, which judges the
-    verified systems only)."""
+    With reduced=True the printed reduced equations are swept by the oracle
+    too; their failures are recorded in the report (they do not flip
+    all_exact, which judges the verified systems only)."""
     k_lo, k_hi = k_range
     report = VerificationReport((k_lo, k_hi), tuple(q_list), entry_cap)
     for k in range(k_lo, k_hi + 1):
@@ -277,8 +276,6 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
                 report.system_checks.append(
                     verify_system_steps(k, q, entry_cap, "full"))
                 if reduced:
-                    report.recurrence_checks.append(
-                        verify_recurrence(k, q, entry_cap, variant="reduced"))
                     report.system_checks.append(
                         verify_system_steps(k, q, entry_cap,
                                             "reduced-as-printed"))

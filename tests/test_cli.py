@@ -94,8 +94,9 @@ def test_recurrence_k5_plain(capsys):
 def test_recurrence_csv(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "csv")
     lines = out.splitlines()
-    assert lines[0] == "k,c1,c2,c3,c4"
-    assert lines[1] == "2,q+2,-q-7,8,-2"
+    assert lines[0] == \
+        "k,c1,c2,c3,c4,x_strip_count,variant,iv1,iv2,iv3,iv4"
+    assert lines[1] == "2,q+2,-q-7,8,-2,1,full,2,6,4q+4,4q^2+6q-20"
 
 
 def test_recurrence_k32_under_1gib_address_space():

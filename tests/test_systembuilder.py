@@ -5,7 +5,7 @@ import pytest
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, QPoly, XQPoly, binom, charpoly_int,
                               charpoly_q)
-from hptsums.sums import power_sum, state_vector
+from hptsums.sums import StateVector, fold_state, power_sum, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
 
 
@@ -181,6 +181,25 @@ def test_reduced_path_matches_full_path():
         for attr in ("coefficients", "order", "x_strip_count",
                      "trailing_zero_flags"):
             assert getattr(derived, attr) == getattr(direct, attr), (k, attr)
+
+
+def test_reduced_matrix_commutes_with_fold():
+    # fold(M g + h) == M_red fold(g) + h_red for arbitrary full vectors g
+    rng = random.Random(4242)
+    for k in range(2, 41):
+        full, reduced = sb.build_full_matrix(k), sb.build_reduced_matrix(k)
+        for q in (5, 9):
+            m, h = full.matrix.eval_q(q), [c(q) for c in full.constant]
+            m_red = reduced.matrix.eval_q(q)
+            h_red = [c(q) for c in reduced.constant]
+            for _ in range(3):
+                g = [rng.randint(-10**6, 10**6) for _ in range(k + 2)]
+                stepped = [sum(a * b for a, b in zip(row, g)) + c
+                           for row, c in zip(m, h)]
+                folded = fold_state(StateVector(k, g))
+                assert fold_state(StateVector(k, stepped)) == [
+                    sum(a * b for a, b in zip(row, folded)) + c
+                    for row, c in zip(m_red, h_red)], (k, q)
 
 
 def test_full_matrix_annihilates_fold_kernel():

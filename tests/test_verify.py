@@ -61,6 +61,8 @@ def test_run_grid_small():
     report = verify.run_grid((2, 3), (5, 6), 10**4)
     assert report.all_exact
     report = verify.run_grid((2, 3), (6,), 10**4, reduced=True)
+    # one recurrence check per (k, q): --reduced adds only the printed sweep
+    assert [(c.k, c.q) for c in report.recurrence_checks] == [(2, 6), (3, 6)]
     # printed-reduced failures are reported but do not flip all_exact
     assert report.all_exact
     printed = [c for c in report.system_checks
