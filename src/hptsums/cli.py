@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
 
@@ -19,18 +19,36 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _render(args, record, plain, table=None, indent=None) -> None:
+    """Write one command's result in args.format to args.output or stdout.
 
+    json dumps record.  csv writes the rows of table with the csv module; a
+    command with no table prints its plain form.  plain prints one line per
+    item of plain, an item that is not a str being a csv row, so that the
+    plain form of the table command is its csv table.
+    """
+    def write(out):
+        if args.format == "json":
+            print(json.dumps(record, indent=indent), file=out)
+        elif args.format == "csv" and table is not None:
+            csv.writer(out, lineterminator="\n").writerows(table)
+        else:
+            rows = csv.writer(out, lineterminator="\n")
+            for line in plain or [""]:  # an empty result is one blank line
+                if isinstance(line, str):
+                    print(line, file=out)
+                else:
+                    rows.writerow(line)
 
-def _csv_rows(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    if not args.output:
+        write(sys.stdout)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def _parse_range(text: str) -> tuple:
@@ -61,16 +79,11 @@ def cmd_row(args) -> int:
               f"{args.entry_cap} (last generated row: {len(res.rows) - 1})",
               file=sys.stderr)
         return EXIT_MISMATCH
-    row = res.rows[args.n]
-    if args.format == "json":
-        _emit(json.dumps({"q": args.q, "n": args.n,
-                          "entries": [[v, t] for v, t in row.entries]}),
-              args.output)
-    elif args.format == "csv":
-        _emit(_csv_rows([["value", "tag"]] + [[v, t] for v, t in row.entries]),
-              args.output)
-    else:
-        _emit(" ".join(f"{v}{t}" for v, t in row.entries), args.output)
+    entries = res.rows[args.n].entries  # (value, tag) tuples, never copied
+    # A generator, so that the long plain line is built only when printed.
+    plain = (" ".join(f"{v}{t}" for v, t in e) for e in (entries,))
+    _render(args, {"q": args.q, "n": args.n, "entries": entries}, plain,
+            table=itertools.chain([("value", "tag")], entries))
     return EXIT_OK
 
 
@@ -84,108 +97,74 @@ def cmd_sums(args) -> int:
         print(f"error: rows beyond {len(res.rows) - 1} exceed the entry cap "
               f"of {args.entry_cap}", file=sys.stderr)
         return EXIT_MISMATCH
-    records = []
+    records, plain = [], []
+    table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
     for n in range(1, args.n_max + 1):
         rec = {"n": n, "power_sum": sums.power_sum(res.rows[n], args.k)}
+        sv = ()  # state vectors start at k = 2
         if args.state_vectors and args.k >= 2:
-            rec["state_vector"] = sums.state_vector(res.rows[n], args.k).coords
+            rec["state_vector"] = sv = sums.state_vector(res.rows[n],
+                                                         args.k).coords
         records.append(rec)
-    if args.format == "json":
-        _emit(json.dumps({"q": args.q, "k": args.k, "rows": records}),
-              args.output)
-    elif args.format == "csv":
-        head = ["n", "power_sum"] + (["state_vector"]
-                                     if args.state_vectors else [])
-        rows = [[r["n"], r["power_sum"]]
-                + ([" ".join(map(str, r["state_vector"]))]
-                   if args.state_vectors and "state_vector" in r else
-                   ([""] if args.state_vectors else []))
-                for r in records]
-        _emit(_csv_rows([head] + rows), args.output)
-    else:
-        lines = []
-        for r in records:
-            line = f"n={r['n']}: {r['power_sum']}"
-            if "state_vector" in r:
-                line += "  state=[" + ", ".join(map(str,
-                                                    r["state_vector"])) + "]"
-            lines.append(line)
-        _emit("\n".join(lines), args.output)
+        plain.append(f"n={n}: {rec['power_sum']}"
+                     + (f"  state=[{', '.join(map(str, sv))}]" if sv else ""))
+        table.append([n, rec["power_sum"]]
+                     + [" ".join(map(str, sv))] * args.state_vectors)
+    _render(args, {"q": args.q, "k": args.k, "rows": records}, plain, table)
     return EXIT_OK
-
-
-def _recurrence_dict(rec) -> dict:
-    return {
-        "k": rec.k,
-        "order": rec.order,
-        "coefficients": [list(c.coeffs) for c in rec.coefficients],
-        "x_strip_count": rec.x_strip_count,
-        "initial_values": [list(v.coeffs) for v in rec.initial_values],
-        "variant": rec.variant,
-    }
 
 
 def cmd_recurrence(args) -> int:
-    if args.k < 0:
-        print("error: k must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     rec = systembuilder.recurrence_for_k(args.k)
-    if args.format == "json":
-        _emit(json.dumps(_recurrence_dict(rec)), args.output)
-    elif args.format == "csv":
-        head = (["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
-                + ["x_strip_count", "variant"]
-                + [f"iv{n}" for n in range(1, len(rec.initial_values) + 1)])
-        body = ([rec.k] + [format_qpoly(c) for c in rec.coefficients]
-                + [rec.x_strip_count, rec.variant]
-                + [format_qpoly(v) for v in rec.initial_values])
-        _emit(_csv_rows([head, body]), args.output)
-    else:
-        lines = [f"k={rec.k} order={rec.order} "
-                 f"x_strip_count={rec.x_strip_count} variant={rec.variant}"]
-        lines += [f"  c{j} = {format_qpoly(c)}"
-                  for j, c in enumerate(rec.coefficients, 1)]
-        if rec.initial_values:
-            vals = ", ".join(format_qpoly(v) for v in rec.initial_values)
-            lines.append(f"  initial values (n=1..{len(rec.initial_values)}):"
-                         f" {vals}")
-        _emit("\n".join(lines), args.output)
+    coeffs = [format_qpoly(c) for c in rec.coefficients]
+    ivs = [format_qpoly(v) for v in rec.initial_values]
+    plain = [f"k={rec.k} order={rec.order} "
+             f"x_strip_count={rec.x_strip_count} variant={rec.variant}"]
+    plain += [f"  c{j} = {c}" for j, c in enumerate(coeffs, 1)]
+    if ivs:
+        plain.append(f"  initial values (n=1..{len(ivs)}): {', '.join(ivs)}")
+    table = [["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
+             + ["x_strip_count", "variant"]
+             + [f"iv{n}" for n in range(1, len(ivs) + 1)],
+             [rec.k] + coeffs + [rec.x_strip_count, rec.variant] + ivs]
+    record = {"k": rec.k, "order": rec.order,
+              "coefficients": [list(c.coeffs) for c in rec.coefficients],
+              "x_strip_count": rec.x_strip_count,
+              "initial_values": [list(v.coeffs) for v in rec.initial_values],
+              "variant": rec.variant}
+    _render(args, record, plain, table)
     return EXIT_OK
 
 
+def _check_line(label: str, c: dict, failures: list, what: str) -> str:
+    """One recurrence or system check of a verify record; a check whose
+    row range is empty covered nothing and says so."""
+    status = (f"FAIL ({len(failures)} {what})" if failures else
+              "uncovered" if c["last_n"] < c["first_n"] else "ok")
+    return (f"{label} k={c['k']} q={c['q']} [{c['variant']}] "
+            f"n={c['first_n']}..{c['last_n']}: {status}")
+
+
 def cmd_verify(args) -> int:
-    k_lo, k_hi = args.k_range
-    if k_lo < 0:
-        print("error: k must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     if any(q < 5 for q in args.q_list):
         print("error: q must be >= 5", file=sys.stderr)
         return EXIT_USAGE
-    report = verify.run_grid((k_lo, k_hi), args.q_list, args.cap,
+    report = verify.run_grid(args.k_range, args.q_list, args.cap,
                              reduced=args.reduced)
     for q in args.q_list:
         report.counting_checks.append(verify.verify_counting(q))
-    payload = verify.report_to_dict(report)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = []
-        for c in report.recurrence_checks:
-            status = "ok" if c.all_exact else \
-                f"FAIL ({len(c.mismatches)} mismatches)"
-            lines.append(f"recurrence k={c.k} q={c.q} [{c.variant}] "
-                         f"n={c.first_n}..{c.last_n}: {status}")
-        for c in report.system_checks:
-            status = "ok" if c.all_exact else \
-                f"FAIL ({len(c.failing_equations)} equation failures)"
-            lines.append(f"system    k={c.k} q={c.q} [{c.variant}] "
-                         f"n={c.first_n}..{c.last_n}: {status}")
-        for c in report.counting_checks:
-            status = "ok" if c.all_exact else f"FAIL ({c.mismatches})"
-            lines.append(f"counting  q={c.q} depth={c.depth}: {status}")
-        lines.append("all-exact" if report.all_exact else "MISMATCHES FOUND")
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK if report.all_exact else EXIT_MISMATCH
+    record = verify.report_to_dict(report)
+    plain = [_check_line("recurrence", c, c["mismatches"], "mismatches")
+             for c in record["recurrence_checks"]]
+    plain += [_check_line("system   ", c, c["failing_equations"],
+                          "equation failures")
+              for c in record["system_checks"]]
+    for c in report.counting_checks:
+        status = "ok" if c.all_exact else f"FAIL ({c.mismatches})"
+        plain.append(f"counting  q={c.q} depth={c.depth}: {status}")
+    plain.append("all-exact" if record["all_exact"] else "MISMATCHES FOUND")
+    _render(args, record, plain, indent=2)
+    return EXIT_OK if record["all_exact"] else EXIT_MISMATCH
 
 
 def cmd_table(args) -> int:
@@ -193,36 +172,28 @@ def cmd_table(args) -> int:
         print("error: k-max must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     diffs = verify.reproduce_tables(args.k_max)
-    width = 0
     rows = []
     for k in range(args.k_max + 1):
         rec = verify._recurrence(k)
         if k <= tables.MAX_TABLED_K:
-            coeffs = rec.coefficients_padded(
-                max(len(tables.reference_row(k)), rec.order))
-            note = ""
+            rows.append((k, rec.coefficients_padded(
+                max(len(tables.reference_row(k)), rec.order)), ""))
         else:
-            coeffs = rec.coefficients
-            note = "no fixture (exploratory)"
-        width = max(width, len(coeffs))
-        rows.append((k, coeffs, note))
-    head = ["k"] + [f"c{j}" for j in range(1, width + 1)] + ["note"]
-    body = [[k] + [format_qpoly(c) for c in coeffs]
-            + [""] * (width - len(coeffs)) + [note]
-            for k, coeffs, note in rows]
-    if args.format == "json":
-        _emit(json.dumps({
-            "rows": [{"k": k,
-                      "coefficients": [list(c.coeffs) for c in coeffs],
-                      "note": note} for k, coeffs, note in rows],
-            "diff": verify.table_diff_to_dict(diffs)}), args.output)
-    else:
-        text = _csv_rows([head] + body)
-        if diffs:
-            text += "\ndiff:\n" + "\n".join(
-                f"  k={d.k} c{d.j}: expected {format_qpoly(d.expected)}, "
-                f"computed {format_qpoly(d.computed)}" for d in diffs)
-        _emit(text, args.output)
+            rows.append((k, rec.coefficients, "no fixture (exploratory)"))
+    width = max(len(coeffs) for _, coeffs, _ in rows)
+    plain = [["k"] + [f"c{j}" for j in range(1, width + 1)] + ["note"]]
+    plain += [[k] + [format_qpoly(c) for c in coeffs]
+              + [""] * (width - len(coeffs)) + [note]
+              for k, coeffs, note in rows]
+    if diffs:
+        plain.append("diff:")
+        plain += [f"  k={d.k} c{d.j}: expected {format_qpoly(d.expected)}, "
+                  f"computed {format_qpoly(d.computed)}" for d in diffs]
+    record = {"rows": [{"k": k,
+                        "coefficients": [list(c.coeffs) for c in coeffs],
+                        "note": note} for k, coeffs, note in rows],
+              "diff": verify.table_diff_to_dict(diffs)}
+    _render(args, record, plain)
     return EXIT_OK if not diffs else EXIT_MISMATCH
 
 
@@ -233,27 +204,24 @@ def cmd_conjecture(args) -> int:
     if args.k_max < args.k_min:
         print("error: k-max must be >= k-min", file=sys.stderr)
         return EXIT_USAGE
-    findings = verify.probe_conjecture(args.k_min, args.k_max)
-    payload = verify.findings_to_dict(findings)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = []
-        for f in payload:
-            flags = []
-            if f["anomaly"]:
-                flags.append(f"{f['trailing_zero_count']} trailing zero "
-                             "coefficient(s)")
-            if not f["tabled"]:
-                flags.append("exploratory")
-            lines.append(
-                f"k={f['k']}: order {f['stripped_order']}"
-                f"{'+' + str(f['trailing_zero_count']) if f['anomaly'] else ''}"
-                f" vs conjectured {f['conjectured_order']} "
-                f"({'match' if f['order_matches'] else 'MISMATCH'}), "
-                f"max q-degree {f['max_q_degree']}"
-                + (f"  [{'; '.join(flags)}]" if flags else ""))
-        _emit("\n".join(lines), args.output)
+    record = verify.findings_to_dict(
+        verify.probe_conjecture(args.k_min, args.k_max))
+    plain = []
+    for f in record:
+        flags = []
+        if f["anomaly"]:
+            flags.append(f"{f['trailing_zero_count']} trailing zero "
+                         "coefficient(s)")
+        if not f["tabled"]:
+            flags.append("exploratory")
+        plain.append(
+            f"k={f['k']}: order {f['stripped_order']}"
+            f"{'+' + str(f['trailing_zero_count']) if f['anomaly'] else ''}"
+            f" vs conjectured {f['conjectured_order']} "
+            f"({'match' if f['order_matches'] else 'MISMATCH'}), "
+            f"max q-degree {f['max_q_degree']}"
+            + (f"  [{'; '.join(flags)}]" if flags else ""))
+    _render(args, record, plain, indent=2)
     return EXIT_OK
 
 

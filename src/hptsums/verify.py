@@ -178,27 +178,23 @@ def verify_counting(q: int, depth: int = 12,
 
     s = [a + b for a, b in counts]
     shat = [x + y for x, y in zip(ahat, bhat)]
-
-    def expect(name, n, want, got):
-        if want != got:
-            check.mismatches.append((name, n, want, got))
-
-    expect("s", 1, 2, s[1])
-    expect("s", 2, 3, s[2])
-    expect("s", 3, q, s[3])
-    for n, want in ((1, 0), (2, 2), (3, 6)):
-        expect("a_hat", n, want, ahat[n])
-    for n, want in ((1, 2), (2, 2), (3, 2 * q - 6)):
-        expect("b_hat", n, want, bhat[n])
-    for n, want in ((1, 2), (2, 4), (3, 2 * q)):
-        expect("s_hat", n, want, shat[n])
-    for n in range(4, depth + 1):
-        expect("s", n, (q - 1) * s[n - 1] - (q - 1) * s[n - 2] + s[n - 3],
-               s[n])
-        for name, seq in (("a_hat", ahat), ("b_hat", bhat), ("s_hat", shat)):
-            expect(name, n,
-                   q * seq[n - 1] - (q + 1) * seq[n - 2] + 2 * seq[n - 3],
-                   seq[n])
+    # s follows the k = 0 recurrence and every value sum the k = 1 one;
+    # a-hat and b-hat have initial values of their own.
+    s_rec, hat_rec = (systembuilder.recurrence_for_k(k) for k in (0, 1))
+    hat_cs = hat_rec.evaluated_at(q)
+    for name, seq, cs, initial in (
+            ("s", s, s_rec.evaluated_at(q),
+             [v(q) for v in s_rec.initial_values]),
+            ("a_hat", ahat, hat_cs, [0, 2, 6]),
+            ("b_hat", bhat, hat_cs, [2, 2, 2 * q - 6]),
+            ("s_hat", shat, hat_cs, [v(q) for v in hat_rec.initial_values])):
+        for n, want in enumerate(initial, 1):
+            if want != seq[n]:
+                check.mismatches.append((name, n, want, seq[n]))
+        for n in range(len(cs) + 1, depth + 1):
+            want = sum(c * seq[n - j] for j, c in enumerate(cs, 1))
+            if want != seq[n]:
+                check.mismatches.append((name, n, want, seq[n]))
     return check
 
 

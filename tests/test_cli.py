@@ -179,3 +179,30 @@ def test_output_file(tmp_path, capsys):
                        "-o", str(target))
     assert code == 0
     assert target.read_text().strip() == "1B 3A 2B 2B 3A 1B"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "row.txt"
+    code, out, err = run(capsys, "row", "--q", "6", "--n", "3",
+                         "-o", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
+def test_checks_that_cover_no_row_are_uncovered(capsys):
+    # An entry cap of 1 stops at row 1: no recurrence or system step can be
+    # tested, so neither check may read "ok".
+    code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
+                       "6", "--cap", "1")
+    lines = out.splitlines()
+    assert lines[:2] == ["recurrence k=2 q=6 [full] n=5..1: uncovered",
+                         "system    k=2 q=6 [full] n=1..0: uncovered"]
+    assert code == 0 and lines[-1] == "all-exact"
+    code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
+                       "6", "--cap", "1", "--format", "csv")
+    assert out.splitlines()[:2] == lines[:2]
+    code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
+                       "6", "--cap", "1", "--format", "json")
+    assert "uncovered" not in out
+    assert json.loads(out)["recurrence_checks"][0]["last_n"] == 1

@@ -70,3 +70,22 @@ def test_run_grid_small():
     assert any(not c.all_exact for c in printed)
     d = verify.report_to_dict(report)
     assert d["all_exact"] and d["system_checks"]
+
+
+def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
+    # The value sums are checked against recurrence_for_k(1) itself, so a
+    # wrong coefficient there must show as mismatches, not pass unseen.
+    real = verify.systembuilder.recurrence_for_k
+
+    def wrong_c3(k, *args, **kwargs):
+        rec = real(k, *args, **kwargs)
+        if k == 1:
+            rec.coefficients[2] = rec.coefficients[2] + QPoly.const(1)
+        return rec
+
+    monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
+    check = verify.verify_counting(6, depth=8)
+    assert {name for name, *_ in check.mismatches} \
+        == {"a_hat", "b_hat", "s_hat"}
+    assert all(n >= 4 for _, n, _, _ in check.mismatches)
+
