@@ -91,6 +91,9 @@ def cmd_sums(args) -> int:
     if args.k < 0:
         print("error: k must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if args.state_vectors and args.k < 2:
+        print("error: state vectors need k >= 2", file=sys.stderr)
+        return EXIT_USAGE
     res = triangle.generate_rows(triangle.TriangleParams(args.q), args.n_max,
                                  entry_cap=args.entry_cap)
     if res.truncated:
@@ -100,11 +103,11 @@ def cmd_sums(args) -> int:
     records, plain = [], []
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
     for n in range(1, args.n_max + 1):
-        rec = {"n": n, "power_sum": sums.power_sum(res.rows[n], args.k)}
-        sv = ()  # state vectors start at k = 2
-        if args.state_vectors and args.k >= 2:
-            rec["state_vector"] = sv = sums.state_vector(res.rows[n],
-                                                         args.k).coords
+        row = res.rows[n].triples()
+        rec = {"n": n, "power_sum": sums.power_sum(row, args.k)}
+        sv = ()
+        if args.state_vectors:
+            rec["state_vector"] = sv = sums.state_vector(row, args.k).coords
         records.append(rec)
         plain.append(f"n={n}: {rec['power_sum']}"
                      + (f"  state=[{', '.join(map(str, sv))}]" if sv else ""))

@@ -9,40 +9,44 @@ equations, never inside pair_sum, which is a pure adjacency scan.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactalg import binom
 from .triangle import TAG_A, TAG_B, Row, TriangleParams
 
 
-def power_sum(row: Row, k: int) -> int:
-    """Sum of value^k over all entries of the row."""
+def _triples(row) -> Counter:
+    """The triple multiset of a Row, or the argument if it already is one."""
+    return row.triples() if isinstance(row, Row) else row
+
+
+def power_sum(row, k: int) -> int:
+    """Sum of value^k over all entries of a Row or a triple multiset."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return sum(v**k for v, _ in row.entries)
+    return sum(m * v**k for (_, (v, _), _), m in _triples(row).items())
 
 
-def type_power_sums(row: Row, k: int) -> tuple:
+def type_power_sums(row, k: int) -> tuple:
     """(sum over tag-A entries, sum over tag-B entries) of value^k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    a = sum(v**k for v, t in row.entries if t == TAG_A)
-    b = sum(v**k for v, t in row.entries if t == TAG_B)
-    return a, b
+    totals = {TAG_A: 0, TAG_B: 0}
+    for (_, (v, t), _), m in _triples(row).items():
+        totals[t] += m * v**k
+    return totals[TAG_A], totals[TAG_B]
 
 
-def pair_sum(row: Row, i: int, j: int, first_tag: str, second_tag: str) -> int:
+def pair_sum(row, i: int, j: int, first_tag: str, second_tag: str) -> int:
     """Sum of first^i * second^j over adjacent ordered entry pairs whose
     tags match (first_tag, second_tag)."""
     if i + j < 1:
         raise ValueError("i + j must be >= 1")
-    e = row.entries
-    total = 0
-    for pos in range(len(e) - 1):
-        (v1, t1), (v2, t2) = e[pos], e[pos + 1]
-        if t1 == first_tag and t2 == second_tag:
-            total += v1**i * v2**j
-    return total
+    return sum(m * v1**i * right[0]**j
+               for (_, (v1, t1), right), m in _triples(row).items()
+               if right is not None and t1 == first_tag
+               and right[1] == second_tag)
 
 
 @dataclass
@@ -71,13 +75,27 @@ class StateVector:
         return self.coords[self.k + 1]
 
 
-def state_vector(row: Row, k: int) -> StateVector:
-    a, b = type_power_sums(row, k)
-    coords = [a]
-    coords += [pair_sum(row, k - j, j, TAG_A, TAG_B) for j in range(1, k)]
-    coords.append(b)
-    coords.append(pair_sum(row, 1, k - 1, TAG_B, TAG_B))
-    return StateVector(k, coords)
+def state_vector(row, k: int) -> StateVector:
+    """The state vector of a Row or a triple multiset, in one pass over its
+    distinct triples: the power sums by tag of the centres and the pair
+    sums over (centre, right neighbour) pairs tagged (A, B) and (B, B)."""
+    a = b = u = 0
+    mixed = [0] * k  # mixed[j] = (a^{k-j} b^j), j = 1..k-1
+    for (_, (x, t), right), m in _triples(row).items():
+        xk = m * x**k
+        if t == TAG_A:
+            a += xk
+            if right is not None and right[1] == TAG_B:
+                y = right[0]
+                term = xk
+                for j in range(1, k):  # m x^(k-j) y^j, from m x^k
+                    term = term // x * y
+                    mixed[j] += term
+        else:
+            b += xk
+            if right is not None and right[1] == TAG_B:
+                u += m * x * right[0]**(k - 1)
+    return StateVector(k, [a] + mixed[1:] + [b, u])
 
 
 def reduced_labels(k: int) -> list:

@@ -3,13 +3,22 @@
 Rows are exact: every entry is an arbitrary-precision natural tagged A
 (two ascendants, value = sum of parents) or B (one ascendant, value copied).
 The boundary 1's (wingers) count as type B.
+
+A Row lists its entries (next_row, generate_rows).  A triple multiset is a
+Counter of one (left, (value, tag), right) triple per entry, None padding
+the row ends (next_triples, generate_triples).  A vertex's children depend
+only on it and its two neighbours, so the multiset of row n determines that
+of row n+1; its size is the number of distinct triples, not of entries.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 TAG_A = "A"
 TAG_B = "B"
+WINGER = (1, TAG_B)  # a boundary 1
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,12 @@ class Row:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def triples(self) -> Counter:
+        """The row's triple multiset (see the module docstring)."""
+        e = self.entries
+        return Counter(zip(chain((None,), e), e,
+                           chain(islice(e, 1, None), (None,))))
 
 
 @dataclass
@@ -94,14 +109,18 @@ class GenerationResult:
     truncated: bool = False
 
 
-def generate_rows(params: TriangleParams, n_max: int,
-                  entry_cap: int = 10**6) -> GenerationResult:
-    """Rows 0..n_max, stopping early (truncated=True) once the next row
-    would exceed entry_cap entries.  Truncation is always reported."""
+def _check_limits(n_max: int, entry_cap: int) -> None:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if entry_cap <= 0:
         raise ValueError("entry_cap must be > 0")
+
+
+def generate_rows(params: TriangleParams, n_max: int,
+                  entry_cap: int = 10**6) -> GenerationResult:
+    """Rows 0..n_max, stopping early (truncated=True) once the next row
+    would exceed entry_cap entries.  Truncation is always reported."""
+    _check_limits(n_max, entry_cap)
     result = GenerationResult()
     rows = result.rows
     rows.append(row0())
@@ -113,6 +132,68 @@ def generate_rows(params: TriangleParams, n_max: int,
             result.truncated = True
             break
         rows.append(nxt)
+    return result
+
+
+def next_triples(triples: Counter, params: TriangleParams) -> Counter:
+    """The triple multiset of row n+1 from that of row n, for n >= 1.
+
+    Row n+1 holds one block per vertex of row n: the left winger gives the
+    new left winger and the A-child it shares with its right neighbour; an
+    interior vertex its q-4 (type A) or q-3 (type B) B-copies and then that
+    A-child; the right winger the new right winger.  A block borders the
+    left neighbour's A-child and the right neighbour's first entry, which
+    has that neighbour's value and tag B.  A winger is the centre of the
+    triple with None on one side; no step tells wingers apart by value.
+    """
+    q = params.q
+    out = Counter()
+    for (left, (v, t), right), m in triples.items():
+        if left is None:
+            if right is None:
+                raise ValueError("row 0 has no triple step; start at row 1")
+            child = (1 + right[0], TAG_A)
+            out[(None, WINGER, child)] += m
+            out[(WINGER, child, (right[0], TAG_B))] += m
+        elif right is None:
+            out[((left[0] + 1, TAG_A), WINGER, None)] += m
+        else:
+            copy = (v, TAG_B)
+            first, child = (left[0] + v, TAG_A), (v + right[0], TAG_A)
+            copies = q - 4 if t == TAG_A else q - 3
+            if copies == 1:
+                out[(first, copy, child)] += m
+            else:
+                out[(first, copy, copy)] += m
+                if copies > 2:
+                    out[(copy, copy, copy)] += (copies - 2) * m
+                out[(copy, copy, child)] += m
+            out[(copy, child, (right[0], TAG_B))] += m
+    return out
+
+
+def triple_rows(params: TriangleParams):
+    """The triple multisets of rows 0, 1, 2, ... without end."""
+    yield row0().triples()
+    row = row1().triples()
+    while True:
+        yield row
+        row = next_triples(row, params)
+
+
+def generate_triples(params: TriangleParams, n_max: int,
+                     entry_cap: int = 10**6) -> GenerationResult:
+    """The triple multisets of rows 0..n_max, under the contract of
+    generate_rows: rows 0 and 1 always, and truncated=True once the next
+    row would exceed entry_cap entries, counted exactly as the sum of the
+    multiplicities."""
+    _check_limits(n_max, entry_cap)
+    result = GenerationResult()
+    for n, row in enumerate(islice(triple_rows(params), n_max + 1)):
+        if n >= 2 and sum(row.values()) > entry_cap:
+            result.truncated = True
+            break
+        result.rows.append(row)
     return result
 
 

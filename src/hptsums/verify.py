@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
 from .exactalg import QPoly, format_qpoly
@@ -103,8 +104,9 @@ def _recurrence(k: int):
 
 @lru_cache(maxsize=8)
 def _capped_rows(q: int, entry_cap: int, depth_limit: int = 64) -> list:
-    res = triangle.generate_rows(triangle.TriangleParams(q), depth_limit,
-                                 entry_cap=entry_cap)
+    """Triple multisets of the rows of HPT_{4,q} up to the entry cap."""
+    res = triangle.generate_triples(triangle.TriangleParams(q), depth_limit,
+                                    entry_cap=entry_cap)
     return res.rows
 
 
@@ -145,36 +147,27 @@ def verify_system_steps(k: int, q: int,
     return check
 
 
-def verify_counting(q: int, depth: int = 12,
-                    entry_cap: int = 2 * 10**5) -> CountingCheck:
+def verify_counting(q: int, depth: int = 12) -> CountingCheck:
     """Check the ternary recurrences and initial values for the four row
     sequences: vertex counts s_n and the value sums a-hat, b-hat, s-hat.
 
-    Sequences are read off generated rows while those fit under entry_cap
-    and continued by the structural step rules beyond it, so deep rows are
-    checked without materializing hundreds of millions of entries.
+    Every row up to depth is read from its triple multiset, whose size is
+    the number of distinct triples, so deep rows are checked without
+    materializing hundreds of millions of entries.
     """
     params = triangle.TriangleParams(q)
     check = CountingCheck(q, depth)
-
-    rows = triangle.generate_rows(params, depth, entry_cap=entry_cap).rows
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
-    for n in range(1, min(depth, len(rows) - 1) + 1):
-        r = rows[n]
-        a1, b1 = sums.type_power_sums(r, 1)
-        a0, b0 = sums.type_power_sums(r, 0)
+    rows = islice(triangle.triple_rows(params), 1, depth + 1)
+    for n, row in enumerate(rows, 1):
+        a1, b1 = sums.type_power_sums(row, 1)
+        a0, b0 = sums.type_power_sums(row, 0)
         rc = triangle.row_counts(params, n)
         if (a0, b0) != (rc.a, rc.b):
             check.mismatches.append(("row_counts", n, (rc.a, rc.b), (a0, b0)))
         counts.append((a0, b0))
         ahat.append(a1)
         bhat.append(b1)
-    while len(counts) <= depth:  # continue by the step rules
-        rc = triangle.row_counts(params, len(counts))
-        counts.append((rc.a, rc.b))
-        ah, bh = ahat[-1], bhat[-1]
-        ahat.append(2 * (ah + bh) - 2)
-        bhat.append(2 + (q - 4) * ah + (q - 3) * (bh - 2))
 
     s = [a + b for a, b in counts]
     shat = [x + y for x, y in zip(ahat, bhat)]

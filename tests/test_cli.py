@@ -69,6 +69,14 @@ def test_sums_state_vectors(capsys):
     assert payload["rows"][-1]["state_vector"] == [98, 49, 62, 34]
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_sums_state_vectors_need_k2(capsys, k, fmt):
+    code, out, err = run(capsys, "sums", "--q", "6", "--k", k, "--n-max",
+                         "3", "--state-vectors", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: state vectors need k >= 2\n")
+
+
 def test_recurrence_json_schema(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "json")
     payload = json.loads(out)

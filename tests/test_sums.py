@@ -98,6 +98,31 @@ def test_bb_pair_sums_split_independent(q, n, k):
     assert len(vals) == 1
 
 
+def _scan_pair_sum(row, i, j, first_tag, second_tag):
+    """An adjacent-pair sum by a scan of the materialised entry list."""
+    e = row.entries
+    return sum(v1**i * v2**j for (v1, t1), (v2, t2) in zip(e, e[1:])
+               if (t1, t2) == (first_tag, second_tag))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(5, 9), n=st.integers(1, 7), k=st.integers(2, 8))
+def test_statistics_match_entry_scans(q, n, k):
+    """The one pass over the triple multiset against the definitions: power
+    sums and k-1 separate pair scans over the entry list."""
+    row = rows_for(q, n)[n]
+    a = sum(v**k for v, t in row.entries if t == "A")
+    b = sum(v**k for v, t in row.entries if t == "B")
+    expected = ([a] + [_scan_pair_sum(row, k - j, j, "A", "B")
+                       for j in range(1, k)]
+                + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
+    t = row.triples()
+    assert state_vector(t, k).coords == expected
+    assert type_power_sums(t, k) == (a, b)
+    assert power_sum(t, k) == a + b
+    assert pair_sum(t, k, 2, "B", "A") == _scan_pair_sum(row, k, 2, "B", "A")
+
+
 def test_fold_state_even_and_odd():
     rows = rows_for(6, 4)
     g = state_vector(rows[4], 4)

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.triangle import (Row, TriangleParams, generate_rows, next_row,
-                              row0, row1, row_counts, validate_row)
+from hptsums.triangle import (WINGER, Row, TriangleParams, generate_rows,
+                              generate_triples, next_row, next_triples, row0,
+                              row1, row_counts, validate_row)
 
 
 def row_of(spec):
@@ -109,3 +110,52 @@ def test_tag_pattern_between_a_entries(q, n):
 def test_rows_0_and_1():
     assert row0().entries == [(1, "B")]
     assert row1().entries == [(1, "B"), (1, "B")]
+
+
+def test_row_triples_pad_the_ends():
+    t = row_of("1B 3A 2B 2B 3A 1B").triples()
+    assert t == {(None, (1, "B"), (3, "A")): 1, ((1, "B"), (3, "A"), (2, "B")): 1,
+                 ((3, "A"), (2, "B"), (2, "B")): 1, ((2, "B"), (2, "B"), (3, "A")): 1,
+                 ((2, "B"), (3, "A"), (1, "B")): 1, ((3, "A"), (1, "B"), None): 1}
+    assert row0().triples() == {(None, (1, "B"), None): 1}
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 9])
+def test_triple_step_matches_generated_rows(q):
+    """The triple step against the padded triples of the materialised rows,
+    rows 0..12 or as far as a row fits in 10**6 entries (q=7: 10, q=9: 9;
+    row 12 holds 6.7e6 entries at q=7 and 2.3e8 at q=9)."""
+    params = TriangleParams(q)
+    rows = generate_rows(params, 12, entry_cap=10**6).rows
+    triples = generate_triples(params, 12, entry_cap=10**6).rows
+    assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
+    assert [r.triples() for r in rows] == triples
+    for n, t in enumerate(triples[1:], 1):
+        # The two wingers are the centres of the only triples with a None
+        # side; the step tells them apart by that, not by their value 1,
+        # which no interior entry has either.
+        assert [(key[1], m) for key, m in t.items() if None in key] \
+            == [(WINGER, 1), (WINGER, 1)]
+        assert all(centre[0] > 1 for left, centre, right in t
+                   if left is not None and right is not None)
+        assert sum(t.values()) == row_counts(params, n).s
+
+
+@pytest.mark.parametrize("q", [5, 9])
+@pytest.mark.parametrize("cap", [1, 2, 3, 50, 10**5])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 64])
+def test_generate_triples_truncates_like_generate_rows(q, cap, n_max):
+    params = TriangleParams(q)
+    rows = generate_rows(params, n_max, entry_cap=cap)
+    triples = generate_triples(params, n_max, entry_cap=cap)
+    assert (len(triples.rows), triples.truncated) \
+        == (len(rows.rows), rows.truncated)
+
+
+def test_generate_triples_rejects_bad_limits():
+    with pytest.raises(ValueError):
+        generate_triples(TriangleParams(6), -1)
+    with pytest.raises(ValueError):
+        generate_triples(TriangleParams(6), 3, entry_cap=0)
+    with pytest.raises(ValueError):
+        next_triples(row0().triples(), TriangleParams(6))

@@ -1,4 +1,4 @@
-from hptsums import verify
+from hptsums import triangle, verify
 from hptsums.exactalg import QPoly
 
 
@@ -89,3 +89,36 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
         == {"a_hat", "b_hat", "s_hat"}
     assert all(n >= 4 for _, n, _, _ in check.mismatches)
 
+
+def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
+    # Row 10 at q=9 holds 4,976,786 entries, more than a 2e5-entry cap on
+    # materialised rows reaches (row 8).  One A entry of that row turned into
+    # a B entry must show, from row 10 on.
+    params = triangle.TriangleParams(9)
+    row10 = triangle.row_counts(params, 10).s
+    real = triangle.next_triples
+
+    def perturbed(triples, params):
+        out = real(triples, params)
+        if sum(out.values()) == row10:
+            left, (v, _), right = key = next(
+                key for key in out if key[1][1] == "A" and None not in key)
+            out[key] -= 1
+            out[(left, (v, "B"), right)] += 1
+        return out
+
+    monkeypatch.setattr(triangle, "next_triples", perturbed)
+    check = verify.verify_counting(9, depth=12)
+    assert ("row_counts", 10) in {(name, n) for name, n, *_ in check.mismatches}
+    assert min(n for _, n, _, _ in check.mismatches) == 10
+
+
+def test_verify_materialises_no_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify materialised a row")
+
+    monkeypatch.setattr(triangle, "next_row", refuse)
+    monkeypatch.setattr(triangle, "generate_rows", refuse)
+    verify._capped_rows.cache_clear()  # build every row under the patch
+    assert verify.run_grid((2, 4), (5, 9), 10**4, reduced=True).all_exact
+    assert verify.verify_counting(7).all_exact
