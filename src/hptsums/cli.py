@@ -94,8 +94,8 @@ def cmd_sums(args) -> int:
     if args.state_vectors and args.k < 2:
         print("error: state vectors need k >= 2", file=sys.stderr)
         return EXIT_USAGE
-    res = triangle.generate_rows(triangle.TriangleParams(args.q), args.n_max,
-                                 entry_cap=args.entry_cap)
+    res = triangle.generate_triples(triangle.TriangleParams(args.q),
+                                    args.n_max, entry_cap=args.entry_cap)
     if res.truncated:
         print(f"error: rows beyond {len(res.rows) - 1} exceed the entry cap "
               f"of {args.entry_cap}", file=sys.stderr)
@@ -103,7 +103,7 @@ def cmd_sums(args) -> int:
     records, plain = [], []
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
     for n in range(1, args.n_max + 1):
-        row = res.rows[n].triples()
+        row = res.rows[n]
         rec = {"n": n, "power_sum": sums.power_sum(row, args.k)}
         sv = ()
         if args.state_vectors:

@@ -2,10 +2,10 @@
 
 Everything here is integer-exact: polynomials in ``q`` over the integers
 (QPoly), polynomials in ``x`` over that ring (XQPoly), dense square matrices
-over QPoly, characteristic polynomials, determinants and Lagrange
-interpolation.  Rational numbers appear only transiently (fractions.Fraction
-inside the interpolation / orbit solvers); every returned coefficient is an
-int, and anything that would not be integral raises instead of rounding.
+over QPoly, characteristic polynomials and Lagrange interpolation.  Rational
+numbers appear only transiently (fractions.Fraction inside the
+interpolation); every returned coefficient is an int, and anything that
+would not be integral raises instead of rounding.
 """
 from __future__ import annotations
 
@@ -82,9 +82,6 @@ class QPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return QPoly(self.coeff(d) - other.coeff(d) for d in range(n))
 
-    def __rsub__(self, other) -> "QPoly":
-        return _as_qpoly(other) - self
-
     def __neg__(self) -> "QPoly":
         return QPoly(-c for c in self.coeffs)
 
@@ -106,9 +103,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
         return acc
-
-    def __str__(self) -> str:
-        return format_qpoly(self)
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
@@ -162,13 +156,6 @@ class XQPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def coeff(self, d: int) -> QPoly:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else QZERO
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -178,17 +165,6 @@ class XQPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "XQPoly") -> "XQPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XQPoly(self.coeff(d) + other.coeff(d) for d in range(n))
-
-    def __sub__(self, other: "XQPoly") -> "XQPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XQPoly(self.coeff(d) - other.coeff(d) for d in range(n))
-
-    def __neg__(self) -> "XQPoly":
-        return XQPoly(-c for c in self.coeffs)
-
     def __mul__(self, other: "XQPoly") -> "XQPoly":
         if not self or not other:
             return XQPoly()
@@ -197,37 +173,6 @@ class XQPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return XQPoly(out)
-
-    def eval_x(self, x0: int) -> QPoly:
-        acc = QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def eval_q(self, q0: int) -> list:
-        """Integer coefficient list (ascending in x) at a fixed q."""
-        return [c(q0) for c in self.coeffs]
-
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeff(d)
-            if not c:
-                continue
-            cs = format_qpoly(c)
-            if d > 0:
-                if sum(1 for t in c.coeffs if t) > 1:
-                    cs = f"({cs})"
-                elif cs == "1":
-                    cs = ""
-                elif cs == "-1":
-                    cs = "-"
-                cs += "x" if d == 1 else f"x^{d}"
-            sep = "" if not parts or cs.startswith("-") else "+"
-            parts.append(sep + cs)
-        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"XQPoly({[list(c.coeffs) for c in self.coeffs]!r})"
@@ -289,32 +234,8 @@ def charpoly_int(m: Sequence[Sequence[int]]) -> list:
 
 
 def _matmul_int(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -364,66 +285,18 @@ def lagrange_interpolate(points: Sequence, deg_bound: int) -> QPoly:
     return poly
 
 
-def _eval_interp_q(m: PolyMatrix, kernel) -> list:
-    """Run an integer kernel at enough q-points and interpolate each output
-    coefficient back into Z[q].
-
-    The determinant is multilinear in the rows, so its q-degree is bounded by
-    the number of q-dependent rows; one extra point verifies the bound.
-    """
-    bad = [e for row in m.entries for e in row if e.degree not in (NEG_INF, 0, 1)]
-    if bad:
-        raise ValueError("matrix entries must have degree <= 1 in q")
-    deg_bound = len(m.q_dependent_rows())
-    q_points = list(range(5, 5 + deg_bound + 2))
-    samples = [kernel(m.eval_q(q0)) for q0 in q_points]
-    width = max(len(s) for s in samples) if isinstance(samples[0], list) else 1
-    if isinstance(samples[0], int):
-        samples = [[s] for s in samples]
-    out = []
-    for d in range(width):
-        pts = [(q0, s[d] if d < len(s) else 0) for q0, s in zip(q_points, samples)]
-        out.append(lagrange_interpolate(pts, deg_bound))
-    return out
-
-
 def charpoly_q(m: PolyMatrix) -> XQPoly:
     """det(xI - m) as an exact element of Z[q][x], by evaluating q at
-    integer points, running charpoly_int, and interpolating per x-coefficient."""
-    return XQPoly(_eval_interp_q(m, charpoly_int))
+    integer points, running charpoly_int, and interpolating per x-coefficient.
 
-
-def det_q(m: PolyMatrix) -> QPoly:
-    """Exact determinant over Z[q] via the same evaluate-interpolate scheme."""
-    return _eval_interp_q(m, det_int)[0]
-
-
-def matrix_from_orbit(vectors: Sequence[Sequence]) -> list:
-    """Recover the unique matrix M with g_{t+1} = M g_t from nu+1 orbit
-    vectors g_0..g_nu (the first nu must be linearly independent).
-
-    Solves M G = G* by exact rational elimination; entries come back as
-    Fractions (integers when the system is integral).
+    The determinant is multilinear in the rows, so with entries of q-degree
+    <= 1 its q-degree is bounded by the number of q-dependent rows; one
+    extra point verifies the bound.
     """
-    if len(vectors) < 2:
-        raise ValueError("need at least two orbit vectors")
-    nu = len(vectors[0])
-    if len(vectors) != nu + 1 or any(len(v) != nu for v in vectors):
-        raise ValueError(f"expected {nu + 1} vectors of length {nu}")
-    g = [[Fraction(vectors[t][i]) for t in range(nu)] for i in range(nu)]
-    gstar = [[Fraction(vectors[t + 1][i]) for t in range(nu)] for i in range(nu)]
-    # Row-reduce [G^T | (G*)^T] so that M^T = solution of G^T M^T = (G*)^T.
-    a = [[g[i][r] for i in range(nu)] + [gstar[i][r] for i in range(nu)]
-         for r in range(nu)]
-    for col in range(nu):
-        piv = next((r for r in range(col, nu) if a[r][col] != 0), None)
-        if piv is None:
-            raise ExactAlgError("initial vectors not independent")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(nu):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
+    if any(e.degree > 1 for row in m.entries for e in row):
+        raise ValueError("matrix entries must have degree <= 1 in q")
+    deg_bound = len(m.q_dependent_rows())
+    q_points = range(5, 5 + deg_bound + 2)
+    samples = [charpoly_int(m.eval_q(q0)) for q0 in q_points]
+    return XQPoly(lagrange_interpolate(list(zip(q_points, column)), deg_bound)
+                  for column in zip(*samples))

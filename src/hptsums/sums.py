@@ -1,11 +1,12 @@
-"""Power sums, adjacency pair-sums, state vectors, and the row-to-row
-step oracle.
+"""Power sums and state vectors of a row, read from its triple multiset
+(see triangle), and the row-to-row step oracle.
 
 The step oracle (check_system_step) evaluates the linear system that
 advances the state vector from one row to the next, directly from its
 defining formulas, so it stays independent of the matrix construction in
 systembuilder.  The winger corrections (-2, -1, -2(q-4)) live here in the
-equations, never inside pair_sum, which is a pure adjacency scan.
+equations, never inside state_vector, whose pair sums are a pure adjacency
+scan.
 """
 from __future__ import annotations
 
@@ -13,40 +14,24 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactalg import binom
-from .triangle import TAG_A, TAG_B, Row, TriangleParams
+from .triangle import TAG_A, TAG_B, TriangleParams
 
 
-def _triples(row) -> Counter:
-    """The triple multiset of a Row, or the argument if it already is one."""
-    return row.triples() if isinstance(row, Row) else row
-
-
-def power_sum(row, k: int) -> int:
-    """Sum of value^k over all entries of a Row or a triple multiset."""
+def power_sum(triples: Counter, k: int) -> int:
+    """Sum of value^k over all entries of a row's triple multiset."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return sum(m * v**k for (_, (v, _), _), m in _triples(row).items())
+    return sum(m * v**k for (_, (v, _), _), m in triples.items())
 
 
-def type_power_sums(row, k: int) -> tuple:
+def type_power_sums(triples: Counter, k: int) -> tuple:
     """(sum over tag-A entries, sum over tag-B entries) of value^k."""
     if k < 0:
         raise ValueError("k must be >= 0")
     totals = {TAG_A: 0, TAG_B: 0}
-    for (_, (v, t), _), m in _triples(row).items():
+    for (_, (v, t), _), m in triples.items():
         totals[t] += m * v**k
     return totals[TAG_A], totals[TAG_B]
-
-
-def pair_sum(row, i: int, j: int, first_tag: str, second_tag: str) -> int:
-    """Sum of first^i * second^j over adjacent ordered entry pairs whose
-    tags match (first_tag, second_tag)."""
-    if i + j < 1:
-        raise ValueError("i + j must be >= 1")
-    return sum(m * v1**i * right[0]**j
-               for (_, (v1, t1), right), m in _triples(row).items()
-               if right is not None and t1 == first_tag
-               and right[1] == second_tag)
 
 
 @dataclass
@@ -75,13 +60,13 @@ class StateVector:
         return self.coords[self.k + 1]
 
 
-def state_vector(row, k: int) -> StateVector:
-    """The state vector of a Row or a triple multiset, in one pass over its
+def state_vector(triples: Counter, k: int) -> StateVector:
+    """The state vector of a row's triple multiset, in one pass over its
     distinct triples: the power sums by tag of the centres and the pair
     sums over (centre, right neighbour) pairs tagged (A, B) and (B, B)."""
     a = b = u = 0
     mixed = [0] * k  # mixed[j] = (a^{k-j} b^j), j = 1..k-1
-    for (_, (x, t), right), m in _triples(row).items():
+    for (_, (x, t), right), m in triples.items():
         xk = m * x**k
         if t == TAG_A:
             a += xk
@@ -134,10 +119,6 @@ class StepReport:
     k: int
     variant: str
     checks: list
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]

@@ -1,19 +1,10 @@
 """System matrices for the power-sum state vector, recurrence extraction,
 and initial values.
 
-Three routes to the same characteristic polynomial are kept deliberately
-separate so they can cross-check each other:
-
-  * build_full_matrix(k)          -- the (k+2) x (k+2) system matrix, entries
-                                     from the closed binomial formula;
-  * build_structured_charpoly(k)  -- determinant of the row-reduced form
-                                     (sum of an x-multiplied alternating
-                                     binomial matrix and a 0/1 matrix);
-  * sums.check_system_step        -- the definition-level step oracle.
-
-The product path derives from the folded reduced system of dimension
-r = floor(k/2)+3.  The fold P maps the full coordinates [a^k, mixed pairs,
-b^k, u] onto [a^k, b^k, c_1.., u] by summing each fold class
+One route derives every recurrence and its initial values: the folded
+reduced system of dimension r = floor(k/2)+3.  The fold P maps the full
+coordinates [a^k, mixed pairs, b^k, u] onto [a^k, b^k, c_1.., u] by summing
+each fold class
 
   (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
 
@@ -26,13 +17,18 @@ Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2, is M-invariant;
 M maps it to zero, because rows 0..k-1 of M are symmetric under j <-> k-j
 and rows k, k+1 touch only columns 0, k and k+1.  So
 det(xI - M) = x^(k+2-r) det(xI - M_red), and the full characteristic
-polynomial is read off the reduced one exactly; the full matrix stays as
-the cross-check in the tests.
+polynomial is read off the reduced one exactly.
 
 Recurrences come out of the characteristic polynomial by the (x-1) lift
 (absorbing the constant winger-correction vector) followed by maximal
 x-stripping.  Initial values come from iterating the same reduced system
 over Z[q], starting from the folded row-1 state vector.
+
+verify checks the system against real rows with the definition-level
+step oracle sums.check_system_step.  The second routes to the
+characteristic polynomial live in the tests: the full matrix's own, and
+the structured determinant of the row-reduced form of M - xI in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -41,12 +37,11 @@ from functools import reduce
 from operator import add
 
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix, QPoly,
-                       XQPoly, binom, charpoly_q, det_q, lagrange_interpolate)
+                       XQPoly, binom, charpoly_q, format_qpoly)
 
 __all__ = [
     "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
-    "structured_addends", "build_structured_charpoly", "lift_inhomogeneous",
-    "recurrence_from_polynomial", "recurrence_for_k",
+    "lift_inhomogeneous", "recurrence_from_polynomial", "recurrence_for_k",
     "initial_values_symbolic", "conjectured_order",
 ]
 
@@ -62,9 +57,8 @@ class LinearSystem:
 class Recurrence:
     """(s^k)_n = sum_j c_j(q) (s^k)_{n-j}, with maximal x-stripping.
 
-    order is the minimal (stripped) order; trailing_zero_flags marks, per
-    position 1..conjectured_order(k), which coefficients are zero there
-    (nonempty only when the stripped order falls short, as for k = 9, 11).
+    order is the minimal (stripped) order, which falls short of
+    conjectured_order(k) for some k, such as 9 and 11.
     """
 
     k: int
@@ -73,7 +67,6 @@ class Recurrence:
     x_strip_count: int
     variant: str = "full"  # "full" | "closed" (k = 0, 1)
     initial_values: list = field(default_factory=list)  # QPoly per n
-    trailing_zero_flags: list = field(default_factory=list)
 
     def coefficients_padded(self, width: int) -> list:
         if width < self.order:
@@ -142,66 +135,6 @@ def build_reduced_matrix(k: int) -> LinearSystem:
     return LinearSystem(k, PolyMatrix(rows), consts)
 
 
-def structured_addends(k: int) -> tuple:
-    """The two (k+2) x (k+2) matrices whose sum is the row-reduced form of
-    M - xI: an upper-triangular alternating-binomial matrix of x-multiples
-    (with a two-row q tail) and a 0/1 diagonal-plus-antidiagonal matrix."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    n = k + 2
-    x1 = [[XQPoly() for _ in range(n)] for _ in range(n)]
-    for u in range(k + 1):
-        for j in range(u, k + 1):
-            c = (-1)**(j - u + 1) * binom(k - u, j - u)
-            x1[u][j] = XQPoly((QZERO, QPoly.const(c)))
-        if u <= k - 1:
-            x1[u][k + 1] = XQPoly((QZERO, QPoly.const((-1)**(k - u))))
-    x1[k][k] = XQPoly((QZERO, QPoly.const(-1)))
-    x1[k][k + 1] = XQPoly((QZERO, QONE))
-    x1[k + 1][k] = XQPoly((QZERO, Q - 5))
-    x1[k + 1][k + 1] = XQPoly((QZERO, -(Q - 4)))
-
-    x2 = [[XQPoly() for _ in range(n)] for _ in range(n)]
-    for u in range(k):
-        x2[u][u] = x2[u][u] + XQPoly((QONE,))
-        x2[u][k - u] = x2[u][k - u] + XQPoly((QONE,))
-        if 1 <= u <= k - 1:
-            x2[u][k + 1] = XQPoly((QONE,))
-    x2[k][0] = XQPoly((QONE,))
-    x2[k][k] = XQPoly((QONE,))
-    x2[k + 1][k] = XQPoly((QONE,))
-    return x1, x2
-
-
-def build_structured_charpoly(k: int) -> XQPoly:
-    """Characteristic polynomial via the structured determinant route.
-
-    Sums the two addend matrices, evaluates x at k+4 integer points, takes
-    each exact determinant over Z[q], interpolates every q-coefficient as a
-    polynomial in x (degree bound k+2, one extra verification point), and
-    applies the (-1)^k sign that converts det(M - xI) back to det(xI - M).
-    """
-    x1, x2 = structured_addends(k)
-    n = k + 2
-    total = [[x1[i][j] + x2[i][j] for j in range(n)] for i in range(n)]
-    x_points = list(range(n + 2))
-    dets = []
-    for x0 in x_points:
-        mat = PolyMatrix([[e.eval_x(x0) for e in row] for row in total])
-        dets.append(det_q(mat))
-    max_qdeg = max((len(d.coeffs) for d in dets), default=0)
-    coeffs_by_qdeg = []
-    for d in range(max_qdeg):
-        pts = [(x0, det.coeff(d)) for x0, det in zip(x_points, dets)]
-        coeffs_by_qdeg.append(lagrange_interpolate(pts, n))
-    # coeffs_by_qdeg[d] is a polynomial in x; transpose into Z[q][x].
-    max_xdeg = max((len(p.coeffs) for p in coeffs_by_qdeg), default=0)
-    sign = (-1)**k
-    return XQPoly(QPoly(sign * coeffs_by_qdeg[d].coeff(e)
-                        for d in range(max_qdeg))
-                  for e in range(max_xdeg))
-
-
 def lift_inhomogeneous(p: XQPoly) -> XQPoly:
     """(x-1) * p(x): the characteristic polynomial governing the orbit once
     the constant correction vector is absorbed by differencing."""
@@ -211,7 +144,7 @@ def lift_inhomogeneous(p: XQPoly) -> XQPoly:
 
 
 def recurrence_from_polynomial(p: XQPoly, k: int) -> Recurrence:
-    """Strip the maximal power of x, normalize to monic, and read off the
+    """Strip the maximal power of x from a monic polynomial and read off the
     recurrence coefficients as the negated lower coefficients."""
     if not p:
         raise ValueError("polynomial must be zero-free")
@@ -220,20 +153,14 @@ def recurrence_from_polynomial(p: XQPoly, k: int) -> Recurrence:
     while coeffs and not coeffs[0]:
         coeffs.pop(0)
         strip += 1
-    lead = coeffs[-1]
-    if lead == QPoly.const(-1):
-        coeffs = [-c for c in coeffs]
-    elif lead != QONE:
-        raise ValueError(f"polynomial is not monic (leading {lead})")
+    if coeffs[-1] != QONE:
+        raise ValueError("polynomial is not monic "
+                         f"(leading {format_qpoly(coeffs[-1])})")
     d = len(coeffs) - 1
     cs = [-coeffs[d - j] for j in range(1, d + 1)]
     if cs and not cs[-1]:
         raise AssertionError("stripping was not maximal")
-    flags = []
-    if k >= 2 and d < conjectured_order(k):
-        width = conjectured_order(k)
-        flags = [j > d for j in range(1, width + 1)]
-    return Recurrence(k, d, cs, strip, trailing_zero_flags=flags)
+    return Recurrence(k, d, cs, strip)
 
 
 def initial_values_symbolic(k: int, d: int) -> list:

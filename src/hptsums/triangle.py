@@ -4,17 +4,18 @@ Rows are exact: every entry is an arbitrary-precision natural tagged A
 (two ascendants, value = sum of parents) or B (one ascendant, value copied).
 The boundary 1's (wingers) count as type B.
 
-A Row lists its entries (next_row, generate_rows).  A triple multiset is a
-Counter of one (left, (value, tag), right) triple per entry, None padding
-the row ends (next_triples, generate_triples).  A vertex's children depend
-only on it and its two neighbours, so the multiset of row n determines that
-of row n+1; its size is the number of distinct triples, not of entries.
+A Row lists its entries (next_row, generate_rows); only the row command,
+which prints one, builds Rows.  A triple multiset is a Counter of one
+(left, (value, tag), right) triple per entry, None padding the row ends
+(next_triples, generate_triples).  A vertex's children depend only on it
+and its two neighbours, so the multiset of row n determines that of row
+n+1; its size is the number of distinct triples, not of entries.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 TAG_A = "A"
 TAG_B = "B"
@@ -40,21 +41,12 @@ class Row:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def triples(self) -> Counter:
-        """The row's triple multiset (see the module docstring)."""
-        e = self.entries
-        return Counter(zip(chain((None,), e), e,
-                           chain(islice(e, 1, None), (None,))))
-
 
 @dataclass
 class RowCounts:
     a: int  # type-A vertices
     b: int  # type-B vertices (wingers included)
     s: int  # all vertices
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.s))
 
 
 def row0() -> Row:
@@ -174,8 +166,8 @@ def next_triples(triples: Counter, params: TriangleParams) -> Counter:
 
 def triple_rows(params: TriangleParams):
     """The triple multisets of rows 0, 1, 2, ... without end."""
-    yield row0().triples()
-    row = row1().triples()
+    yield Counter({(None, WINGER, None): 1})
+    row = Counter({(None, WINGER, WINGER): 1, (WINGER, WINGER, None): 1})
     while True:
         yield row
         row = next_triples(row, params)

@@ -153,8 +153,11 @@ def verify_counting(q: int, depth: int = 12) -> CountingCheck:
 
     Every row up to depth is read from its triple multiset, whose size is
     the number of distinct triples, so deep rows are checked without
-    materializing hundreds of millions of entries.
+    materializing hundreds of millions of entries.  The initial values
+    reach row 3, so depth must be at least 3.
     """
+    if depth < 3:
+        raise ValueError("depth must be >= 3")
     params = triangle.TriangleParams(q)
     check = CountingCheck(q, depth)
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex

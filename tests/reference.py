@@ -1,0 +1,180 @@
+"""Second routes to facts the package derives one way, kept as references
+that tests compare the product path against.  No command runs them.
+
+  * det_int, Bareiss's fraction-free determinant (Math. Comp. 22, 1968),
+    and det_q, the same over Z[q] by evaluating q at integer points and
+    interpolating;
+  * structured_addends and build_structured_charpoly, the characteristic
+    polynomial as the determinant of the row-reduced form of M - xI;
+  * matrix_from_orbit, a system matrix recovered from its orbit;
+  * row_triples and pair_sum, a materialised row's triple multiset and its
+    adjacent-pair sums.
+"""
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, islice
+
+from hptsums.exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix,
+                              QPoly, XQPoly, binom, lagrange_interpolate)
+
+
+def det_int(m) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def det_q(m: PolyMatrix) -> QPoly:
+    """Exact determinant over Z[q]: det_int at q = 5, 6, ... interpolated.
+
+    With entries of q-degree <= 1 the determinant, multilinear in the rows,
+    has q-degree at most the number of q-dependent rows; one extra point
+    verifies the bound."""
+    if any(e.degree > 1 for row in m.entries for e in row):
+        raise ValueError("matrix entries must have degree <= 1 in q")
+    deg_bound = len(m.q_dependent_rows())
+    points = [(q0, det_int(m.eval_q(q0)))
+              for q0 in range(5, 5 + deg_bound + 2)]
+    return lagrange_interpolate(points, deg_bound)
+
+
+def xq_add(a: XQPoly, b: XQPoly) -> XQPoly:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return XQPoly((a.coeffs[d] if d < len(a.coeffs) else QZERO)
+                  + (b.coeffs[d] if d < len(b.coeffs) else QZERO)
+                  for d in range(n))
+
+
+def xq_eval_x(p: XQPoly, x0: int) -> QPoly:
+    acc = QZERO
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def structured_addends(k: int) -> tuple:
+    """The two (k+2) x (k+2) matrices whose sum is the row-reduced form of
+    M - xI: an upper-triangular alternating-binomial matrix of x-multiples
+    (with a two-row q tail) and a 0/1 diagonal-plus-antidiagonal matrix."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    n = k + 2
+    x1 = [[XQPoly() for _ in range(n)] for _ in range(n)]
+    for u in range(k + 1):
+        for j in range(u, k + 1):
+            c = (-1)**(j - u + 1) * binom(k - u, j - u)
+            x1[u][j] = XQPoly((QZERO, QPoly.const(c)))
+        if u <= k - 1:
+            x1[u][k + 1] = XQPoly((QZERO, QPoly.const((-1)**(k - u))))
+    x1[k][k] = XQPoly((QZERO, QPoly.const(-1)))
+    x1[k][k + 1] = XQPoly((QZERO, QONE))
+    x1[k + 1][k] = XQPoly((QZERO, Q - 5))
+    x1[k + 1][k + 1] = XQPoly((QZERO, -(Q - 4)))
+
+    x2 = [[XQPoly() for _ in range(n)] for _ in range(n)]
+    for u in range(k):
+        x2[u][u] = xq_add(x2[u][u], XQPoly((QONE,)))
+        x2[u][k - u] = xq_add(x2[u][k - u], XQPoly((QONE,)))
+        if 1 <= u <= k - 1:
+            x2[u][k + 1] = XQPoly((QONE,))
+    x2[k][0] = XQPoly((QONE,))
+    x2[k][k] = XQPoly((QONE,))
+    x2[k + 1][k] = XQPoly((QONE,))
+    return x1, x2
+
+
+def build_structured_charpoly(k: int) -> XQPoly:
+    """Characteristic polynomial via the structured determinant route.
+
+    Sums the two addend matrices, evaluates x at k+4 integer points, takes
+    each exact determinant over Z[q], interpolates every q-coefficient as a
+    polynomial in x (degree bound k+2, one extra verification point), and
+    applies the (-1)^k sign that converts det(M - xI) back to det(xI - M).
+    """
+    x1, x2 = structured_addends(k)
+    n = k + 2
+    total = [[xq_add(x1[i][j], x2[i][j]) for j in range(n)] for i in range(n)]
+    x_points = list(range(n + 2))
+    dets = []
+    for x0 in x_points:
+        mat = PolyMatrix([[xq_eval_x(e, x0) for e in row] for row in total])
+        dets.append(det_q(mat))
+    max_qdeg = max((len(d.coeffs) for d in dets), default=0)
+    coeffs_by_qdeg = []
+    for d in range(max_qdeg):
+        pts = [(x0, det.coeff(d)) for x0, det in zip(x_points, dets)]
+        coeffs_by_qdeg.append(lagrange_interpolate(pts, n))
+    # coeffs_by_qdeg[d] is a polynomial in x; transpose into Z[q][x].
+    max_xdeg = max((len(p.coeffs) for p in coeffs_by_qdeg), default=0)
+    sign = (-1)**k
+    return XQPoly(QPoly(sign * coeffs_by_qdeg[d].coeff(e)
+                        for d in range(max_qdeg))
+                  for e in range(max_xdeg))
+
+
+def matrix_from_orbit(vectors) -> list:
+    """Recover the unique matrix M with g_{t+1} = M g_t from nu+1 orbit
+    vectors g_0..g_nu (the first nu must be linearly independent).
+
+    Solves M G = G* by exact rational elimination; entries come back as
+    Fractions (integers when the system is integral).
+    """
+    if len(vectors) < 2:
+        raise ValueError("need at least two orbit vectors")
+    nu = len(vectors[0])
+    if len(vectors) != nu + 1 or any(len(v) != nu for v in vectors):
+        raise ValueError(f"expected {nu + 1} vectors of length {nu}")
+    g = [[Fraction(vectors[t][i]) for t in range(nu)] for i in range(nu)]
+    gstar = [[Fraction(vectors[t + 1][i]) for t in range(nu)] for i in range(nu)]
+    # Row-reduce [G^T | (G*)^T] so that M^T = solution of G^T M^T = (G*)^T.
+    a = [[g[i][r] for i in range(nu)] + [gstar[i][r] for i in range(nu)]
+         for r in range(nu)]
+    for col in range(nu):
+        piv = next((r for r in range(col, nu) if a[r][col] != 0), None)
+        if piv is None:
+            raise ExactAlgError("initial vectors not independent")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [v / inv for v in a[col]]
+        for r in range(nu):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
+
+
+def row_triples(row) -> Counter:
+    """The triple multiset of a materialised Row: one padded
+    (left, (value, tag), right) triple per entry, None past the ends."""
+    e = row.entries
+    return Counter(zip(chain((None,), e), e,
+                       chain(islice(e, 1, None), (None,))))
+
+
+def pair_sum(triples: Counter, i: int, j: int, first_tag: str,
+             second_tag: str) -> int:
+    """Sum of first^i * second^j over adjacent ordered entry pairs whose
+    tags match (first_tag, second_tag)."""
+    if i + j < 1:
+        raise ValueError("i + j must be >= 1")
+    return sum(m * v1**i * right[0]**j
+               for (_, (v1, t1), right), m in triples.items()
+               if right is not None and t1 == first_tag
+               and right[1] == second_tag)

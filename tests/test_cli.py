@@ -9,6 +9,7 @@ import pytest
 import hptsums
 from hptsums import cli
 from hptsums.cli import main
+from hptsums.systembuilder import recurrence_for_k
 
 
 def run(capsys, *argv):
@@ -107,24 +108,43 @@ def test_recurrence_csv(capsys):
     assert lines[1] == "2,q+2,-q-7,8,-2,1,full,2,6,4q+4,4q^2+6q-20"
 
 
-def test_recurrence_k32_under_1gib_address_space():
-    # Initial values come from the system's orbit, not from rows, so a large
-    # k stays small; the cap applies to the child process only.
+def run_under_1gib(*argv):
+    """The CLI in a child process; the 1 GiB address-space cap applies to
+    the child only."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = os.path.dirname(os.path.dirname(hptsums.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hptsums.cli", "recurrence", "--k", "32",
-         "--format", "json"],
-        env=env, preexec_fn=cap_address_space, capture_output=True,
-        text=True)
+    return subprocess.run(
+        [sys.executable, "-m", "hptsums.cli", *argv], env=env,
+        preexec_fn=cap_address_space, capture_output=True, text=True)
+
+
+def test_recurrence_k32_under_1gib_address_space():
+    # Initial values come from the system's orbit, not from rows, so a large
+    # k stays small.
+    proc = run_under_1gib("recurrence", "--k", "32", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["k"] == 32
     assert len(payload["initial_values"]) == payload["order"]
+
+
+def test_deep_sums_under_1gib_address_space():
+    # sums reads triple multisets: row 12 at q=9 holds 2.3e8 entries in
+    # 8,089 distinct triples.
+    proc = run_under_1gib("sums", "--q", "9", "--k", "3", "--n-max", "12",
+                          "--entry-cap", "1000000000", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rec = recurrence_for_k(3)
+    cs = rec.evaluated_at(9)
+    seq = [v(9) for v in rec.initial_values]  # (s^3)_n at q=9, n = 1, 2, ...
+    while len(seq) < 12:
+        seq.append(sum(c * seq[-j] for j, c in enumerate(cs, 1)))
+    assert [r["power_sum"] for r in json.loads(proc.stdout)["rows"]] == seq
+    assert seq[-1] == 553318915314
 
 
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):

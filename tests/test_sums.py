@@ -2,44 +2,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.sums import (check_system_step, fold_state, pair_sum, power_sum,
+from hptsums.sums import (check_system_step, fold_state, power_sum,
                           state_vector, type_power_sums)
 from hptsums.triangle import TriangleParams, generate_rows
+from reference import pair_sum, row_triples
 
 
 def rows_for(q, n):
     return generate_rows(TriangleParams(q), n, entry_cap=10**5).rows
 
 
+def triples_for(q, n):
+    return [row_triples(r) for r in rows_for(q, n)]
+
+
 def test_power_sum_examples():
     rows = rows_for(6, 4)
-    assert power_sum(rows[3], 2) == 28  # 4q+4 at q=6
-    assert power_sum(rows[4], 2) == 160  # 4q^2+6q-20 at q=6
-    assert power_sum(rows[3], 0) == len(rows[3])
+    assert power_sum(row_triples(rows[3]), 2) == 28  # 4q+4 at q=6
+    assert power_sum(row_triples(rows[4]), 2) == 160  # 4q^2+6q-20 at q=6
+    assert power_sum(row_triples(rows[3]), 0) == len(rows[3])
 
 
 def test_type_power_sums_examples():
-    rows = rows_for(6, 4)
+    rows = triples_for(6, 4)
     assert type_power_sums(rows[3], 1) == (6, 6)
     assert type_power_sums(rows[4], 2) == (98, 62)
     assert type_power_sums(rows[1], 5) == (0, 2)
 
 
 def test_pair_sum_examples():
-    rows = rows_for(6, 3)
+    rows = triples_for(6, 3)
     assert pair_sum(rows[3], 2, 3, "A", "B") == 81
     assert pair_sum(rows[3], 1, 3, "B", "B") == 16
     assert pair_sum(rows[3], 1, 1, "A", "A") == 0
 
 
 def test_pair_sum_requires_positive_power():
-    rows = rows_for(6, 2)
+    rows = triples_for(6, 2)
     with pytest.raises(ValueError):
         pair_sum(rows[2], 0, 0, "A", "B")
 
 
 def test_state_vector_examples():
-    rows = rows_for(6, 4)
+    rows = triples_for(6, 4)
     assert state_vector(rows[3], 2).coords == [18, 9, 10, 4]
     assert state_vector(rows[4], 2).coords == [98, 49, 62, 34]
     g1 = state_vector(rows[1], 4)
@@ -47,11 +52,11 @@ def test_state_vector_examples():
 
 
 def test_check_system_step_k2_hand_values():
-    rows = rows_for(6, 4)
+    rows = triples_for(6, 4)
     params = TriangleParams(6)
     g3, g4 = state_vector(rows[3], 2), state_vector(rows[4], 2)
     rep = check_system_step(g3, g4, params, 2, "full")
-    assert rep.ok
+    assert not rep.failures()
     by_name = {c.name: c for c in rep.checks}
     # hand evaluations of the k=2 equations at q=6
     assert by_name["b^k"].predicted == 2 * 18 + 3 * 10 - 4 == 62
@@ -60,7 +65,7 @@ def test_check_system_step_k2_hand_values():
 
 
 def test_check_system_step_dimension_mismatch():
-    rows = rows_for(6, 3)
+    rows = triples_for(6, 3)
     g2 = state_vector(rows[2], 2)
     g3 = state_vector(rows[3], 3)
     with pytest.raises(ValueError):
@@ -70,20 +75,21 @@ def test_check_system_step_dimension_mismatch():
 @settings(max_examples=30, deadline=None)
 @given(q=st.integers(5, 9), k=st.integers(2, 6), n=st.integers(1, 6))
 def test_full_system_steps_hold(q, k, n):
-    rows = rows_for(q, n + 1)
+    rows = triples_for(q, n + 1)
     if len(rows) <= n + 1:
         return
     g = state_vector(rows[n], k)
     g_next = state_vector(rows[n + 1], k)
     rep = check_system_step(g, g_next, TriangleParams(q), k, "full")
-    assert rep.ok, [(c.name, c.predicted, c.actual) for c in rep.failures()]
+    assert not rep.failures(), [(c.name, c.predicted, c.actual)
+                                for c in rep.failures()]
 
 
 @settings(max_examples=25, deadline=None)
 @given(q=st.integers(5, 8), n=st.integers(2, 6), i=st.integers(1, 4),
        j=st.integers(1, 4))
 def test_pair_sum_reversal_symmetry(q, n, i, j):
-    row = rows_for(q, n)[n]
+    row = triples_for(q, n)[n]
     assert pair_sum(row, i, j, "A", "B") == pair_sum(row, j, i, "B", "A")
     assert pair_sum(row, i, j, "B", "A") == pair_sum(row, j, i, "A", "B")
 
@@ -93,7 +99,7 @@ def test_pair_sum_reversal_symmetry(q, n, i, j):
 def test_bb_pair_sums_split_independent(q, n, k):
     """(b^i b^{k-i})_n is the same for every split of k (adjacent B's are
     equal)."""
-    row = rows_for(q, n)[n]
+    row = triples_for(q, n)[n]
     vals = {pair_sum(row, i, k - i, "B", "B") for i in range(1, k)}
     assert len(vals) == 1
 
@@ -116,7 +122,7 @@ def test_statistics_match_entry_scans(q, n, k):
     expected = ([a] + [_scan_pair_sum(row, k - j, j, "A", "B")
                        for j in range(1, k)]
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
-    t = row.triples()
+    t = row_triples(row)
     assert state_vector(t, k).coords == expected
     assert type_power_sums(t, k) == (a, b)
     assert power_sum(t, k) == a + b
@@ -124,7 +130,7 @@ def test_statistics_match_entry_scans(q, n, k):
 
 
 def test_fold_state_even_and_odd():
-    rows = rows_for(6, 4)
+    rows = triples_for(6, 4)
     g = state_vector(rows[4], 4)
     folded = fold_state(g)
     v = g.coords
@@ -138,24 +144,24 @@ def test_fold_state_even_and_odd():
 def test_reduced_printed_oracle_k2_passes():
     # for k=2 there are no paired c_j equations, and the printed system
     # agrees with the triangle
-    rows = rows_for(6, 5)
+    rows = triples_for(6, 5)
     params = TriangleParams(6)
     for n in range(1, 5):
         g = state_vector(rows[n], 2)
         g_next = state_vector(rows[n + 1], 2)
-        assert check_system_step(g, g_next, params, 2,
-                                 "reduced-as-printed").ok
+        assert not check_system_step(g, g_next, params, 2,
+                                     "reduced-as-printed").failures()
 
 
 def test_reduced_printed_oracle_k3_fails_on_c1():
     # the printed paired-c_j equations disagree with the triangle from k=3 on;
     # the oracle reports the failing equation instead of correcting it
-    rows = rows_for(6, 4)
+    rows = triples_for(6, 4)
     params = TriangleParams(6)
     g = state_vector(rows[3], 3)
     g_next = state_vector(rows[4], 3)
     rep = check_system_step(g, g_next, params, 3, "reduced-as-printed")
-    assert not rep.ok
+    assert rep.failures()
     assert [c.name for c in rep.failures()] == ["c1"]
     (fail,) = rep.failures()
     assert fail.actual == 342 and fail.predicted == 263

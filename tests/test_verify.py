@@ -1,3 +1,5 @@
+import pytest
+
 from hptsums import triangle, verify
 from hptsums.exactalg import QPoly
 
@@ -34,6 +36,14 @@ def test_verify_counting():
     for q in range(5, 10):
         check = verify.verify_counting(q, depth=12)
         assert check.all_exact, check.mismatches
+
+
+def test_verify_counting_rejects_depths_below_3():
+    # The initial values are checked at rows 1..3.
+    for depth in (0, 1, 2):
+        with pytest.raises(ValueError, match="depth must be >= 3"):
+            verify.verify_counting(6, depth)
+    assert verify.verify_counting(6, 3).all_exact
 
 
 def test_reproduce_tables_empty_diff():
