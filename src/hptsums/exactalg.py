@@ -6,12 +6,19 @@ over QPoly, characteristic polynomials and Lagrange interpolation.  Rational
 numbers appear only transiently (fractions.Fraction inside the
 interpolation); every returned coefficient is an int, and anything that
 would not be integral raises instead of rounding.
+
+Integer characteristic polynomials come from Newton's identities on power
+traces, read off half-powers of the matrix.  Over Z[q] they are evaluated
+at rank(q-part) + 2 integer points of q, since the q-degree is at most the
+rank of the q-coefficient matrix, and interpolated with one point to spare.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
@@ -201,10 +208,6 @@ class PolyMatrix:
     def eval_q(self, q0: int) -> list:
         return [[e(q0) for e in row] for row in self.entries]
 
-    def q_dependent_rows(self) -> list:
-        return [i for i, row in enumerate(self.entries)
-                if any(e.degree >= 1 for e in row)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.entries == other.entries
 
@@ -212,30 +215,57 @@ class PolyMatrix:
 def charpoly_int(m: Sequence[Sequence[int]]) -> list:
     """det(xI - m) for an integer matrix, as an ascending coefficient list.
 
-    Faddeev-LeVerrier iteration: every division (by 1..n) is exact over Z,
-    so all intermediates stay integers.
+    Newton's identities on the power traces p_i = tr(m^i) (Preparata and
+    Sarwate, Inf. Process. Lett. 7, 1978): with c_n = 1,
+    i c_{n-i} = -(p_i + c_{n-1} p_{i-1} + ... + c_{n-i+1} p_1), and every
+    division by i is exact over Z.  Traces are read off half-powers as flat
+    dot products, tr(m^(2a)) = <m^a, (m^a)^T> and
+    tr(m^(2a+1)) = <m^(a+1), (m^a)^T>, so ceil(n/2)-1 matrix products
+    suffice; only the current and the previous power are kept.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
+    traces = [0, sum(m[i][i] for i in range(n))]  # traces[i] = tr(m^i)
+    cur = m  # m^a
+    for a in range(1, n // 2 + 1):
+        traces.append(_trace_of_product(cur, cur))  # tr(m^(2a))
+        if 2 * a < n:
+            nxt = _matmul_int(cur, m)
+            traces.append(_trace_of_product(nxt, cur))  # tr(m^(2a+1))
+            cur = nxt
     c = [0] * (n + 1)
     c[n] = 1
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # identity
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] += c[n - k + 1]
-        mk = _matmul_int(m, mk)
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k != 0:
+    for i in range(1, n + 1):
+        s = sum(map(mul, c[n - i + 1:], traces[1:i + 1]))
+        if s % i != 0:
             raise ExactAlgError("non-exact division in characteristic polynomial")
-        c[n - k] = -tr // k
+        c[n - i] = -s // i
     return c
+
+
+def _trace_of_product(a, b) -> int:
+    """tr(a b) = <a, b^T>, one flat dot product."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
 def _matmul_int(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _rank_int(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination."""
+    rows = [list(row) for row in m if any(row)]
+    rank = 0
+    while rows:
+        pivot_row = rows.pop()
+        j = next(j for j, v in enumerate(pivot_row) if v)
+        p = pivot_row[j]
+        rank += 1
+        rows = [r for r in ([p * v - r[j] * w for v, w in zip(r, pivot_row)]
+                            for r in rows) if any(r)]
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +319,15 @@ def charpoly_q(m: PolyMatrix) -> XQPoly:
     """det(xI - m) as an exact element of Z[q][x], by evaluating q at
     integer points, running charpoly_int, and interpolating per x-coefficient.
 
-    The determinant is multilinear in the rows, so with entries of q-degree
-    <= 1 its q-degree is bounded by the number of q-dependent rows; one
-    extra point verifies the bound.
+    With entries of q-degree <= 1, m = A + qB, and the q-degree of every
+    x-coefficient is at most rank B: deg_q det(C - qB) <= rank B for any C
+    over Z[x], because writing B = U V^T with r = rank B columns,
+    det(C - qB) = det(C) det(I_r - q V^T C^-1 U) over Q(x).  The rank is
+    exact, so rank B + 1 points fit and one extra point verifies the bound.
     """
     if any(e.degree > 1 for row in m.entries for e in row):
         raise ValueError("matrix entries must have degree <= 1 in q")
-    deg_bound = len(m.q_dependent_rows())
+    deg_bound = _rank_int([[e.coeff(1) for e in row] for row in m.entries])
     q_points = range(5, 5 + deg_bound + 2)
     samples = [charpoly_int(m.eval_q(q0)) for q0 in q_points]
     return XQPoly(lagrange_interpolate(list(zip(q_points, column)), deg_bound)

@@ -21,8 +21,9 @@ polynomial is read off the reduced one exactly.
 
 Recurrences come out of the characteristic polynomial by the (x-1) lift
 (absorbing the constant winger-correction vector) followed by maximal
-x-stripping.  Initial values come from iterating the same reduced system
-over Z[q], starting from the folded row-1 state vector.
+x-stripping.  Initial values come from iterating the same reduced system,
+split by powers of q into integer vectors, starting from the folded row-1
+state vector.
 
 verify checks the system against real rows with the definition-level
 step oracle sums.check_system_step.  The second routes to the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix, QPoly,
                        XQPoly, binom, charpoly_q, format_qpoly)
@@ -57,8 +58,9 @@ class LinearSystem:
 class Recurrence:
     """(s^k)_n = sum_j c_j(q) (s^k)_{n-j}, with maximal x-stripping.
 
-    order is the minimal (stripped) order, which falls short of
-    conjectured_order(k) for some k, such as 9 and 11.
+    order is the order after maximal x-stripping; not always minimal (at
+    k = 10 a valid order-7 recurrence exists where order is 8).  It falls
+    short of conjectured_order(k) for some k, such as 9 and 11.
     """
 
     k: int
@@ -166,22 +168,39 @@ def recurrence_from_polynomial(p: XQPoly, k: int) -> Recurrence:
 def initial_values_symbolic(k: int, d: int) -> list:
     """(s^k)_n for n = 1..d as polynomials in q.
 
-    Iterates g_{n+1} = M g_n + h over Z[q] with the reduced system, starting
-    from the folded row-1 state vector g_1 = [0, 2, 0, ..., 0, 1] over
+    Iterates g_{n+1} = M g_n + h with the reduced system, starting from the
+    folded row-1 state vector g_1 = [0, 2, 0, ..., 0, 1] over
     [a^k, b^k, c_1..c_m, u] (row 1 is two B-wingers), and reads
     (s^k)_n = g[0] + g[1].  The fold maps every full-system state and
     constant onto its reduced one, so this is the full orbit, folded.
     No rows are built.
+
+    The iteration runs over Z, split by powers of q: with g_n = sum_d q^d G_d,
+    M = M0 + q M1 and h = h0 + q h1, one step is
+    G'_d = M0 G_d + M1 G_{d-1} + h0 [d=0] + h1 [d=1].  M1 is kept as its
+    nonzero (i, j, v) entries, which are few (two rows of the reduced
+    matrix).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     system = build_reduced_matrix(k)
     m, h = system.matrix.entries, system.constant
-    g = [QZERO, QPoly.const(2)] + [QZERO] * (len(m) - 3) + [QONE]
-    out = [g[0] + g[1]]
+    m0 = [[e.coeff(0) for e in row] for row in m]
+    m1 = [(i, j, e.coeff(1)) for i, row in enumerate(m)
+          for j, e in enumerate(row) if e.coeff(1)]
+    h0, h1 = [c.coeff(0) for c in h], [c.coeff(1) for c in h]
+    gs = [[0, 2] + [0] * (len(m) - 3) + [1]]  # [G_0] of g_1
+    out = [QPoly(g[0] + g[1] for g in gs)]
     while len(out) < d:
-        g = [sum((a * b for a, b in zip(row, g)), c) for row, c in zip(m, h)]
-        out.append(g[0] + g[1])
+        nxt = [[sum(map(mul, row, g)) for row in m0] for g in gs]
+        nxt.append([0] * len(m))
+        for g, up in zip(gs, nxt[1:]):
+            for i, j, v in m1:
+                up[i] += v * g[j]
+        nxt[0] = list(map(add, nxt[0], h0))
+        nxt[1] = list(map(add, nxt[1], h1))
+        gs = nxt
+        out.append(QPoly(g[0] + g[1] for g in gs))
     return out
 
 

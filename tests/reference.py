@@ -49,7 +49,8 @@ def det_q(m: PolyMatrix) -> QPoly:
     verifies the bound."""
     if any(e.degree > 1 for row in m.entries for e in row):
         raise ValueError("matrix entries must have degree <= 1 in q")
-    deg_bound = len(m.q_dependent_rows())
+    deg_bound = len([row for row in m.entries
+                     if any(e.degree >= 1 for e in row)])
     points = [(q0, det_int(m.eval_q(q0)))
               for q0 in range(5, 5 + deg_bound + 2)]
     return lagrange_interpolate(points, deg_bound)

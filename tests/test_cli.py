@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -122,14 +123,42 @@ def run_under_1gib(*argv):
         preexec_fn=cap_address_space, capture_output=True, text=True)
 
 
-def test_recurrence_k32_under_1gib_address_space():
+def test_recurrence_k32_k64_under_1gib_address_space():
     # Initial values come from the system's orbit, not from rows, so a large
     # k stays small.
-    proc = run_under_1gib("recurrence", "--k", "32", "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["k"] == 32
-    assert len(payload["initial_values"]) == payload["order"]
+    for k in (32, 64):
+        proc = run_under_1gib("recurrence", "--k", str(k), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["k"] == k
+        assert len(payload["initial_values"]) == payload["order"]
+
+
+# sha256 of the whole stdout of `recurrence --k K --format json`, with its
+# order and x_strip_count, pinned before the kernels moved to Newton traces,
+# the rank degree bound and the integer split of the initial values.
+LARGE_K_JSON = {
+    16: ("0100c2c52e38aa64717eb3f665c3a28cac2c4d3327a6bd2d5e68312d72f69d25",
+         11, 8),
+    24: ("ebdc38def646f8a1db3e443a7c4b39aff32a88a35eb6367142e16ae582659cf3",
+         15, 12),
+    32: ("4f8ae29d16a7398dac6cbddc5a62a5cc9b738bcc0ee1ac2e215ae69123690c04",
+         19, 16),
+    48: ("44ca16304d29fafec9ef2ea912d718a4aaaacd919bd7379b1002c4c5aa6f48fd",
+         27, 24),
+    64: ("ebc4dba957895c8cd9e21f8088cd1ba6960175321a78374f1a51b403538353ec",
+         35, 32),
+}
+
+
+@pytest.mark.parametrize("k", sorted(LARGE_K_JSON))
+def test_recurrence_large_k_json_is_pinned(capsys, k):
+    assert main(["recurrence", "--k", str(k), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    digest, order, strip = LARGE_K_JSON[k]
+    assert (payload["order"], payload["x_strip_count"]) == (order, strip)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_deep_sums_under_1gib_address_space():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hptsums import exactalg
+from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, ExactAlgError, PolyMatrix, QPoly, XQPoly,
                               binom, charpoly_int, charpoly_q, format_qpoly,
                               lagrange_interpolate)
@@ -96,6 +98,66 @@ def test_det_int_matches_charpoly_constant():
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         cp = charpoly_int(m)
         assert det_int(m) == (-1)**n * cp[0]
+
+
+def test_charpoly_int_matches_bareiss_at_n_plus_1_points():
+    # n = 1..13 reaches the last trace step with both parities of n; the
+    # char poly has degree n, so n+1 points determine it.
+    rng = random.Random(2024)
+    singular = [[1, 2, 3], [2, 4, 6], [-1, 5, 0]]
+    cases = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+             for n in range(1, 14)] + [singular]
+    for m in cases:
+        n = len(m)
+        cp = charpoly_int(m)
+        assert len(cp) == n + 1 and cp[n] == 1
+        for x0 in range(-(n // 2), n - n // 2 + 1):
+            shifted = [[(x0 if i == j else 0) - m[i][j] for j in range(n)]
+                       for i in range(n)]
+            assert det_int(shifted) == QPoly(cp)(x0), (m, x0)
+    assert charpoly_int(singular)[0] == 0 == det_int(singular)
+
+
+def _counting_charpoly_q(monkeypatch, m):
+    """charpoly_q(m) and the number of charpoly_int calls it made."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(exactalg, "charpoly_int",
+                      lambda mat: calls.append(mat) or charpoly_int(mat))
+        cp = charpoly_q(m)
+    return cp, len(calls)
+
+
+def _q_part_of_rank(rank, n, rng):
+    """A + qB with B = sum of `rank` outer products of the unit vectors
+    e_i e_(i+1 mod n): B has exactly `rank` independent nonzero rows."""
+    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    return PolyMatrix([[a[i][j] + Q if i < rank and j == (i + 1) % n
+                        else a[i][j] for j in range(n)] for i in range(n)])
+
+
+def test_charpoly_q_samples_rank_plus_two_points(monkeypatch):
+    rng = random.Random(77)
+    mutated = sb.build_reduced_matrix(8).matrix
+    # the reduced q-part is q(e_a + e_b) in two rows, rank 1; a q in a third
+    # row, at a new column, makes it rank 2
+    mutated.entries[2][3] = mutated.entries[2][3] + Q
+    cases = [(_q_part_of_rank(r, 4, rng), r) for r in range(4)]
+    cases.append((mutated, 2))
+    for m, rank in cases:
+        cp, calls = _counting_charpoly_q(monkeypatch, m)
+        assert calls == rank + 2
+        # the bound is reached, so a smaller one would fail to fit
+        assert max(c.degree for c in cp.coeffs) == rank
+        for q0 in (11, 23, 40):
+            assert [c(q0) for c in cp.coeffs] == charpoly_int(m.eval_q(q0))
+
+
+def test_charpoly_q_of_every_reduced_matrix_takes_3_samples(monkeypatch):
+    for k in range(2, 33):
+        _, calls = _counting_charpoly_q(monkeypatch,
+                                        sb.build_reduced_matrix(k).matrix)
+        assert calls == 3, k
 
 
 def test_lagrange_examples():
