@@ -2,21 +2,20 @@
 
 Everything here is integer-exact: polynomials in ``q`` over the integers
 (QPoly), polynomials in ``x`` over that ring (XQPoly), dense square matrices
-over QPoly, characteristic polynomials and Lagrange interpolation.  Rational
-numbers appear only transiently (fractions.Fraction inside the
-interpolation); every returned coefficient is an int, and anything that
-would not be integral raises instead of rounding.
+over QPoly and characteristic polynomials.  No rational number appears here
+or anywhere else in the package; a division that would not be exact raises
+instead of rounding.
 
 Integer characteristic polynomials come from Newton's identities on power
-traces, read off half-powers of the matrix.  Over Z[q] they are evaluated
-at rank(q-part) + 2 integer points of q, since the q-degree is at most the
-rank of the q-coefficient matrix, and interpolated with one point to spare.
+traces, read off half-powers of the matrix.  Over Z[q] every system matrix
+is A + q u v^T with a rank-1 q-part, and the matrix determinant lemma gives
+its characteristic polynomial from the integer one of A and the Krylov
+scalars v^T A^j u.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
@@ -254,81 +253,44 @@ def _matmul_int(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def _rank_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    rows = [list(row) for row in m if any(row)]
-    rank = 0
-    while rows:
-        pivot_row = rows.pop()
-        j = next(j for j, v in enumerate(pivot_row) if v)
-        p = pivot_row[j]
-        rank += 1
-        rows = [r for r in ([p * v - r[j] * w for v, w in zip(r, pivot_row)]
-                            for r in rows) if any(r)]
-    return rank
+def _rank_one_factors(b: Sequence[Sequence[int]]) -> tuple:
+    """Integer vectors u, v with b == u v^T, both zero for a zero b.
 
-
-# ---------------------------------------------------------------------------
-# Interpolation and evaluate-interpolate characteristic polynomials
-# ---------------------------------------------------------------------------
-
-def lagrange_interpolate(points: Sequence, deg_bound: int) -> QPoly:
-    """Unique integer polynomial of degree <= deg_bound through the points.
-
-    Fits on the first deg_bound+1 points with exact rationals, then checks
-    the remaining points and the integrality of every coefficient; either
-    failure signals a wrong degree bound and raises ExactAlgError.
-    """
-    if deg_bound < 0:
-        raise ValueError("deg_bound must be >= 0")
-    if len(points) < deg_bound + 1:
-        raise ValueError("need at least deg_bound+1 points")
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("abscissae must be distinct")
-    fit = points[: deg_bound + 1]
-    # Newton divided differences over Fraction.
-    n = len(fit)
-    dd = [Fraction(y) for _, y in fit]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (fit[i][0] - fit[i - level][0])
-    # Expand the Newton form into monomial coefficients.
-    coeffs = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{i-1})
-    for i in range(n):
-        for d, c in enumerate(acc):
-            coeffs[d] += dd[i] * c
-        if i < n - 1:
-            x_i = fit[i][0]
-            acc = [Fraction(0)] + acc
-            for d in range(len(acc) - 1):
-                acc[d] -= x_i * acc[d + 1]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ExactAlgError(f"non-integer interpolation result: {coeffs}")
-    poly = QPoly(int(c) for c in coeffs)
-    for x0, y0 in points[deg_bound + 1:]:
-        if poly(x0) != y0:
-            raise ExactAlgError(
-                f"degree bound {deg_bound} fails at verification point "
-                f"({x0}, {y0}): polynomial gives {poly(x0)}")
-    return poly
+    v is the first nonzero row of b over its gcd, so u_i = b[i][j0] / v[j0]
+    is exact when b has rank 1; u v^T is checked against b entry by entry,
+    and a b of rank >= 2 raises ValueError."""
+    n = len(b)
+    row = next((r for r in b if any(r)), None)
+    if row is None:
+        return [0] * n, [0] * n
+    g = math.gcd(*row)
+    v = [e // g for e in row]
+    j0 = next(j for j, e in enumerate(v) if e)
+    u = [r[j0] // v[j0] for r in b]
+    if any(r[j] != ui * vj for r, ui in zip(b, u) for j, vj in enumerate(v)):
+        raise ValueError("the q-part of the matrix must have rank <= 1")
+    return u, v
 
 
 def charpoly_q(m: PolyMatrix) -> XQPoly:
-    """det(xI - m) as an exact element of Z[q][x], by evaluating q at
-    integer points, running charpoly_int, and interpolating per x-coefficient.
+    """det(xI - m) as an exact element of Z[q][x], for m = A + q u v^T.
 
-    With entries of q-degree <= 1, m = A + qB, and the q-degree of every
-    x-coefficient is at most rank B: deg_q det(C - qB) <= rank B for any C
-    over Z[x], because writing B = U V^T with r = rank B columns,
-    det(C - qB) = det(C) det(I_r - q V^T C^-1 U) over Q(x).  The rank is
-    exact, so rank B + 1 points fit and one extra point verifies the bound.
+    By the matrix determinant lemma,
+    det(xI - A - q u v^T) = p(x) - q v^T adj(xI - A) u with
+    p(x) = det(xI - A) = sum_e c_e x^e, and by Cayley-Hamilton
+    adj(xI - A) = sum_d x^d sum_{e>d} c_e A^(e-d-1).  So the x^d
+    coefficient is c_d - q sum_{e>d} c_e s_(e-d-1), with the Krylov scalars
+    s_j = v^T A^j u: one integer charpoly and n matrix-vector products.
+    Entries of q-degree > 1 and q-parts of rank >= 2 raise ValueError.
     """
     if any(e.degree > 1 for row in m.entries for e in row):
         raise ValueError("matrix entries must have degree <= 1 in q")
-    deg_bound = _rank_int([[e.coeff(1) for e in row] for row in m.entries])
-    q_points = range(5, 5 + deg_bound + 2)
-    samples = [charpoly_int(m.eval_q(q0)) for q0 in q_points]
-    return XQPoly(lagrange_interpolate(list(zip(q_points, column)), deg_bound)
-                  for column in zip(*samples))
+    a = m.eval_q(0)
+    u, v = _rank_one_factors([[e.coeff(1) for e in row] for row in m.entries])
+    c = charpoly_int(a)
+    s, w = [], u  # s[j] = v^T A^j u, w = A^j u
+    for _ in range(m.dim):
+        s.append(sum(map(mul, v, w)))
+        w = [sum(map(mul, row, w)) for row in a]
+    return XQPoly(QPoly((c[d], -sum(map(mul, c[d + 1:], s))))
+                  for d in range(m.dim + 1))

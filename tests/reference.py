@@ -1,6 +1,8 @@
 """Second routes to facts the package derives one way, kept as references
 that tests compare the product path against.  No command runs them.
 
+  * lagrange_interpolate, the integer polynomial through sample points
+    over exact rationals, with extra points that verify its degree bound;
   * det_int, Bareiss's fraction-free determinant (Math. Comp. 22, 1968),
     and det_q, the same over Z[q] by evaluating q at integer points and
     interpolating;
@@ -15,7 +17,50 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from hptsums.exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix,
-                              QPoly, XQPoly, binom, lagrange_interpolate)
+                              QPoly, XQPoly, binom)
+
+
+def lagrange_interpolate(points, deg_bound: int) -> QPoly:
+    """Unique integer polynomial of degree <= deg_bound through the points.
+
+    Fits on the first deg_bound+1 points with exact rationals, then checks
+    the remaining points and the integrality of every coefficient; either
+    failure signals a wrong degree bound and raises ExactAlgError.
+    """
+    if deg_bound < 0:
+        raise ValueError("deg_bound must be >= 0")
+    if len(points) < deg_bound + 1:
+        raise ValueError("need at least deg_bound+1 points")
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("abscissae must be distinct")
+    fit = points[: deg_bound + 1]
+    # Newton divided differences over Fraction.
+    n = len(fit)
+    dd = [Fraction(y) for _, y in fit]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (fit[i][0] - fit[i - level][0])
+    # Expand the Newton form into monomial coefficients.
+    coeffs = [Fraction(0)] * n
+    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{i-1})
+    for i in range(n):
+        for d, c in enumerate(acc):
+            coeffs[d] += dd[i] * c
+        if i < n - 1:
+            x_i = fit[i][0]
+            acc = [Fraction(0)] + acc
+            for d in range(len(acc) - 1):
+                acc[d] -= x_i * acc[d + 1]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ExactAlgError(f"non-integer interpolation result: {coeffs}")
+    poly = QPoly(int(c) for c in coeffs)
+    for x0, y0 in points[deg_bound + 1:]:
+        if poly(x0) != y0:
+            raise ExactAlgError(
+                f"degree bound {deg_bound} fails at verification point "
+                f"({x0}, {y0}): polynomial gives {poly(x0)}")
+    return poly
 
 
 def det_int(m) -> int:

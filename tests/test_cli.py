@@ -135,8 +135,9 @@ def test_recurrence_k32_k64_under_1gib_address_space():
 
 
 # sha256 of the whole stdout of `recurrence --k K --format json`, with its
-# order and x_strip_count, pinned before the kernels moved to Newton traces,
-# the rank degree bound and the integer split of the initial values.
+# order and x_strip_count.  K <= 64 were pinned before the kernels moved to
+# Newton traces, the rank degree bound and the integer split of the initial
+# values; K = 96 before charpoly_q moved to the matrix determinant lemma.
 LARGE_K_JSON = {
     16: ("0100c2c52e38aa64717eb3f665c3a28cac2c4d3327a6bd2d5e68312d72f69d25",
          11, 8),
@@ -148,6 +149,8 @@ LARGE_K_JSON = {
          27, 24),
     64: ("ebc4dba957895c8cd9e21f8088cd1ba6960175321a78374f1a51b403538353ec",
          35, 32),
+    96: ("c5f5aeddc221cdd368e6711410ac1e6251c44fb611418008a84a8b1bf858326c",
+         51, 48),
 }
 
 

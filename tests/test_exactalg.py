@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hptsums import exactalg
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, ExactAlgError, PolyMatrix, QPoly, XQPoly,
-                              binom, charpoly_int, charpoly_q, format_qpoly,
-                              lagrange_interpolate)
-from reference import det_int, matrix_from_orbit, xq_eval_x
+                              binom, charpoly_int, charpoly_q, format_qpoly)
+from reference import (det_int, lagrange_interpolate, matrix_from_orbit,
+                       xq_eval_x)
 
 small_ints = st.integers(-50, 50)
 qpolys = st.lists(small_ints, max_size=5).map(QPoly)
@@ -136,28 +136,66 @@ def _q_part_of_rank(rank, n, rng):
                         else a[i][j] for j in range(n)] for i in range(n)])
 
 
-def test_charpoly_q_samples_rank_plus_two_points(monkeypatch):
+def _agrees_at_held_out_q(cp, m):
+    return all([c(q0) for c in cp.coeffs] == charpoly_int(m.eval_q(q0))
+               for q0 in (11, 23, 40))
+
+
+def test_charpoly_q_of_every_system_matrix_takes_one_charpoly_int(
+        monkeypatch):
     rng = random.Random(77)
+    cases = ([sb.build_reduced_matrix(k).matrix for k in range(2, 65)]
+             + [sb.build_full_matrix(k).matrix for k in range(2, 21)]
+             + [_q_part_of_rank(r, 4, rng) for r in (0, 1)])
+    for m in cases:
+        cp, calls = _counting_charpoly_q(monkeypatch, m)
+        assert calls == 1, m.dim
+        assert _agrees_at_held_out_q(cp, m), m.dim
+
+
+def test_charpoly_q_rejects_q_part_of_rank_2_or_more():
+    rng = random.Random(78)
     mutated = sb.build_reduced_matrix(8).matrix
     # the reduced q-part is q(e_a + e_b) in two rows, rank 1; a q in a third
     # row, at a new column, makes it rank 2
     mutated.entries[2][3] = mutated.entries[2][3] + Q
-    cases = [(_q_part_of_rank(r, 4, rng), r) for r in range(4)]
-    cases.append((mutated, 2))
-    for m, rank in cases:
-        cp, calls = _counting_charpoly_q(monkeypatch, m)
-        assert calls == rank + 2
-        # the bound is reached, so a smaller one would fail to fit
-        assert max(c.degree for c in cp.coeffs) == rank
-        for q0 in (11, 23, 40):
-            assert [c(q0) for c in cp.coeffs] == charpoly_int(m.eval_q(q0))
+    for m in [mutated] + [_q_part_of_rank(r, 4, rng) for r in (2, 3)]:
+        with pytest.raises(ValueError):
+            charpoly_q(m)
 
 
-def test_charpoly_q_of_every_reduced_matrix_takes_3_samples(monkeypatch):
-    for k in range(2, 33):
-        _, calls = _counting_charpoly_q(monkeypatch,
-                                        sb.build_reduced_matrix(k).matrix)
-        assert calls == 3, k
+def _with_q_part(b, rng):
+    """A random integer A plus q times the integer matrix b."""
+    return PolyMatrix([[rng.randint(-4, 4) + v * Q for v in row]
+                       for row in b])
+
+
+def test_charpoly_q_factors_every_rank_1_q_part():
+    # Rows that are non-primitive, negative or zero multiples of one
+    # vector, with the first nonzero row not at row 0 and its first nonzero
+    # entry not at column 0: u v^T needs v divided by the gcd of its row.
+    rank_1 = [
+        [[2, 4], [-3, -6]],
+        [[0, 0], [2, 4]],
+        [[0, 0, 0], [-3, -6, 0], [2, 4, 0]],
+        [[0, 0, 0], [0, 4, 6], [0, 0, 0]],
+        [[0, -6, 9], [0, 4, -6], [0, 0, 0]],
+    ]
+    # Near misses of rank 2 that agree with u v^T at the column u is read
+    # from: only the entry-by-entry check rejects them.
+    rank_2 = [
+        [[2, 4], [-3, -7]],
+        [[0, 0, 0], [2, 4, 0], [-3, -6, 1]],
+    ]
+    rng = random.Random(79)
+    for b in rank_1:
+        m = _with_q_part(b, rng)
+        cp = charpoly_q(m)
+        assert max(c.degree for c in cp.coeffs) == 1, b
+        assert _agrees_at_held_out_q(cp, m), b
+    for b in rank_2:
+        with pytest.raises(ValueError):
+            charpoly_q(_with_q_part(b, rng))
 
 
 def test_lagrange_examples():
