@@ -7,12 +7,12 @@ matrix and extract the scalar recurrence from its characteristic polynomial
 (systembuilder, on the exact substrate in exactalg), then validate the
 whole chain against brute-force row sums (verify).
 """
-from .exactalg import QPoly, XQPoly, PolyMatrix
+from .exactalg import QPoly
 from .systembuilder import Recurrence, recurrence_for_k
 from .triangle import Row, TriangleParams, generate_rows, row_counts
 
 __all__ = [
-    "QPoly", "XQPoly", "PolyMatrix", "Recurrence", "recurrence_for_k",
+    "QPoly", "Recurrence", "recurrence_for_k",
     "Row", "TriangleParams", "generate_rows", "row_counts",
 ]
 

@@ -263,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("verify", help="verify recurrences over a (k, q) grid")
-    p.add_argument("--k-range", type=_parse_range, default=(2, 8),
-                   metavar="LO..HI")
-    p.add_argument("--q-list", type=_parse_int_list, default=(5, 6, 7, 9),
-                   metavar="Q1,Q2,...")
+    p.add_argument("--k-range", type=_parse_range,
+                   default=verify.DEFAULT_K_RANGE, metavar="LO..HI")
+    p.add_argument("--q-list", type=_parse_int_list,
+                   default=verify.DEFAULT_Q_LIST, metavar="Q1,Q2,...")
     p.add_argument("--cap", type=int, default=verify.DEFAULT_ENTRY_CAP)
     p.add_argument("--reduced", action="store_true",
                    help="also sweep the printed reduced equations")

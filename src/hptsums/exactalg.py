@@ -1,31 +1,27 @@
 """Exact arithmetic substrate.
 
 Everything here is integer-exact: polynomials in ``q`` over the integers
-(QPoly), polynomials in ``x`` over that ring (XQPoly), dense square matrices
-over QPoly and characteristic polynomials.  No rational number appears here
-or anywhere else in the package; a division that would not be exact raises
-instead of rounding.
+(QPoly) and characteristic polynomials of integer matrices and of their
+rank-1 q-updates.  No rational number appears here or anywhere else in the
+package; a division that would not be exact raises instead of rounding.
 
 Integer characteristic polynomials come from Newton's identities on power
-traces, read off half-powers of the matrix.  Over Z[q] every system matrix
-is A + q u v^T with a rank-1 q-part, and the matrix determinant lemma gives
-its characteristic polynomial from the integer one of A and the Krylov
-scalars v^T A^j u.
+traces, read off half-powers of the matrix.  Every system matrix is
+A + q u v^T with integer A, u and v, and the matrix determinant lemma gives
+its characteristic polynomial, a list of q-linear coefficients, from the
+integer one of A and the Krylov scalars v^T A^j u.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
-NEG_INF = float("-inf")
-
 
 class ExactAlgError(Exception):
-    """Raised when an exactness contract is violated (non-integer result,
-    degree-bound failure at a verification point, singular system)."""
+    """Raised when an exactness contract is violated: a non-exact division
+    in charpoly_int, or a system row that cannot be folded."""
 
 
 def binom(n: int, r: int) -> int:
@@ -57,10 +53,6 @@ class QPoly:
     @classmethod
     def const(cls, c: int) -> "QPoly":
         return cls((c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def coeff(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
@@ -147,70 +139,6 @@ def format_qpoly(p: QPoly, var: str = "q") -> str:
     return "".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in x over Z[q]
-# ---------------------------------------------------------------------------
-
-class XQPoly:
-    """Polynomial in x whose coefficients are QPoly values (Z[q][x])."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_qpoly(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XQPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "XQPoly") -> "XQPoly":
-        if not self or not other:
-            return XQPoly()
-        out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XQPoly(out)
-
-    def __repr__(self) -> str:
-        return f"XQPoly({[list(c.coeffs) for c in self.coeffs]!r})"
-
-
-# ---------------------------------------------------------------------------
-# Matrices
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PolyMatrix:
-    """Dense square matrix over Z[q]."""
-
-    entries: list
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n < 1 or any(len(r) != n for r in self.entries):
-            raise ValueError("matrix must be square with dimension >= 1")
-        self.entries = [[_as_qpoly(e) for e in row] for row in self.entries]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def eval_q(self, q0: int) -> list:
-        return [[e(q0) for e in row] for row in self.entries]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-
 def charpoly_int(m: Sequence[Sequence[int]]) -> list:
     """det(xI - m) for an integer matrix, as an ascending coefficient list.
 
@@ -253,44 +181,22 @@ def _matmul_int(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def _rank_one_factors(b: Sequence[Sequence[int]]) -> tuple:
-    """Integer vectors u, v with b == u v^T, both zero for a zero b.
-
-    v is the first nonzero row of b over its gcd, so u_i = b[i][j0] / v[j0]
-    is exact when b has rank 1; u v^T is checked against b entry by entry,
-    and a b of rank >= 2 raises ValueError."""
-    n = len(b)
-    row = next((r for r in b if any(r)), None)
-    if row is None:
-        return [0] * n, [0] * n
-    g = math.gcd(*row)
-    v = [e // g for e in row]
-    j0 = next(j for j, e in enumerate(v) if e)
-    u = [r[j0] // v[j0] for r in b]
-    if any(r[j] != ui * vj for r, ui in zip(b, u) for j, vj in enumerate(v)):
-        raise ValueError("the q-part of the matrix must have rank <= 1")
-    return u, v
-
-
-def charpoly_q(m: PolyMatrix) -> XQPoly:
-    """det(xI - m) as an exact element of Z[q][x], for m = A + q u v^T.
+def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
+               v: Sequence[int]) -> list:
+    """det(xI - a - q u v^T) for integer a, u and v, as an ascending list
+    of its x-coefficients, each a QPoly of degree <= 1 in q.
 
     By the matrix determinant lemma,
-    det(xI - A - q u v^T) = p(x) - q v^T adj(xI - A) u with
-    p(x) = det(xI - A) = sum_e c_e x^e, and by Cayley-Hamilton
-    adj(xI - A) = sum_d x^d sum_{e>d} c_e A^(e-d-1).  So the x^d
+    det(xI - a - q u v^T) = p(x) - q v^T adj(xI - a) u with
+    p(x) = det(xI - a) = sum_e c_e x^e, and by Cayley-Hamilton
+    adj(xI - a) = sum_d x^d sum_{e>d} c_e a^(e-d-1).  So the x^d
     coefficient is c_d - q sum_{e>d} c_e s_(e-d-1), with the Krylov scalars
-    s_j = v^T A^j u: one integer charpoly and n matrix-vector products.
-    Entries of q-degree > 1 and q-parts of rank >= 2 raise ValueError.
+    s_j = v^T a^j u: one integer charpoly and n matrix-vector products.
     """
-    if any(e.degree > 1 for row in m.entries for e in row):
-        raise ValueError("matrix entries must have degree <= 1 in q")
-    a = m.eval_q(0)
-    u, v = _rank_one_factors([[e.coeff(1) for e in row] for row in m.entries])
+    n = len(a)
     c = charpoly_int(a)
-    s, w = [], u  # s[j] = v^T A^j u, w = A^j u
-    for _ in range(m.dim):
+    s, w = [], u  # s[j] = v^T a^j u, w = a^j u
+    for _ in range(n):
         s.append(sum(map(mul, v, w)))
         w = [sum(map(mul, row, w)) for row in a]
-    return XQPoly(QPoly((c[d], -sum(map(mul, c[d + 1:], s))))
-                  for d in range(m.dim + 1))
+    return [QPoly((c[d], -sum(map(mul, c[d + 1:], s)))) for d in range(n + 1)]

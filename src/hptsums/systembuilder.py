@@ -1,6 +1,13 @@
 """System matrices for the power-sum state vector, recurrence extraction,
 and initial values.
 
+Every system is stored as g_{n+1} = (A + q u v^T) g_n + h0 + q h1 with
+integer A, u, v, h0 and h1 (LinearSystem).  The q-part is rank 1 by
+construction: in the full system only the two closing rows depend on q,
+both by q (a^k + b^k).  So every characteristic polynomial is q-linear by
+its form, and the matrix determinant lemma (exactalg.charpoly_q) reads it
+off one integer characteristic polynomial.
+
 One route derives every recurrence and its initial values: the folded
 reduced system of dimension r = floor(k/2)+3.  The fold P maps the full
 coordinates [a^k, mixed pairs, b^k, u] onto [a^k, b^k, c_1.., u] by summing
@@ -9,21 +16,21 @@ each fold class
   (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
 
 where c_j = (a^{k-j} b^j) + (a^j b^{k-j}) is the class (j, k-j).  The
-reduced row of a class is the sum of its full rows, read at the first
-column of every class, and the reduced constant is the sum of its full
-constants; this is exact because every summed row is fold-symmetric
-(equal at both columns of each pair), so P M = M_red P and P h = h_red.
-Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2, is M-invariant;
-M maps it to zero, because rows 0..k-1 of M are symmetric under j <-> k-j
-and rows k, k+1 touch only columns 0, k and k+1.  So
+reduced A has as row of a class the sum of its full rows, read at the first
+column of every class; u, h0 and h1 are summed the same way, and v is read
+at the first columns.  This is exact because every summed row of A, and v,
+is fold-symmetric (equal at both columns of each pair), so P M = M_red P
+and P h = h_red.  Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2,
+is M-invariant; M maps it to zero, because rows 0..k-1 of M are symmetric
+under j <-> k-j and rows k, k+1 touch only columns 0, k and k+1.  So
 det(xI - M) = x^(k+2-r) det(xI - M_red), and the full characteristic
 polynomial is read off the reduced one exactly.
 
-Recurrences come out of the characteristic polynomial by the (x-1) lift
-(absorbing the constant winger-correction vector) followed by maximal
-x-stripping.  Initial values come from iterating the same reduced system,
-split by powers of q into integer vectors, starting from the folded row-1
-state vector.
+Recurrences come out of the characteristic polynomial, an ascending list
+of QPoly coefficients, by the (x-1) lift (absorbing the constant
+winger-correction vector) followed by maximal x-stripping.  Initial values
+come from iterating the same reduced system, split by powers of q into
+integer vectors, starting from the folded row-1 state vector.
 
 verify checks the system against real rows with the definition-level
 step oracle sums.check_system_step.  The second routes to the
@@ -34,11 +41,10 @@ tests/reference.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from operator import add, mul
 
-from .exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix, QPoly,
-                       XQPoly, binom, charpoly_q, format_qpoly)
+from .exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
+                       charpoly_q, format_qpoly)
 
 __all__ = [
     "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
@@ -49,9 +55,14 @@ __all__ = [
 
 @dataclass
 class LinearSystem:
+    """g_{n+1} = (a + q u v^T) g_n + h0 + q h1, all integer lists."""
+
     k: int
-    matrix: PolyMatrix
-    constant: list  # QPoly vector h
+    a: list
+    u: list
+    v: list
+    h0: list
+    h1: list
 
 
 @dataclass
@@ -86,35 +97,41 @@ def conjectured_order(k: int) -> int:
 def build_full_matrix(k: int) -> LinearSystem:
     """The (k+2)-dimensional system advancing [a^k, mixed pairs, b^k, u].
 
-    Upper k x (k+1) block: m_{i,j} = C(k-i, j) + C(k-i, k-j); last column
-    2^k - 2 then 2^{k-i} - 1; the two q-rows close the system.
+    Upper k x (k+1) block: a_{i,j} = C(k-i, j) + C(k-i, k-j); last column
+    2^k - 2 then 2^{k-i} - 1; the two q-rows close the system.  Their
+    q-part, q (a^k + b^k) in both, is written once as u = e_{b^k} + e_u,
+    v = e_{a^k} + e_{b^k}, and their constant -2(q-4) as 8 - 2q.
     """
     if k < 2:
         raise ValueError("k must be >= 2 (k = 0, 1 have known closed "
                          "recurrences; see recurrence_for_k)")
     n = k + 2
-    m = [[QZERO] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]
     for i in range(k):
         for j in range(k + 1):
-            m[i][j] = QPoly.const(binom(k - i, j) + binom(k - i, k - j))
-    m[0][k + 1] = QPoly.const(2**k - 2)
+            a[i][j] = binom(k - i, j) + binom(k - i, k - j)
+    a[0][k + 1] = 2**k - 2
     for i in range(1, k):
-        m[i][k + 1] = QPoly.const(2**(k - i) - 1)
-    m[k][0], m[k][k] = Q - 4, Q - 3
-    m[k + 1][0], m[k + 1][k] = Q - 5, Q - 4
-    h = [QPoly.const(-2)] + [QPoly.const(-1)] * (k - 1) \
-        + [-2 * (Q - 4), -2 * (Q - 4)]
-    return LinearSystem(k, PolyMatrix(m), h)
+        a[i][k + 1] = 2**(k - i) - 1
+    a[k][0], a[k][k] = -4, -3
+    a[k + 1][0], a[k + 1][k] = -5, -4
+    u, v = [0] * n, [0] * n
+    u[k] = u[k + 1] = v[0] = v[k] = 1
+    h0 = [-2] + [-1] * (k - 1) + [8, 8]
+    h1 = [0] * k + [-2, -2]
+    return LinearSystem(k, a, u, v, h0, h1)
 
 
 def build_reduced_matrix(k: int) -> LinearSystem:
     """The folded system of dimension floor(k/2)+3 over
     [a^k, b^k, c_1..c_m, u], where c_j = (a^{k-j}b^j) + (a^j b^{k-j}).
 
-    Each row and constant is the sum of the full ones in its fold class;
-    a summed row that differs at the two columns of a pair cannot be folded
-    and raises ExactAlgError.  The published form of the c_j rows is
-    encoded once, as the step oracle's sums._reduced_printed_rhs.
+    Each row of a and each entry of u, h0 and h1 is the sum of the full
+    ones in its fold class; the columns of a and v are read at each class's
+    first column.  A row of a, or v, that differs at the two columns of a
+    pair cannot be folded and raises ExactAlgError.  The published form of
+    the c_j rows is encoded once, as the step oracle's
+    sums._reduced_printed_rhs.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -124,37 +141,40 @@ def build_reduced_matrix(k: int) -> LinearSystem:
     if k % 2 == 0:
         classes.append((k // 2,))
     classes.append((k + 1,))
-    rows, consts = [], []
-    for cls in classes:
-        summed = [reduce(add, col)
-                  for col in zip(*(full.matrix.entries[i] for i in cls))]
+
+    def fold(vec):
+        return [sum(vec[i] for i in c) for c in classes]
+
+    def read(vec):
         for c in classes:
-            if summed[c[0]] != summed[c[-1]]:
+            if vec[c[0]] != vec[c[-1]]:
                 raise ExactAlgError(
-                    f"row not fold-symmetric at columns {c[0]}/{c[-1]}")
-        rows.append([summed[c[0]] for c in classes])
-        consts.append(reduce(add, (full.constant[i] for i in cls)))
-    return LinearSystem(k, PolyMatrix(rows), consts)
+                    f"not fold-symmetric at columns {c[0]}/{c[-1]}")
+        return [vec[c[0]] for c in classes]
+
+    # the rows of a summed within each class, then read class by class
+    a = [read(row) for row in zip(*map(fold, zip(*full.a)))]
+    return LinearSystem(k, a, fold(full.u), read(full.v), fold(full.h0),
+                        fold(full.h1))
 
 
-def lift_inhomogeneous(p: XQPoly) -> XQPoly:
-    """(x-1) * p(x): the characteristic polynomial governing the orbit once
-    the constant correction vector is absorbed by differencing."""
-    if not p:
+def lift_inhomogeneous(p: list) -> list:
+    """(x-1) * p(x), for p an ascending list of QPoly coefficients: the
+    characteristic polynomial governing the orbit once the constant
+    correction vector is absorbed by differencing."""
+    if not any(p):
         raise ValueError("polynomial must be nonzero")
-    return p * XQPoly((QPoly.const(-1), QONE))
+    return [lo - hi for lo, hi in zip([QZERO] + p, p + [QZERO])]
 
 
-def recurrence_from_polynomial(p: XQPoly, k: int) -> Recurrence:
-    """Strip the maximal power of x from a monic polynomial and read off the
-    recurrence coefficients as the negated lower coefficients."""
-    if not p:
+def recurrence_from_polynomial(p: list, k: int) -> Recurrence:
+    """Strip the maximal power of x from a monic polynomial, an ascending
+    list of QPoly coefficients, and read off the recurrence coefficients as
+    the negated lower coefficients."""
+    if not any(p):
         raise ValueError("polynomial must be zero-free")
-    coeffs = list(p.coeffs)
-    strip = 0
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-        strip += 1
+    strip = next(d for d, c in enumerate(p) if c)
+    coeffs = p[strip:]
     if coeffs[-1] != QONE:
         raise ValueError("polynomial is not monic "
                          f"(leading {format_qpoly(coeffs[-1])})")
@@ -175,31 +195,21 @@ def initial_values_symbolic(k: int, d: int) -> list:
     constant onto its reduced one, so this is the full orbit, folded.
     No rows are built.
 
-    The iteration runs over Z, split by powers of q: with g_n = sum_d q^d G_d,
-    M = M0 + q M1 and h = h0 + q h1, one step is
-    G'_d = M0 G_d + M1 G_{d-1} + h0 [d=0] + h1 [d=1].  M1 is kept as its
-    nonzero (i, j, v) entries, which are few (two rows of the reduced
-    matrix).
+    The iteration runs over Z, split by powers of q: with
+    g_n = sum_d q^d G_d and the system's M = A + q u v^T, h = h0 + q h1,
+    one step is G'_d = A G_d + u (v . G_{d-1}) + h0 [d=0] + h1 [d=1].
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    system = build_reduced_matrix(k)
-    m, h = system.matrix.entries, system.constant
-    m0 = [[e.coeff(0) for e in row] for row in m]
-    m1 = [(i, j, e.coeff(1)) for i, row in enumerate(m)
-          for j, e in enumerate(row) if e.coeff(1)]
-    h0, h1 = [c.coeff(0) for c in h], [c.coeff(1) for c in h]
-    gs = [[0, 2] + [0] * (len(m) - 3) + [1]]  # [G_0] of g_1
+    s = build_reduced_matrix(k)
+    gs = [[0, 2] + [0] * (len(s.a) - 3) + [1]]  # [G_0] of g_1
     out = [QPoly(g[0] + g[1] for g in gs)]
     while len(out) < d:
-        nxt = [[sum(map(mul, row, g)) for row in m0] for g in gs]
-        nxt.append([0] * len(m))
-        for g, up in zip(gs, nxt[1:]):
-            for i, j, v in m1:
-                up[i] += v * g[j]
-        nxt[0] = list(map(add, nxt[0], h0))
-        nxt[1] = list(map(add, nxt[1], h1))
-        gs = nxt
+        vg = [0] + [sum(map(mul, s.v, g)) for g in gs]  # v . G_{d-1}
+        gs = [[sum(map(mul, row, g)) + ui * t for row, ui in zip(s.a, s.u)]
+              for g, t in zip(gs, vg)] + [[ui * vg[-1] for ui in s.u]]
+        gs[0] = list(map(add, gs[0], s.h0))
+        gs[1] = list(map(add, gs[1], s.h1))
         out.append(QPoly(g[0] + g[1] for g in gs))
     return out
 
@@ -225,10 +235,9 @@ def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
         if with_initial_values:
             rec.initial_values = [QPoly.const(2), QPoly.const(4), 2 * Q]
         return rec
-    reduced = build_reduced_matrix(k).matrix
+    s = build_reduced_matrix(k)
     # det(xI - M) = x^(k+2-r) det(xI - M_red): see the module docstring.
-    cp = XQPoly((QZERO,) * (k + 2 - reduced.dim)
-                + charpoly_q(reduced).coeffs)
+    cp = [QZERO] * (k + 2 - len(s.a)) + charpoly_q(s.a, s.u, s.v)
     rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:
         rec.initial_values = initial_values_symbolic(k, rec.order)

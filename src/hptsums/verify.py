@@ -16,6 +16,7 @@ from .exactalg import QPoly, format_qpoly
 DEFAULT_ENTRY_CAP = 10**5
 DEFAULT_K_RANGE = (2, 8)
 DEFAULT_Q_LIST = (5, 6, 7, 9)
+DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
 
 
 @dataclass
@@ -103,9 +104,9 @@ def _recurrence(k: int):
 
 
 @lru_cache(maxsize=8)
-def _capped_rows(q: int, entry_cap: int, depth_limit: int = 64) -> list:
+def _capped_rows(q: int, entry_cap: int) -> list:
     """Triple multisets of the rows of HPT_{4,q} up to the entry cap."""
-    res = triangle.generate_triples(triangle.TriangleParams(q), depth_limit,
+    res = triangle.generate_triples(triangle.TriangleParams(q), DEPTH_LIMIT,
                                     entry_cap=entry_cap)
     return res.rows
 

@@ -3,21 +3,24 @@ that tests compare the product path against.  No command runs them.
 
   * lagrange_interpolate, the integer polynomial through sample points
     over exact rationals, with extra points that verify its degree bound;
+  * rank_one_update and system_at, a systembuilder.LinearSystem written
+    out as its matrix a + q u v^T and constant h0 + q h1, at an integer q
+    or over Z[q] with q = Q, as lists of ints or of QPoly;
   * det_int, Bareiss's fraction-free determinant (Math. Comp. 22, 1968),
-    and det_q, the same over Z[q] by evaluating q at integer points and
-    interpolating;
+    and det_q, the same for a matrix of q-linear QPoly entries by
+    evaluating q at integer points and interpolating;
   * structured_addends and build_structured_charpoly, the characteristic
-    polynomial as the determinant of the row-reduced form of M - xI;
+    polynomial as the determinant of the row-reduced form of M - xI, with
+    polynomials in x as ascending lists of QPoly (xq_add, xq_eval_x);
   * matrix_from_orbit, a system matrix recovered from its orbit;
   * row_triples and pair_sum, a materialised row's triple multiset and its
     adjacent-pair sums.
 """
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 
-from hptsums.exactalg import (Q, QONE, QZERO, ExactAlgError, PolyMatrix,
-                              QPoly, XQPoly, binom)
+from hptsums.exactalg import Q, QONE, QZERO, ExactAlgError, QPoly, binom
 
 
 def lagrange_interpolate(points, deg_bound: int) -> QPoly:
@@ -86,31 +89,40 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_q(m: PolyMatrix) -> QPoly:
-    """Exact determinant over Z[q]: det_int at q = 5, 6, ... interpolated.
+def det_q(m) -> QPoly:
+    """Exact determinant of a square matrix of QPoly entries, given as a
+    list of rows: det_int at q = 5, 6, ... interpolated.
 
     With entries of q-degree <= 1 the determinant, multilinear in the rows,
     has q-degree at most the number of q-dependent rows; one extra point
     verifies the bound."""
-    if any(e.degree > 1 for row in m.entries for e in row):
+    if any(len(e.coeffs) > 2 for row in m for e in row):
         raise ValueError("matrix entries must have degree <= 1 in q")
-    deg_bound = len([row for row in m.entries
-                     if any(e.degree >= 1 for e in row)])
-    points = [(q0, det_int(m.eval_q(q0)))
+    deg_bound = len([row for row in m if any(len(e.coeffs) > 1 for e in row)])
+    points = [(q0, det_int([[e(q0) for e in row] for row in m]))
               for q0 in range(5, 5 + deg_bound + 2)]
     return lagrange_interpolate(points, deg_bound)
 
 
-def xq_add(a: XQPoly, b: XQPoly) -> XQPoly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    return XQPoly((a.coeffs[d] if d < len(a.coeffs) else QZERO)
-                  + (b.coeffs[d] if d < len(b.coeffs) else QZERO)
-                  for d in range(n))
+def rank_one_update(a, u, v, q):
+    """The matrix a + q u v^T, for q an int or the symbol Q."""
+    return [[x + q * ui * vj for x, vj in zip(row, v)]
+            for row, ui in zip(a, u)]
 
 
-def xq_eval_x(p: XQPoly, x0: int) -> QPoly:
+def system_at(s, q) -> tuple:
+    """(a + q u v^T, h0 + q h1) of a LinearSystem, for q an int or Q."""
+    return (rank_one_update(s.a, s.u, s.v, q),
+            [x + q * y for x, y in zip(s.h0, s.h1)])
+
+
+def xq_add(a: list, b: list) -> list:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=QZERO)]
+
+
+def xq_eval_x(p: list, x0: int) -> QPoly:
     acc = QZERO
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x0 + c
     return acc
 
@@ -122,32 +134,33 @@ def structured_addends(k: int) -> tuple:
     if k < 2:
         raise ValueError("k must be >= 2")
     n = k + 2
-    x1 = [[XQPoly() for _ in range(n)] for _ in range(n)]
+    x1 = [[[] for _ in range(n)] for _ in range(n)]
     for u in range(k + 1):
         for j in range(u, k + 1):
             c = (-1)**(j - u + 1) * binom(k - u, j - u)
-            x1[u][j] = XQPoly((QZERO, QPoly.const(c)))
+            x1[u][j] = [QZERO, QPoly.const(c)]
         if u <= k - 1:
-            x1[u][k + 1] = XQPoly((QZERO, QPoly.const((-1)**(k - u))))
-    x1[k][k] = XQPoly((QZERO, QPoly.const(-1)))
-    x1[k][k + 1] = XQPoly((QZERO, QONE))
-    x1[k + 1][k] = XQPoly((QZERO, Q - 5))
-    x1[k + 1][k + 1] = XQPoly((QZERO, -(Q - 4)))
+            x1[u][k + 1] = [QZERO, QPoly.const((-1)**(k - u))]
+    x1[k][k] = [QZERO, QPoly.const(-1)]
+    x1[k][k + 1] = [QZERO, QONE]
+    x1[k + 1][k] = [QZERO, Q - 5]
+    x1[k + 1][k + 1] = [QZERO, -(Q - 4)]
 
-    x2 = [[XQPoly() for _ in range(n)] for _ in range(n)]
+    x2 = [[[] for _ in range(n)] for _ in range(n)]
     for u in range(k):
-        x2[u][u] = xq_add(x2[u][u], XQPoly((QONE,)))
-        x2[u][k - u] = xq_add(x2[u][k - u], XQPoly((QONE,)))
+        x2[u][u] = xq_add(x2[u][u], [QONE])
+        x2[u][k - u] = xq_add(x2[u][k - u], [QONE])
         if 1 <= u <= k - 1:
-            x2[u][k + 1] = XQPoly((QONE,))
-    x2[k][0] = XQPoly((QONE,))
-    x2[k][k] = XQPoly((QONE,))
-    x2[k + 1][k] = XQPoly((QONE,))
+            x2[u][k + 1] = [QONE]
+    x2[k][0] = [QONE]
+    x2[k][k] = [QONE]
+    x2[k + 1][k] = [QONE]
     return x1, x2
 
 
-def build_structured_charpoly(k: int) -> XQPoly:
-    """Characteristic polynomial via the structured determinant route.
+def build_structured_charpoly(k: int) -> list:
+    """Characteristic polynomial via the structured determinant route, as
+    an ascending list of QPoly coefficients.
 
     Sums the two addend matrices, evaluates x at k+4 integer points, takes
     each exact determinant over Z[q], interpolates every q-coefficient as a
@@ -160,19 +173,19 @@ def build_structured_charpoly(k: int) -> XQPoly:
     x_points = list(range(n + 2))
     dets = []
     for x0 in x_points:
-        mat = PolyMatrix([[xq_eval_x(e, x0) for e in row] for row in total])
-        dets.append(det_q(mat))
+        dets.append(det_q([[xq_eval_x(e, x0) for e in row]
+                           for row in total]))
     max_qdeg = max((len(d.coeffs) for d in dets), default=0)
     coeffs_by_qdeg = []
     for d in range(max_qdeg):
         pts = [(x0, det.coeff(d)) for x0, det in zip(x_points, dets)]
         coeffs_by_qdeg.append(lagrange_interpolate(pts, n))
-    # coeffs_by_qdeg[d] is a polynomial in x; transpose into Z[q][x].
+    # coeffs_by_qdeg[d] is a polynomial in x; transpose into QPoly
+    # coefficients of x^0, x^1, ...
     max_xdeg = max((len(p.coeffs) for p in coeffs_by_qdeg), default=0)
     sign = (-1)**k
-    return XQPoly(QPoly(sign * coeffs_by_qdeg[d].coeff(e)
-                        for d in range(max_qdeg))
-                  for e in range(max_xdeg))
+    return [QPoly(sign * coeffs_by_qdeg[d].coeff(e) for d in range(max_qdeg))
+            for e in range(max_xdeg)]
 
 
 def matrix_from_orbit(vectors) -> list:

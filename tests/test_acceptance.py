@@ -11,11 +11,12 @@ import time
 from hptsums import systembuilder as sb
 from hptsums import tables, verify
 from hptsums.cli import main
-from hptsums.exactalg import (ExactAlgError, Q, QPoly, XQPoly, binom,
-                              charpoly_int, charpoly_q)
+from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
+                              charpoly_q)
 from hptsums.sums import fold_state, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
-from reference import build_structured_charpoly, matrix_from_orbit, row_triples
+from reference import (build_structured_charpoly, matrix_from_orbit,
+                       row_triples, system_at)
 
 GRID_K = range(2, 7)
 GRID_Q = (5, 6, 7, 9)
@@ -38,12 +39,12 @@ def test_criterion_1_table_reproduction(capsys):
 
 
 def test_criterion_2_k2_golden_path(capsys):
-    cp = charpoly_q(sb.build_full_matrix(2).matrix)
-    assert cp == XQPoly([QPoly(), QPoly((-2,)), QPoly((6,)), -Q - 1,
-                         QPoly((1,))])
+    full = sb.build_full_matrix(2)
+    cp = charpoly_q(full.a, full.u, full.v)
+    assert cp == [QPoly(), QPoly((-2,)), QPoly((6,)), -Q - 1, QPoly((1,))]
     lifted = sb.lift_inhomogeneous(cp)
-    assert lifted == XQPoly([QPoly(), QPoly((2,)), QPoly((-8,)), Q + 7,
-                             -Q - 2, QPoly((1,))])
+    assert lifted == [QPoly(), QPoly((2,)), QPoly((-8,)), Q + 7, -Q - 2,
+                      QPoly((1,))]
     rec = sb.recurrence_from_polynomial(lifted, 2)
     assert rec.order == 4
     assert rec.coefficients == [Q + 2, -Q - 7, QPoly((8,)), QPoly((-2,))]
@@ -84,8 +85,9 @@ def test_criterion_4_system_equation_oracle(capsys):
 
 def test_criterion_5_structured_path_equivalence(capsys):
     for k in range(2, 12):
+        full = sb.build_full_matrix(k)
         assert build_structured_charpoly(k) \
-            == charpoly_q(sb.build_full_matrix(k).matrix), k
+            == charpoly_q(full.a, full.u, full.v), k
     with capsys.disabled():
         _report(5, "structured determinant equals the direct characteristic "
                    "polynomial for k=2..11")
@@ -148,7 +150,7 @@ def test_criterion_8_lemma_round_trip(capsys):
 
 def test_criterion_9_reduced_system(capsys):
     for k in range(2, 12):
-        assert sb.build_reduced_matrix(k).matrix.dim \
+        assert len(sb.build_reduced_matrix(k).a) \
             == sb.conjectured_order(k), k
     # the reduced matrix itself steps the folded state vectors of the
     # criterion-3 grid rows: M_red(q) fold(g_n) + h_red(q) == fold(g_{n+1})
@@ -156,9 +158,7 @@ def test_criterion_9_reduced_system(capsys):
     for q in GRID_Q:
         rows = generate_rows(TriangleParams(q), 64, entry_cap=GRID_CAP).rows
         for k in GRID_K:
-            reduced = sb.build_reduced_matrix(k)
-            m = reduced.matrix.eval_q(q)
-            h = [c(q) for c in reduced.constant]
+            m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(state_vector(row_triples(r), k))
                       for r in rows[1:]]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):

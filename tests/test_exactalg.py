@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from hptsums import exactalg
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (Q, ExactAlgError, PolyMatrix, QPoly, XQPoly,
-                              binom, charpoly_int, charpoly_q, format_qpoly)
+from hptsums.exactalg import (Q, ExactAlgError, QPoly, binom, charpoly_int,
+                              charpoly_q, format_qpoly)
 from reference import (det_int, lagrange_interpolate, matrix_from_orbit,
-                       xq_eval_x)
+                       rank_one_update, xq_eval_x)
 
 small_ints = st.integers(-50, 50)
 qpolys = st.lists(small_ints, max_size=5).map(QPoly)
@@ -18,7 +18,6 @@ qpolys = st.lists(small_ints, max_size=5).map(QPoly)
 def test_qpoly_canonical_form():
     assert QPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert not QPoly((0, 0))
-    assert QPoly().degree == float("-inf")
 
 
 def test_qpoly_examples():
@@ -118,84 +117,51 @@ def test_charpoly_int_matches_bareiss_at_n_plus_1_points():
     assert charpoly_int(singular)[0] == 0 == det_int(singular)
 
 
-def _counting_charpoly_q(monkeypatch, m):
-    """charpoly_q(m) and the number of charpoly_int calls it made."""
+def _counting_charpoly_q(monkeypatch, a, u, v):
+    """charpoly_q(a, u, v) and the number of charpoly_int calls it made."""
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(exactalg, "charpoly_int",
                       lambda mat: calls.append(mat) or charpoly_int(mat))
-        cp = charpoly_q(m)
+        cp = charpoly_q(a, u, v)
     return cp, len(calls)
 
 
-def _q_part_of_rank(rank, n, rng):
-    """A + qB with B = sum of `rank` outer products of the unit vectors
-    e_i e_(i+1 mod n): B has exactly `rank` independent nonzero rows."""
-    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    return PolyMatrix([[a[i][j] + Q if i < rank and j == (i + 1) % n
-                        else a[i][j] for j in range(n)] for i in range(n)])
-
-
-def _agrees_at_held_out_q(cp, m):
-    return all([c(q0) for c in cp.coeffs] == charpoly_int(m.eval_q(q0))
-               for q0 in (11, 23, 40))
-
-
-def test_charpoly_q_of_every_system_matrix_takes_one_charpoly_int(
-        monkeypatch):
+def _random_rank_one_cases():
+    """Random integer a (n = 1..8) with random u and v, zero vectors and
+    negative entries included, and a 2x2 [[q-4, 2], [q-5, 3]]."""
     rng = random.Random(77)
-    cases = ([sb.build_reduced_matrix(k).matrix for k in range(2, 65)]
-             + [sb.build_full_matrix(k).matrix for k in range(2, 21)]
-             + [_q_part_of_rank(r, 4, rng) for r in (0, 1)])
-    for m in cases:
-        cp, calls = _counting_charpoly_q(monkeypatch, m)
-        assert calls == 1, m.dim
-        assert _agrees_at_held_out_q(cp, m), m.dim
+
+    def vec(n):
+        return [rng.randint(-4, 4) for _ in range(n)]
+
+    cases = [([[-4, 2], [-5, 3]], [1, 1], [1, 0])]
+    for n in range(1, 9):
+        a = [vec(n) for _ in range(n)]
+        cases += [(a, vec(n), vec(n)), (a, [0] * n, vec(n)),
+                  (a, vec(n), [0] * n)]
+    return cases
 
 
-def test_charpoly_q_rejects_q_part_of_rank_2_or_more():
-    rng = random.Random(78)
-    mutated = sb.build_reduced_matrix(8).matrix
-    # the reduced q-part is q(e_a + e_b) in two rows, rank 1; a q in a third
-    # row, at a new column, makes it rank 2
-    mutated.entries[2][3] = mutated.entries[2][3] + Q
-    for m in [mutated] + [_q_part_of_rank(r, 4, rng) for r in (2, 3)]:
-        with pytest.raises(ValueError):
-            charpoly_q(m)
+LEMMA_CASES = {
+    "random": _random_rank_one_cases,
+    "reduced k=2..64": lambda: [(s.a, s.u, s.v) for s in map(
+        sb.build_reduced_matrix, range(2, 65))],
+    "full k=2..20": lambda: [(s.a, s.u, s.v) for s in map(
+        sb.build_full_matrix, range(2, 21))],
+}
 
 
-def _with_q_part(b, rng):
-    """A random integer A plus q times the integer matrix b."""
-    return PolyMatrix([[rng.randint(-4, 4) + v * Q for v in row]
-                       for row in b])
-
-
-def test_charpoly_q_factors_every_rank_1_q_part():
-    # Rows that are non-primitive, negative or zero multiples of one
-    # vector, with the first nonzero row not at row 0 and its first nonzero
-    # entry not at column 0: u v^T needs v divided by the gcd of its row.
-    rank_1 = [
-        [[2, 4], [-3, -6]],
-        [[0, 0], [2, 4]],
-        [[0, 0, 0], [-3, -6, 0], [2, 4, 0]],
-        [[0, 0, 0], [0, 4, 6], [0, 0, 0]],
-        [[0, -6, 9], [0, 4, -6], [0, 0, 0]],
-    ]
-    # Near misses of rank 2 that agree with u v^T at the column u is read
-    # from: only the entry-by-entry check rejects them.
-    rank_2 = [
-        [[2, 4], [-3, -7]],
-        [[0, 0, 0], [2, 4, 0], [-3, -6, 1]],
-    ]
-    rng = random.Random(79)
-    for b in rank_1:
-        m = _with_q_part(b, rng)
-        cp = charpoly_q(m)
-        assert max(c.degree for c in cp.coeffs) == 1, b
-        assert _agrees_at_held_out_q(cp, m), b
-    for b in rank_2:
-        with pytest.raises(ValueError):
-            charpoly_q(_with_q_part(b, rng))
+@pytest.mark.parametrize("family", LEMMA_CASES)
+def test_charpoly_q_is_the_determinant_lemma(monkeypatch, family):
+    # One charpoly_int call per matrix, and the coefficients at held-out q
+    # are the integer charpoly of a + q u v^T.
+    for a, u, v in LEMMA_CASES[family]():
+        cp, calls = _counting_charpoly_q(monkeypatch, a, u, v)
+        assert calls == 1, len(a)
+        for q0 in (11, 23, 40):
+            assert [c(q0) for c in cp] \
+                == charpoly_int(rank_one_update(a, u, v, q0)), (a, u, v, q0)
 
 
 def test_lagrange_examples():
@@ -224,21 +190,8 @@ def test_lagrange_round_trip(coeffs):
 
 
 def test_charpoly_q_diagonal():
-    m = PolyMatrix([[Q, QPoly()], [QPoly(), QPoly.const(1)]])
-    cp = charpoly_q(m)
-    assert cp == XQPoly([Q, -Q - 1, QPoly.const(1)])  # (x-q)(x-1)
-
-
-def test_charpoly_q_matches_int_evaluation_at_held_out_points():
-    m = PolyMatrix([[Q - 4, QPoly.const(2)], [Q - 5, QPoly.const(3)]])
-    cp = charpoly_q(m)
-    for q0 in (11, 23, 40):
-        assert [c(q0) for c in cp.coeffs] == charpoly_int(m.eval_q(q0))
-
-
-def test_charpoly_q_rejects_quadratic_entries():
-    with pytest.raises(ValueError):
-        charpoly_q(PolyMatrix([[Q * Q]]))
+    cp = charpoly_q([[0, 0], [0, 1]], [1, 0], [1, 0])
+    assert cp == [Q, -Q - 1, QPoly.const(1)]  # (x-q)(x-1)
 
 
 def test_matrix_from_orbit_trivial():
@@ -264,8 +217,7 @@ def test_matrix_from_orbit_recovers_action():
         assert stepped == g[t + 1]
 
 
-def test_xqpoly_lift_and_eval():
-    p = XQPoly([QPoly.const(-1), QPoly.const(1)])  # x - 1
-    sq = p * p
-    assert sq == XQPoly([QPoly.const(1), QPoly.const(-2), QPoly.const(1)])
-    assert xq_eval_x(sq, 3).coeffs == (4,)
+def test_xq_eval_x():
+    x_minus_1_squared = [QPoly.const(1), QPoly.const(-2), QPoly.const(1)]
+    assert xq_eval_x(x_minus_1_squared, 3).coeffs == (4,)
+    assert xq_eval_x([Q, -Q - 1, QPoly.const(1)], 2) == -Q + 2  # (2-q)(2-1)

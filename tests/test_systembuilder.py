@@ -3,12 +3,13 @@ import random
 import pytest
 
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (Q, QZERO, QPoly, XQPoly, binom, charpoly_int,
-                              charpoly_q)
-from hptsums.sums import StateVector, fold_state, power_sum, state_vector
+from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
+                              charpoly_int, charpoly_q)
+from hptsums.sums import (StateVector, _full_rhs, fold_state, power_sum,
+                          state_vector)
 from hptsums.triangle import TriangleParams, generate_rows
 from reference import (build_structured_charpoly, row_triples,
-                       structured_addends)
+                       structured_addends, system_at)
 
 
 def qp(*coeffs):
@@ -17,27 +18,27 @@ def qp(*coeffs):
 
 def test_full_matrix_k2():
     sys2 = sb.build_full_matrix(2)
-    assert sys2.matrix.entries == [
-        [qp(2), qp(4), qp(2), qp(2)],
-        [qp(1), qp(2), qp(1), qp(1)],
-        [Q - 4, qp(), Q - 3, qp()],
-        [Q - 5, qp(), Q - 4, qp()],
-    ]
-    assert sys2.constant == [qp(-2), qp(-1), -2 * (Q - 4), -2 * (Q - 4)]
+    assert (sys2.a, sys2.u, sys2.v, sys2.h0, sys2.h1) == (
+        [[2, 4, 2, 2], [1, 2, 1, 1], [-4, 0, -3, 0], [-5, 0, -4, 0]],
+        [0, 0, 1, 1], [1, 0, 1, 0], [-2, -1, 8, 8], [0, 0, -2, -2])
+    assert system_at(sys2, Q) == (
+        [[qp(2), qp(4), qp(2), qp(2)],
+         [qp(1), qp(2), qp(1), qp(1)],
+         [Q - 4, qp(), Q - 3, qp()],
+         [Q - 5, qp(), Q - 4, qp()]],
+        [qp(-2), qp(-1), -2 * (Q - 4), -2 * (Q - 4)])
 
 
 def test_full_matrix_entry_formulas():
-    sys3 = sb.build_full_matrix(3)
-    assert sys3.matrix.entries[0][2] == qp(binom(3, 2) + binom(3, 1))  # = 6
+    m3, _ = system_at(sb.build_full_matrix(3), 5)
+    assert m3[0][2] == binom(3, 2) + binom(3, 1)  # = 6
     for k in (2, 4, 7):
-        s = sb.build_full_matrix(k)
-        assert s.matrix.entries[k][0] == Q - 4
-        assert s.matrix.entries[k][k] == Q - 3
-        assert s.matrix.entries[k + 1][0] == Q - 5
-        assert s.matrix.entries[k + 1][k] == Q - 4
-        assert s.matrix.entries[0][k + 1] == qp(2**k - 2)
-        assert s.constant == [qp(-2)] + [qp(-1)] * (k - 1) \
-            + [-2 * (Q - 4)] * 2
+        for q in (5, 9):
+            m, h = system_at(sb.build_full_matrix(k), q)
+            assert (m[k][0], m[k][k]) == (q - 4, q - 3)
+            assert (m[k + 1][0], m[k + 1][k]) == (q - 5, q - 4)
+            assert m[0][k + 1] == 2**k - 2
+            assert h == [-2] + [-1] * (k - 1) + [-2 * (q - 4)] * 2
 
 
 def test_full_matrix_rejects_small_k():
@@ -48,9 +49,7 @@ def test_full_matrix_rejects_small_k():
 def test_full_matrix_agrees_with_step_oracle():
     # M g_n + h must equal g_{n+1} computed from actual rows
     for q, k in ((5, 3), (6, 4), (7, 2)):
-        sys_k = sb.build_full_matrix(k)
-        m = sys_k.matrix.eval_q(q)
-        h = [c(q) for c in sys_k.constant]
+        m, h = system_at(sb.build_full_matrix(k), q)
         rows = generate_rows(TriangleParams(q), 5, entry_cap=10**5).rows
         for n in range(1, 4):
             g = state_vector(row_triples(rows[n]), k).coords
@@ -60,54 +59,86 @@ def test_full_matrix_agrees_with_step_oracle():
             assert stepped == g_next
 
 
+def test_full_system_is_the_step_oracle_map():
+    # The step oracle's equations are affine in the state vector: column j
+    # of M is the oracle at e_j minus the oracle at 0, and h is the oracle
+    # at 0.  Every column of the full system, at two q, for each k.
+    for k in range(2, 21):
+        n = k + 2
+        for q in (5, 9):
+            at_zero = _full_rhs(StateVector(k, [0] * n), q)
+            columns = [[x - z for x, z in zip(
+                _full_rhs(StateVector(k, [int(i == j) for i in range(n)]),
+                          q), at_zero)] for j in range(n)]
+            m, h = system_at(sb.build_full_matrix(k), q)
+            assert (m, h) == ([list(r) for r in zip(*columns)], at_zero), \
+                (k, q)
+
+
+def full_charpoly(k):
+    s = sb.build_full_matrix(k)
+    return charpoly_q(s.a, s.u, s.v)
+
+
 def test_charpoly_k2_golden():
-    cp = charpoly_q(sb.build_full_matrix(2).matrix)
-    assert cp == XQPoly([qp(), qp(-2), qp(6), -Q - 1, qp(1)])
+    assert full_charpoly(2) == [qp(), qp(-2), qp(6), -Q - 1, qp(1)]
 
 
 def test_charpoly_k2_at_q6():
-    cp = charpoly_q(sb.build_full_matrix(2).matrix)
-    assert [c(6) for c in cp.coeffs] == [0, -2, 6, -7, 1]  # x^4-7x^3+6x^2-2x
-    assert charpoly_int(sb.build_full_matrix(2).matrix.eval_q(6)) \
+    cp = full_charpoly(2)
+    assert [c(6) for c in cp] == [0, -2, 6, -7, 1]  # x^4-7x^3+6x^2-2x
+    assert charpoly_int(system_at(sb.build_full_matrix(2), 6)[0]) \
         == [0, -2, 6, -7, 1]
 
 
 def test_structured_addends_k2_display():
     x1, x2 = structured_addends(2)
 
-    def xm(c_q):  # c_q * x as an XQPoly
-        return XQPoly([QPoly(), c_q])
+    def xm(c_q):  # c_q * x, ascending in x
+        return [QPoly(), c_q]
 
     assert x1 == ([[xm(qp(-1)), xm(qp(2)), xm(qp(-1)), xm(qp(1))],
-                   [XQPoly(), xm(qp(-1)), xm(qp(1)), xm(qp(-1))],
-                   [XQPoly(), XQPoly(), xm(qp(-1)), xm(qp(1))],
-                   [XQPoly(), XQPoly(), xm(Q - 5), xm(-(Q - 4))]])
-    one = XQPoly([qp(1)])
-    zero = XQPoly()
+                   [[], xm(qp(-1)), xm(qp(1)), xm(qp(-1))],
+                   [[], [], xm(qp(-1)), xm(qp(1))],
+                   [[], [], xm(Q - 5), xm(-(Q - 4))]])
+    one = [qp(1)]
+    zero = []
     assert x2 == [[one, zero, one, zero],
-                  [zero, XQPoly([qp(2)]), zero, one],
+                  [zero, [qp(2)], zero, one],
                   [one, zero, one, zero],
                   [zero, zero, one, zero]]
 
 
 def test_structured_path_equivalence():
     for k in range(2, 12):
-        assert build_structured_charpoly(k) \
-            == charpoly_q(sb.build_full_matrix(k).matrix)
+        assert build_structured_charpoly(k) == full_charpoly(k)
+
+
+def test_reduced_matrix_rejects_a_system_it_cannot_fold(monkeypatch):
+    # c_1 pairs full columns 1 and k-1; a row of a, or v, that differs
+    # there has no folded column.
+    for field, mutate in (("a", lambda s: s.a[0].__setitem__(1, 99)),
+                          ("v", lambda s: s.v.__setitem__(1, 1))):
+        broken = sb.build_full_matrix(6)
+        mutate(broken)
+        with monkeypatch.context() as patch:
+            patch.setattr(sb, "build_full_matrix", lambda k: broken)
+            with pytest.raises(ExactAlgError, match="columns 1/5"):
+                sb.build_reduced_matrix(6)
 
 
 def test_lift_examples():
-    cp2 = charpoly_q(sb.build_full_matrix(2).matrix)
-    lifted = sb.lift_inhomogeneous(cp2)
-    assert lifted == XQPoly([qp(), qp(2), qp(-8), Q + 7, -Q - 2, qp(1)])
-    x_minus_1 = XQPoly([qp(-1), qp(1)])
-    assert sb.lift_inhomogeneous(x_minus_1) \
-        == XQPoly([qp(1), qp(-2), qp(1)])
-    assert sb.lift_inhomogeneous(XQPoly([qp(1)])) == x_minus_1
+    lifted = sb.lift_inhomogeneous(full_charpoly(2))
+    assert lifted == [qp(), qp(2), qp(-8), Q + 7, -Q - 2, qp(1)]
+    x_minus_1 = [qp(-1), qp(1)]
+    assert sb.lift_inhomogeneous(x_minus_1) == [qp(1), qp(-2), qp(1)]
+    assert sb.lift_inhomogeneous([qp(1)]) == x_minus_1
+    with pytest.raises(ValueError, match="nonzero"):
+        sb.lift_inhomogeneous([qp(), qp()])
 
 
 def test_recurrence_from_polynomial_k2():
-    lifted = sb.lift_inhomogeneous(charpoly_q(sb.build_full_matrix(2).matrix))
+    lifted = sb.lift_inhomogeneous(full_charpoly(2))
     rec = sb.recurrence_from_polynomial(lifted, 2)
     assert rec.order == 4
     assert rec.coefficients == [Q + 2, -Q - 7, qp(8), qp(-2)]
@@ -115,7 +146,7 @@ def test_recurrence_from_polynomial_k2():
 
 
 def test_recurrence_from_polynomial_strips_geometric():
-    rec = sb.recurrence_from_polynomial(XQPoly([qp(), qp(), -Q, qp(1)]), 2)
+    rec = sb.recurrence_from_polynomial([qp(), qp(), -Q, qp(1)], 2)
     assert rec.order == 1 and rec.coefficients == [Q] \
         and rec.x_strip_count == 2
 
@@ -123,7 +154,9 @@ def test_recurrence_from_polynomial_strips_geometric():
 def test_recurrence_from_polynomial_rejects_non_monic():
     for lead in (qp(-1), qp(2), Q):
         with pytest.raises(ValueError, match="not monic"):
-            sb.recurrence_from_polynomial(XQPoly([qp(), -Q, lead]), 2)
+            sb.recurrence_from_polynomial([qp(), -Q, lead], 2)
+    with pytest.raises(ValueError, match="zero-free"):
+        sb.recurrence_from_polynomial([qp(), qp()], 2)
 
 
 def test_recurrence_for_k_closed_forms():
@@ -175,7 +208,7 @@ def test_initial_values_symbolic():
 
 def test_reduced_matrix_dimensions():
     for k, dim in ((2, 4), (3, 4), (4, 5), (5, 5), (10, 8), (11, 8)):
-        assert sb.build_reduced_matrix(k).matrix.dim == dim \
+        assert len(sb.build_reduced_matrix(k).a) == dim \
             == sb.conjectured_order(k)
 
 
@@ -184,8 +217,8 @@ def test_reduced_path_matches_full_path():
     # direct route through the full matrix's own characteristic polynomial
     for k in range(2, 17):
         derived = sb.recurrence_for_k(k, with_initial_values=False)
-        direct = sb.recurrence_from_polynomial(sb.lift_inhomogeneous(
-            charpoly_q(sb.build_full_matrix(k).matrix)), k)
+        direct = sb.recurrence_from_polynomial(
+            sb.lift_inhomogeneous(full_charpoly(k)), k)
         for attr in ("coefficients", "order", "x_strip_count"):
             assert getattr(derived, attr) == getattr(direct, attr), (k, attr)
 
@@ -196,9 +229,8 @@ def test_reduced_matrix_commutes_with_fold():
     for k in range(2, 41):
         full, reduced = sb.build_full_matrix(k), sb.build_reduced_matrix(k)
         for q in (5, 9):
-            m, h = full.matrix.eval_q(q), [c(q) for c in full.constant]
-            m_red = reduced.matrix.eval_q(q)
-            h_red = [c(q) for c in reduced.constant]
+            m, h = system_at(full, q)
+            m_red, h_red = system_at(reduced, q)
             for _ in range(3):
                 g = [rng.randint(-10**6, 10**6) for _ in range(k + 2)]
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
@@ -211,29 +243,31 @@ def test_reduced_matrix_commutes_with_fold():
 
 def test_full_matrix_annihilates_fold_kernel():
     for k in range(2, 65):
-        m = sb.build_full_matrix(k).matrix.entries
+        full = sb.build_full_matrix(k)
         kernel = [(j, k - j) for j in range(1, k) if 2 * j < k]
-        assert len(kernel) == k + 2 - sb.build_reduced_matrix(k).matrix.dim
+        assert len(kernel) == k + 2 - len(sb.build_reduced_matrix(k).a)
         for j, jj in kernel:
-            assert all(row[j] == row[jj] for row in m), (k, j)
+            # columns j and jj of a + q u v^T agree at every q
+            assert all(row[j] == row[jj] for row in full.a), (k, j)
+            assert full.v[j] == full.v[jj], (k, j)
 
 
 def test_full_charpoly_is_x_power_times_reduced():
     for k in range(2, 21):
-        reduced = sb.build_reduced_matrix(k).matrix
-        nullity = k + 2 - reduced.dim
-        assert charpoly_q(sb.build_full_matrix(k).matrix) == XQPoly(
-            (QZERO,) * nullity + charpoly_q(reduced).coeffs), k
+        reduced = sb.build_reduced_matrix(k)
+        nullity = k + 2 - len(reduced.a)
+        assert full_charpoly(k) == [QZERO] * nullity + charpoly_q(
+            reduced.a, reduced.u, reduced.v), k
 
 
 def test_initial_values_match_full_orbit():
     for k in list(range(2, 13)) + [32]:
-        full = sb.build_full_matrix(k)
+        m, h = system_at(sb.build_full_matrix(k), Q)
         g = [QZERO] * k + [qp(2), qp(1)]
         orbit = [g[0] + g[k]]
         while len(orbit) < sb.conjectured_order(k) + 1:
             g = [sum((a * b for a, b in zip(row, g)), c)
-                 for row, c in zip(full.matrix.entries, full.constant)]
+                 for row, c in zip(m, h)]
             orbit.append(g[0] + g[k])
         assert sb.initial_values_symbolic(k, len(orbit)) == orbit, k
 
