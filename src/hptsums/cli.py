@@ -174,15 +174,7 @@ def cmd_table(args) -> int:
     if args.k_max < 0:
         print("error: k-max must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    diffs = verify.reproduce_tables(args.k_max)
-    rows = []
-    for k in range(args.k_max + 1):
-        rec = verify._recurrence(k)
-        if k <= tables.MAX_TABLED_K:
-            rows.append((k, rec.coefficients_padded(
-                max(len(tables.reference_row(k)), rec.order)), ""))
-        else:
-            rows.append((k, rec.coefficients, "no fixture (exploratory)"))
+    rows, diffs = verify.reproduce_tables(args.k_max)
     width = max(len(coeffs) for _, coeffs, _ in rows)
     plain = [["k"] + [f"c{j}" for j in range(1, width + 1)] + ["note"]]
     plain += [[k] + [format_qpoly(c) for c in coeffs]

@@ -119,7 +119,7 @@ def _as_qpoly(v) -> QPoly:
     raise TypeError(f"cannot coerce {v!r} to QPoly")
 
 
-def format_qpoly(p: QPoly, var: str = "q") -> str:
+def format_qpoly(p: QPoly) -> str:
     """Descending powers with explicit signs, e.g. ``-62q+404``."""
     if not p:
         return "0"
@@ -134,7 +134,7 @@ def format_qpoly(p: QPoly, var: str = "q") -> str:
             term = str(mag)
         else:
             head = "" if mag == 1 else str(mag)
-            term = f"{head}{var}" if d == 1 else f"{head}{var}^{d}"
+            term = f"{head}q" if d == 1 else f"{head}q^{d}"
         parts.append(sign + term)
     return "".join(parts)
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactalg import binom
-from .triangle import TAG_A, TAG_B, TriangleParams
+from .triangle import TAG_A, TAG_B
 
 
 def power_sum(triples: Counter, k: int) -> int:
@@ -167,19 +167,19 @@ def _reduced_printed_rhs(folded: list, k: int, q: int) -> list:
     return out
 
 
-def check_system_step(g_n: StateVector, g_next: StateVector,
-                      params: TriangleParams, k: int,
+def check_system_step(g_n: StateVector, g_next: StateVector, q: int,
                       system: str = "full") -> StepReport:
-    """Check every equation of the chosen system between consecutive state
-    vectors (rows n and n+1, n >= 1).  Exact integer comparison per equation.
+    """Check every equation of the chosen system between the state vectors
+    of consecutive rows n and n+1, n >= 1, of HPT_{4,q}.  Exact integer
+    comparison per equation.
 
     system "full" uses the k+2 equation system; "reduced-as-printed" folds
     both vectors and evaluates the reduced equations verbatim, reporting any
     mismatch rather than correcting it.
     """
-    if g_n.k != k or g_next.k != k:
-        raise ValueError("state vectors must match k")
-    q = params.q
+    k = g_n.k
+    if g_next.k != k:
+        raise ValueError("state vectors must have the same k")
     if system == "full":
         labels = (["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)]
                   + ["b^k", "u"])

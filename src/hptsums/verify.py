@@ -2,12 +2,15 @@
 reference-table reproduction, counting recurrences, step-oracle sweeps, and
 the order/linearity conjecture probe.
 
+The checks take their inputs as arguments; nothing is cached.  run_grid
+builds the capped rows once per q and the recurrence once per k, and passes
+them to every check that reads them.
+
 Everything is exact integer equality; there are no tolerances anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
@@ -98,12 +101,6 @@ class ConjectureFinding:
         return self.trailing_zero_count > 0
 
 
-@lru_cache(maxsize=None)
-def _recurrence(k: int):
-    return systembuilder.recurrence_for_k(k, with_initial_values=False)
-
-
-@lru_cache(maxsize=8)
 def _capped_rows(q: int, entry_cap: int) -> list:
     """Triple multisets of the rows of HPT_{4,q} up to the entry cap."""
     res = triangle.generate_triples(triangle.TriangleParams(q), DEPTH_LIMIT,
@@ -111,17 +108,15 @@ def _capped_rows(q: int, entry_cap: int) -> list:
     return res.rows
 
 
-def verify_recurrence(k: int, q: int,
-                      depth_cap_entries: int = DEFAULT_ENTRY_CAP
-                      ) -> RecurrenceCheck:
-    """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every generated row past
-    the initial segment, with exact integer equality."""
-    rec = _recurrence(k)
+def verify_recurrence(rec: systembuilder.Recurrence, q: int,
+                      rows: list) -> RecurrenceCheck:
+    """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every row of rows (the
+    triple multisets of rows 0, 1, ... at q) past the initial segment, with
+    exact integer equality."""
     cs = rec.evaluated_at(q)
-    rows = _capped_rows(q, depth_cap_entries)
-    seq = [sums.power_sum(r, k) for r in rows]  # seq[n] = (s^k)_n
+    seq = [sums.power_sum(r, rec.k) for r in rows]  # seq[n] = (s^k)_n
     d = rec.order
-    check = RecurrenceCheck(k, q, rec.variant, d, first_n=d + 1,
+    check = RecurrenceCheck(rec.k, q, rec.variant, d, first_n=d + 1,
                             last_n=len(seq) - 1)
     for n in range(d + 1, len(seq)):
         rhs = sum(c * seq[n - j - 1] for j, c in enumerate(cs))
@@ -130,20 +125,17 @@ def verify_recurrence(k: int, q: int,
     return check
 
 
-def verify_system_steps(k: int, q: int,
-                        depth_cap_entries: int = DEFAULT_ENTRY_CAP,
+def verify_system_steps(k: int, q: int, rows: list,
                         system: str = "full") -> SystemStepCheck:
-    """Run the step oracle on every consecutive generated row pair, n >= 1,
-    for the "full" or the "reduced-as-printed" system of equations."""
-    params = triangle.TriangleParams(q)
-    rows = _capped_rows(q, depth_cap_entries)
+    """Run the step oracle on every consecutive pair of rows (the triple
+    multisets of rows 0, 1, ... at q), n >= 1, for the "full" or the
+    "reduced-as-printed" system of equations."""
     check = SystemStepCheck(k, q, system, first_n=1, last_n=len(rows) - 2)
     vectors = [sums.state_vector(r, k) for r in rows[1:]]
-    for idx in range(len(vectors) - 1):
-        rep = sums.check_system_step(vectors[idx], vectors[idx + 1], params,
-                                     k, system)
+    for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1):
+        rep = sums.check_system_step(g, g_next, q, system)
         for c in rep.failures():
-            check.failing_equations.append((idx + 1, c.name, c.predicted,
+            check.failing_equations.append((n, c.name, c.predicted,
                                             c.actual))
     return check
 
@@ -195,21 +187,24 @@ def verify_counting(q: int, depth: int = 12) -> CountingCheck:
     return check
 
 
-def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> list:
-    """Diff the derived coefficients against the reference table for every
-    k = 0..min(k_max, 11).  Empty list means exact reproduction."""
-    diffs = []
-    for k in range(0, min(k_max, tables.MAX_TABLED_K) + 1):
+def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
+    """The derived coefficients of every k = 0..k_max as (k, coefficients,
+    note) rows, and their diff against the reference table, which covers
+    k <= 11.  A tabled k is padded with zeros to its reference width; an
+    empty diff means exact reproduction."""
+    rows, diffs = [], []
+    for k in range(k_max + 1):
+        rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
+        if k > tables.MAX_TABLED_K:
+            rows.append((k, rec.coefficients, "no fixture (exploratory)"))
+            continue
         expected = tables.reference_row(k)
-        rec = _recurrence(k)
         computed = rec.coefficients_padded(max(len(expected), rec.order))
-        width = max(len(expected), len(computed))
-        expected = expected + [QPoly()] * (width - len(expected))
-        for j in range(width):
-            if expected[j] != computed[j]:
-                diffs.append(TableDiffEntry(k, j + 1, expected[j],
-                                            computed[j]))
-    return diffs
+        rows.append((k, computed, ""))
+        expected += [QPoly()] * (len(computed) - len(expected))
+        diffs += [TableDiffEntry(k, j, e, c) for j, (e, c)
+                  in enumerate(zip(expected, computed), 1) if e != c]
+    return rows, diffs
 
 
 def probe_conjecture(k_min: int, k_max: int) -> list:
@@ -219,7 +214,7 @@ def probe_conjecture(k_min: int, k_max: int) -> list:
         raise ValueError("k_min must be >= 2")
     findings = []
     for k in range(k_min, k_max + 1):
-        rec = _recurrence(k)
+        rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
         conj = systembuilder.conjectured_order(k)
         trailing = conj - rec.order if rec.order <= conj else 0
         max_deg = max((len(c.coeffs) - 1 for c in rec.coefficients
@@ -261,16 +256,17 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     all_exact, which judges the verified systems only)."""
     k_lo, k_hi = k_range
     report = VerificationReport((k_lo, k_hi), tuple(q_list), entry_cap)
+    rows = {q: _capped_rows(q, entry_cap) for q in q_list}
     for k in range(k_lo, k_hi + 1):
+        rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
         for q in q_list:
-            report.recurrence_checks.append(
-                verify_recurrence(k, q, entry_cap))
+            report.recurrence_checks.append(verify_recurrence(rec, q, rows[q]))
             if k >= 2:
                 report.system_checks.append(
-                    verify_system_steps(k, q, entry_cap, "full"))
+                    verify_system_steps(k, q, rows[q], "full"))
                 if reduced:
                     report.system_checks.append(
-                        verify_system_steps(k, q, entry_cap,
+                        verify_system_steps(k, q, rows[q],
                                             "reduced-as-printed"))
     return report
 

@@ -21,6 +21,12 @@ from reference import (build_structured_charpoly, matrix_from_orbit,
 GRID_K = range(2, 7)
 GRID_Q = (5, 6, 7, 9)
 GRID_CAP = 10**5
+GRID_KQ = [(k, q) for k in GRID_K for q in GRID_Q]
+
+
+def _grid():
+    """The criterion-3 grid, run as the verify command runs it."""
+    return verify.run_grid((GRID_K[0], GRID_K[-1]), GRID_Q, GRID_CAP)
 
 
 def _report(n, text):
@@ -30,7 +36,8 @@ def _report(n, text):
 def test_criterion_1_table_reproduction(capsys):
     t0 = time.monotonic()
     assert main(["table", "--k-max", "11"]) == 0
-    assert verify.reproduce_tables(11) == []
+    _, diffs = verify.reproduce_tables(11)
+    assert diffs == []
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     with capsys.disabled():
@@ -58,12 +65,12 @@ def test_criterion_2_k2_golden_path(capsys):
 def test_criterion_3_recurrence_oracle_grid(capsys):
     t0 = time.monotonic()
     checked = 0
-    for k in GRID_K:
-        for q in GRID_Q:
-            check = verify.verify_recurrence(k, q, GRID_CAP)
-            assert check.all_exact, (k, q, check.mismatches[:3])
-            assert check.last_n >= check.first_n
-            checked += check.last_n - check.first_n + 1
+    checks = _grid().recurrence_checks
+    assert [(c.k, c.q) for c in checks] == GRID_KQ
+    for check in checks:
+        assert check.all_exact, (check.k, check.q, check.mismatches[:3])
+        assert check.last_n >= check.first_n
+        checked += check.last_n - check.first_n + 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     with capsys.disabled():
@@ -73,11 +80,13 @@ def test_criterion_3_recurrence_oracle_grid(capsys):
 
 def test_criterion_4_system_equation_oracle(capsys):
     steps = 0
-    for k in GRID_K:
-        for q in GRID_Q:
-            check = verify.verify_system_steps(k, q, GRID_CAP, "full")
-            assert check.all_exact, (k, q, check.failing_equations[:3])
-            steps += check.last_n - check.first_n + 1
+    checks = _grid().system_checks
+    assert [(c.k, c.q, c.variant) for c in checks] \
+        == [(k, q, "full") for k, q in GRID_KQ]
+    for check in checks:
+        assert check.all_exact, (check.k, check.q,
+                                 check.failing_equations[:3])
+        steps += check.last_n - check.first_n + 1
     with capsys.disabled():
         _report(4, f"every full-system equation exact over {steps} row "
                    "steps on the grid")
@@ -170,11 +179,13 @@ def test_criterion_9_reduced_system(capsys):
     # the printed reduced equations are adjudicated by the step oracle:
     # k=2 holds verbatim, k>=3 fails on the paired c_j rows, and the
     # discrepancy report identifies each failing equation
-    assert verify.verify_system_steps(2, 6, 10**4,
-                                      "reduced-as-printed").all_exact
+    printed = {c.k: c for c in verify.run_grid(
+        (2, 6), (6,), 10**4, reduced=True).system_checks
+        if c.variant == "reduced-as-printed"}
+    assert printed[2].all_exact
     adjudicated = {}
     for k in range(3, 7):
-        check = verify.verify_system_steps(k, 6, 10**4, "reduced-as-printed")
+        check = printed[k]
         assert not check.all_exact
         names = {name for _, name, _, _ in check.failing_equations}
         assert names and all(name.startswith("c") for name in names), names

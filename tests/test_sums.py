@@ -53,9 +53,8 @@ def test_state_vector_examples():
 
 def test_check_system_step_k2_hand_values():
     rows = triples_for(6, 4)
-    params = TriangleParams(6)
     g3, g4 = state_vector(rows[3], 2), state_vector(rows[4], 2)
-    rep = check_system_step(g3, g4, params, 2, "full")
+    rep = check_system_step(g3, g4, 6, "full")
     assert not rep.failures()
     by_name = {c.name: c for c in rep.checks}
     # hand evaluations of the k=2 equations at q=6
@@ -69,7 +68,7 @@ def test_check_system_step_dimension_mismatch():
     g2 = state_vector(rows[2], 2)
     g3 = state_vector(rows[3], 3)
     with pytest.raises(ValueError):
-        check_system_step(g2, g3, TriangleParams(6), 2)
+        check_system_step(g2, g3, 6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -80,7 +79,7 @@ def test_full_system_steps_hold(q, k, n):
         return
     g = state_vector(rows[n], k)
     g_next = state_vector(rows[n + 1], k)
-    rep = check_system_step(g, g_next, TriangleParams(q), k, "full")
+    rep = check_system_step(g, g_next, q, "full")
     assert not rep.failures(), [(c.name, c.predicted, c.actual)
                                 for c in rep.failures()]
 
@@ -145,11 +144,10 @@ def test_reduced_printed_oracle_k2_passes():
     # for k=2 there are no paired c_j equations, and the printed system
     # agrees with the triangle
     rows = triples_for(6, 5)
-    params = TriangleParams(6)
     for n in range(1, 5):
         g = state_vector(rows[n], 2)
         g_next = state_vector(rows[n + 1], 2)
-        assert not check_system_step(g, g_next, params, 2,
+        assert not check_system_step(g, g_next, 6,
                                      "reduced-as-printed").failures()
 
 
@@ -157,10 +155,9 @@ def test_reduced_printed_oracle_k3_fails_on_c1():
     # the printed paired-c_j equations disagree with the triangle from k=3 on;
     # the oracle reports the failing equation instead of correcting it
     rows = triples_for(6, 4)
-    params = TriangleParams(6)
     g = state_vector(rows[3], 3)
     g_next = state_vector(rows[4], 3)
-    rep = check_system_step(g, g_next, params, 3, "reduced-as-printed")
+    rep = check_system_step(g, g_next, 6, "reduced-as-printed")
     assert rep.failures()
     assert [c.name for c in rep.failures()] == ["c1"]
     (fail,) = rep.failures()

@@ -1,33 +1,44 @@
+from collections import Counter
+from itertools import islice
+
 import pytest
 
-from hptsums import triangle, verify
+from hptsums import sums, systembuilder, triangle, verify
 from hptsums.exactalg import QPoly
 
 
 def test_verify_recurrence_k2_q6():
-    check = verify.verify_recurrence(2, 6, 10**5)
+    (check,) = verify.run_grid((2, 2), (6,), 10**5).recurrence_checks
     assert check.all_exact
     assert check.order == 4
     assert check.last_n >= 8
 
 
 def test_verify_recurrence_hand_value():
-    # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2)
-    rec = verify._recurrence(2)
-    assert rec.evaluated_at(6) == [8, -13, 8, -2]
-    seq = [2, 6, 28, 160]
-    assert 8 * 160 - 13 * 28 + 8 * 6 - 2 * 2 == 960
+    # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2) and the
+    # power sums of rows 1..4, read from the triple step
+    rows = islice(triangle.triple_rows(triangle.TriangleParams(6)), 1, 6)
+    seq = [sums.power_sum(r, 2) for r in rows]  # seq[n - 1] = (s^2)_n
+    assert seq == [2, 6, 28, 160, 960]
+    rec = systembuilder.recurrence_for_k(2, with_initial_values=False)
+    cs = rec.evaluated_at(6)
+    assert cs == [8, -13, 8, -2]
+    assert sum(c * seq[3 - j] for j, c in enumerate(cs)) == seq[4]
 
 
 def test_verify_recurrence_counting_cases():
-    assert verify.verify_recurrence(0, 6, 10**5).all_exact
-    assert verify.verify_recurrence(1, 6, 10**5).all_exact
-    assert verify.verify_recurrence(2, 5, 10**5).all_exact  # q-5 = 0 case
+    k0, k1 = verify.run_grid((0, 1), (6,), 10**5).recurrence_checks
+    assert k0.all_exact
+    assert k1.all_exact
+    (k2,) = verify.run_grid((2, 2), (5,), 10**5).recurrence_checks
+    assert k2.all_exact  # q-5 = 0 case
 
 
 def test_verify_system_steps():
-    assert verify.verify_system_steps(3, 5, 10**4).all_exact
-    printed = verify.verify_system_steps(3, 6, 10**4, "reduced-as-printed")
+    (full,) = verify.run_grid((3, 3), (5,), 10**4).system_checks
+    assert full.all_exact
+    _, printed = verify.run_grid((3, 3), (6,), 10**4,
+                                 reduced=True).system_checks
     assert not printed.all_exact
     assert {name for _, name, _, _ in printed.failing_equations} == {"c1"}
 
@@ -47,11 +58,13 @@ def test_verify_counting_rejects_depths_below_3():
 
 
 def test_reproduce_tables_empty_diff():
-    assert verify.reproduce_tables(11) == []
+    _, diffs = verify.reproduce_tables(11)
+    assert diffs == []
 
 
 def test_reproduce_tables_subrange():
-    assert verify.reproduce_tables(3) == []
+    _, diffs = verify.reproduce_tables(3)
+    assert diffs == []
 
 
 def test_probe_conjecture():
@@ -63,7 +76,7 @@ def test_probe_conjecture():
     by_k = {f.k: f for f in findings}
     assert by_k[2].stripped_order == 4
     assert by_k[7].stripped_order == 6
-    rec7 = verify._recurrence(7)
+    rec7 = systembuilder.recurrence_for_k(7, with_initial_values=False)
     assert QPoly((302, -42)) in rec7.coefficients
 
 
@@ -129,6 +142,27 @@ def test_verify_materialises_no_rows(monkeypatch):
 
     monkeypatch.setattr(triangle, "next_row", refuse)
     monkeypatch.setattr(triangle, "generate_rows", refuse)
-    verify._capped_rows.cache_clear()  # build every row under the patch
     assert verify.run_grid((2, 4), (5, 9), 10**4, reduced=True).all_exact
     assert verify.verify_counting(7).all_exact
+
+
+def test_run_grid_builds_each_input_once(monkeypatch):
+    # The rows of each q are built once and the recurrence of each k is
+    # derived once, however many checks read them.
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(triangle, "generate_triples")
+    count(systembuilder, "recurrence_for_k")
+    q_list = (5, 6, 7, 8, 9, 10, 11, 12, 13)
+    report = verify.run_grid((2, 11), q_list, 10**5)
+    assert calls == {"generate_triples": 9, "recurrence_for_k": 10}
+    assert [(c.k, c.q) for c in report.recurrence_checks] \
+        == [(k, q) for k in range(2, 12) for q in q_list]
