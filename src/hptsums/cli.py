@@ -107,7 +107,7 @@ def cmd_sums(args) -> int:
         rec = {"n": n, "power_sum": sums.power_sum(row, args.k)}
         sv = ()
         if args.state_vectors:
-            rec["state_vector"] = sv = sums.state_vector(row, args.k).coords
+            rec["state_vector"] = sv = sums.state_vector(row, args.k)
         records.append(rec)
         plain.append(f"n={n}: {rec['power_sum']}"
                      + (f"  state=[{', '.join(map(str, sv))}]" if sv else ""))
@@ -154,8 +154,6 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     report = verify.run_grid(args.k_range, args.q_list, args.cap,
                              reduced=args.reduced)
-    for q in args.q_list:
-        report.counting_checks.append(verify.verify_counting(q))
     record = verify.report_to_dict(report)
     plain = [_check_line("recurrence", c, c["mismatches"], "mismatches")
              for c in record["recurrence_checks"]]
@@ -180,14 +178,16 @@ def cmd_table(args) -> int:
     plain += [[k] + [format_qpoly(c) for c in coeffs]
               + [""] * (width - len(coeffs)) + [note]
               for k, coeffs, note in rows]
-    if diffs:
+    diff = [{"k": k, "j": j, "expected": format_qpoly(e),
+             "computed": format_qpoly(c)} for k, j, e, c in diffs]
+    if diff:
         plain.append("diff:")
-        plain += [f"  k={d.k} c{d.j}: expected {format_qpoly(d.expected)}, "
-                  f"computed {format_qpoly(d.computed)}" for d in diffs]
+        plain += [f"  k={d['k']} c{d['j']}: expected {d['expected']}, "
+                  f"computed {d['computed']}" for d in diff]
     record = {"rows": [{"k": k,
                         "coefficients": [list(c.coeffs) for c in coeffs],
                         "note": note} for k, coeffs, note in rows],
-              "diff": verify.table_diff_to_dict(diffs)}
+              "diff": diff}
     _render(args, record, plain)
     return EXIT_OK if not diffs else EXIT_MISMATCH
 

@@ -66,7 +66,10 @@ class QPoly:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A constant equals its int (see __eq__), so it hashes like it too.
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeff(0))
 
     def __add__(self, other) -> "QPoly":
         other = _as_qpoly(other)

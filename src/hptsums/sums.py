@@ -1,17 +1,18 @@
 """Power sums and state vectors of a row, read from its triple multiset
 (see triangle), and the row-to-row step oracle.
 
-The step oracle (check_system_step) evaluates the linear system that
-advances the state vector from one row to the next, directly from its
-defining formulas, so it stays independent of the matrix construction in
-systembuilder.  The winger corrections (-2, -1, -2(q-4)) live here in the
-equations, never inside state_vector, whose pair sums are a pure adjacency
-scan.
+A state vector is a plain list of k+2 integers, [(a^k), the k-1 mixed pair
+sums, (b^k), u]; k is its length minus 2.  The step oracle
+(check_system_step) evaluates the linear system that advances the state
+vector from one row to the next, directly from its defining formulas, so it
+stays independent of the matrix construction in systembuilder, and returns
+the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live here
+in the equations, never inside state_vector, whose pair sums are a pure
+adjacency scan.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .exactalg import binom
 from .triangle import TAG_A, TAG_B
@@ -34,36 +35,13 @@ def type_power_sums(triples: Counter, k: int) -> tuple:
     return totals[TAG_A], totals[TAG_B]
 
 
-@dataclass
-class StateVector:
-    """Coordinates [ (a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u ]."""
-
-    k: int
-    coords: list
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if len(self.coords) != self.k + 2:
-            raise ValueError(f"expected {self.k + 2} coordinates")
-
-    @property
-    def a(self) -> int:
-        return self.coords[0]
-
-    @property
-    def b(self) -> int:
-        return self.coords[self.k]
-
-    @property
-    def u(self) -> int:
-        return self.coords[self.k + 1]
-
-
-def state_vector(triples: Counter, k: int) -> StateVector:
-    """The state vector of a row's triple multiset, in one pass over its
-    distinct triples: the power sums by tag of the centres and the pair
+def state_vector(triples: Counter, k: int) -> list:
+    """The state vector [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
+    row's triple multiset, k >= 2, as a list of k+2 integers.  One pass over
+    its distinct triples: the power sums by tag of the centres and the pair
     sums over (centre, right neighbour) pairs tagged (A, B) and (B, B)."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
     a = b = u = 0
     mixed = [0] * k  # mixed[j] = (a^{k-j} b^j), j = 1..k-1
     for (_, (x, t), right), m in triples.items():
@@ -80,7 +58,7 @@ def state_vector(triples: Counter, k: int) -> StateVector:
             b += xk
             if right is not None and right[1] == TAG_B:
                 u += m * x * right[0]**(k - 1)
-    return StateVector(k, [a] + mixed[1:] + [b, u])
+    return [a] + mixed[1:] + [b, u]
 
 
 def reduced_labels(k: int) -> list:
@@ -88,49 +66,27 @@ def reduced_labels(k: int) -> list:
     return ["a^k", "b^k"] + [f"c{j}" for j in range(1, m + 1)] + ["u"]
 
 
-def fold_state(g: StateVector) -> list:
-    """Fold the full state vector into the reduced coordinates
-    [a^k, b^k, c_1..c_m, u], where c_j pairs the mixed sums with b-exponents
-    j and k-j (the middle term stays unpaired when k is even)."""
-    k = g.k
+def fold_state(g: list) -> list:
+    """Fold the full state vector g (k = len(g) - 2) into the reduced
+    coordinates [a^k, b^k, c_1..c_m, u], where c_j pairs the mixed sums with
+    b-exponents j and k-j (the middle term stays unpaired when k is even)."""
+    k = len(g) - 2
     ell = (k - 1) // 2
-    v = g.coords
-    out = [g.a, g.b]
-    out += [v[j] + v[k - j] for j in range(1, ell + 1)]
+    out = [g[0], g[k]]
+    out += [g[j] + g[k - j] for j in range(1, ell + 1)]
     if k % 2 == 0:
-        out.append(v[k // 2])
-    out.append(g.u)
+        out.append(g[k // 2])
+    out.append(g[-1])
     return out
 
 
-@dataclass
-class EquationCheck:
-    name: str
-    predicted: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.predicted == self.actual
-
-
-@dataclass
-class StepReport:
-    k: int
-    variant: str
-    checks: list
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
-
-
-def _full_rhs(g: StateVector, q: int) -> list:
-    k, v, u = g.k, g.coords, g.u
-    a, b = g.a, g.b
-    out = [2 * a + 2 * sum(binom(k, i) * v[i] for i in range(1, k)) + 2 * b
+def _full_rhs(g: list, q: int) -> list:
+    k = len(g) - 2
+    a, b, u = g[0], g[k], g[-1]
+    out = [2 * a + 2 * sum(binom(k, i) * g[i] for i in range(1, k)) + 2 * b
            + (2**k - 2) * u - 2]
     for j in range(1, k):
-        mixed = sum(binom(k - j, i) * (v[j + i] + v[k - j - i])
+        mixed = sum(binom(k - j, i) * (g[j + i] + g[k - j - i])
                     for i in range(k - j))
         out.append(a + mixed + b + (2**(k - j) - 1) * u - 1)
     out.append((q - 4) * a + (q - 3) * b - 2 * (q - 4))
@@ -167,24 +123,25 @@ def _reduced_printed_rhs(folded: list, k: int, q: int) -> list:
     return out
 
 
-def check_system_step(g_n: StateVector, g_next: StateVector, q: int,
-                      system: str = "full") -> StepReport:
+def check_system_step(g_n: list, g_next: list, q: int,
+                      system: str = "full") -> list:
     """Check every equation of the chosen system between the state vectors
     of consecutive rows n and n+1, n >= 1, of HPT_{4,q}.  Exact integer
-    comparison per equation.
+    comparison per equation; the equations that fail are returned as
+    (name, predicted, actual), so an empty list means the step holds.
 
     system "full" uses the k+2 equation system; "reduced-as-printed" folds
     both vectors and evaluates the reduced equations verbatim, reporting any
     mismatch rather than correcting it.
     """
-    k = g_n.k
-    if g_next.k != k:
+    if len(g_next) != len(g_n):
         raise ValueError("state vectors must have the same k")
+    k = len(g_n) - 2
     if system == "full":
         labels = (["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)]
                   + ["b^k", "u"])
         rhs = _full_rhs(g_n, q)
-        actual = g_next.coords
+        actual = g_next
     elif system == "reduced-as-printed":
         labels = reduced_labels(k)
         # Equation order: a^k, b^k, c_1..c_m, u (matching the labels).
@@ -192,6 +149,5 @@ def check_system_step(g_n: StateVector, g_next: StateVector, q: int,
         actual = fold_state(g_next)
     else:
         raise ValueError(f"unknown system {system!r}")
-    checks = [EquationCheck(name, p, x)
-              for name, p, x in zip(labels, rhs, actual)]
-    return StepReport(k, system, checks)
+    return [(name, p, x) for name, p, x in zip(labels, rhs, actual)
+            if p != x]

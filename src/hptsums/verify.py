@@ -3,8 +3,10 @@ reference-table reproduction, counting recurrences, step-oracle sweeps, and
 the order/linearity conjecture probe.
 
 The checks take their inputs as arguments; nothing is cached.  run_grid
-builds the capped rows once per q and the recurrence once per k, and passes
-them to every check that reads them.
+builds the capped rows once per q and the recurrence once per k, passes them
+to every check that reads them, and adds the counting checks of each q, so
+that its report is the whole of verify.  Mismatches and failing equations
+are plain tuples, (n, expected, actual) and (n, name, predicted, actual).
 
 Everything is exact integer equality; there are no tolerances anywhere.
 """
@@ -14,20 +16,13 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
-from .exactalg import QPoly, format_qpoly
+from .exactalg import QPoly
 
 DEFAULT_ENTRY_CAP = 10**5
 DEFAULT_K_RANGE = (2, 8)
 DEFAULT_Q_LIST = (5, 6, 7, 9)
 DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
-
-
-@dataclass
-class Mismatch:
-    n: int
-    expected: int
-    actual: int
-    detail: str = ""
+COUNTING_DEPTH = 12  # the deepest row the counting checks read
 
 
 @dataclass
@@ -38,7 +33,7 @@ class RecurrenceCheck:
     order: int
     first_n: int
     last_n: int
-    mismatches: list = field(default_factory=list)
+    mismatches: list = field(default_factory=list)  # (n, expected, actual)
 
     @property
     def all_exact(self) -> bool:
@@ -68,14 +63,6 @@ class CountingCheck:
     @property
     def all_exact(self) -> bool:
         return not self.mismatches
-
-
-@dataclass
-class TableDiffEntry:
-    k: int
-    j: int
-    expected: QPoly
-    computed: QPoly
 
 
 @dataclass
@@ -121,7 +108,7 @@ def verify_recurrence(rec: systembuilder.Recurrence, q: int,
     for n in range(d + 1, len(seq)):
         rhs = sum(c * seq[n - j - 1] for j, c in enumerate(cs))
         if rhs != seq[n]:
-            check.mismatches.append(Mismatch(n, rhs, seq[n]))
+            check.mismatches.append((n, rhs, seq[n]))
     return check
 
 
@@ -133,24 +120,20 @@ def verify_system_steps(k: int, q: int, rows: list,
     check = SystemStepCheck(k, q, system, first_n=1, last_n=len(rows) - 2)
     vectors = [sums.state_vector(r, k) for r in rows[1:]]
     for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1):
-        rep = sums.check_system_step(g, g_next, q, system)
-        for c in rep.failures():
-            check.failing_equations.append((n, c.name, c.predicted,
-                                            c.actual))
+        check.failing_equations += [
+            (n, *f) for f in sums.check_system_step(g, g_next, q, system)]
     return check
 
 
-def verify_counting(q: int, depth: int = 12) -> CountingCheck:
+def verify_counting(q: int) -> CountingCheck:
     """Check the ternary recurrences and initial values for the four row
     sequences: vertex counts s_n and the value sums a-hat, b-hat, s-hat.
 
-    Every row up to depth is read from its triple multiset, whose size is
-    the number of distinct triples, so deep rows are checked without
-    materializing hundreds of millions of entries.  The initial values
-    reach row 3, so depth must be at least 3.
+    Every row up to COUNTING_DEPTH is read from its triple multiset, whose
+    size is the number of distinct triples, so deep rows are checked without
+    materializing hundreds of millions of entries.
     """
-    if depth < 3:
-        raise ValueError("depth must be >= 3")
+    depth = COUNTING_DEPTH
     params = triangle.TriangleParams(q)
     check = CountingCheck(q, depth)
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
@@ -190,8 +173,9 @@ def verify_counting(q: int, depth: int = 12) -> CountingCheck:
 def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
     """The derived coefficients of every k = 0..k_max as (k, coefficients,
     note) rows, and their diff against the reference table, which covers
-    k <= 11.  A tabled k is padded with zeros to its reference width; an
-    empty diff means exact reproduction."""
+    k <= 11, as (k, j, expected, computed) for each cell c_j that differs.
+    A tabled k is padded with zeros to its reference width; an empty diff
+    means exact reproduction."""
     rows, diffs = [], []
     for k in range(k_max + 1):
         rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
@@ -202,7 +186,7 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
         computed = rec.coefficients_padded(max(len(expected), rec.order))
         rows.append((k, computed, ""))
         expected += [QPoly()] * (len(computed) - len(expected))
-        diffs += [TableDiffEntry(k, j, e, c) for j, (e, c)
+        diffs += [(k, j, e, c) for j, (e, c)
                   in enumerate(zip(expected, computed), 1) if e != c]
     return rows, diffs
 
@@ -249,7 +233,8 @@ class VerificationReport:
 def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
              entry_cap: int = DEFAULT_ENTRY_CAP,
              reduced: bool = False) -> VerificationReport:
-    """Verify recurrences and system steps over a (k, q) grid.
+    """Verify recurrences and system steps over a (k, q) grid, then the
+    counting recurrences of each q, in q_list order.
 
     With reduced=True the printed reduced equations are swept by the oracle
     too; their failures are recorded in the report (they do not flip
@@ -268,6 +253,7 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
                     report.system_checks.append(
                         verify_system_steps(k, q, rows[q],
                                             "reduced-as-printed"))
+    report.counting_checks = [verify_counting(q) for q in q_list]
     return report
 
 
@@ -280,9 +266,8 @@ def report_to_dict(report: VerificationReport) -> dict:
         "recurrence_checks": [
             {"k": c.k, "q": c.q, "variant": c.variant, "order": c.order,
              "first_n": c.first_n, "last_n": c.last_n,
-             "mismatches": [{"n": m.n, "expected": str(m.expected),
-                             "actual": str(m.actual)}
-                            for m in c.mismatches]}
+             "mismatches": [{"n": n, "expected": str(e), "actual": str(a)}
+                            for n, e, a in c.mismatches]}
             for c in report.recurrence_checks],
         "system_checks": [
             {"k": c.k, "q": c.q, "variant": c.variant,
@@ -297,11 +282,6 @@ def report_to_dict(report: VerificationReport) -> dict:
              "mismatches": [list(map(str, m)) for m in c.mismatches]}
             for c in report.counting_checks],
     }
-
-
-def table_diff_to_dict(diffs: list) -> list:
-    return [{"k": d.k, "j": d.j, "expected": format_qpoly(d.expected),
-             "computed": format_qpoly(d.computed)} for d in diffs]
 
 
 def findings_to_dict(findings: list) -> list:

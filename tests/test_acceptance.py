@@ -104,8 +104,9 @@ def test_criterion_5_structured_path_equivalence(capsys):
 
 def test_criterion_6_counting_recurrences(capsys):
     for q in range(5, 10):
-        check = verify.verify_counting(q, depth=12)
+        check = verify.verify_counting(q)
         assert check.all_exact, (q, check.mismatches)
+        assert check.depth == 12
     with capsys.disabled():
         _report(6, "counting and value-sum recurrences exact for q=5..9 "
                    "to depth 12, initial values included")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hptsums
-from hptsums import cli
+from hptsums import cli, systembuilder, tables
 from hptsums.cli import main
 from hptsums.systembuilder import recurrence_for_k
 
@@ -202,6 +202,52 @@ def test_verify_counting_range(capsys):
     assert code == 0
 
 
+VERIFY_K2_Q6 = ("verify", "--k-range", "2..2", "--q-list", "6",
+                "--cap", "10000")
+
+
+def wrong_k2_c1(monkeypatch):
+    """Derive k = 2 with c1 one too large; every other k is left as is."""
+    real = systembuilder.recurrence_for_k
+
+    def wrong(k, *args, **kwargs):
+        rec = real(k, *args, **kwargs)
+        if k == 2:
+            rec.coefficients[0] = rec.coefficients[0] + 1
+        return rec
+
+    monkeypatch.setattr(systembuilder, "recurrence_for_k", wrong)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_verify_reports_a_wrong_coefficient(capsys, monkeypatch, fmt):
+    wrong_k2_c1(monkeypatch)
+    code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", fmt)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "recurrence k=2 q=6 [full] n=5..8: FAIL (4 mismatches)",
+        "system    k=2 q=6 [full] n=1..7: ok",
+        "counting  q=6 depth=12: ok",
+        "MISMATCHES FOUND"]
+
+
+def test_verify_reports_a_wrong_coefficient_json(capsys, monkeypatch):
+    wrong_k2_c1(monkeypatch)
+    code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", "json")
+    assert (code, err) == (1, "")
+    record = json.loads(out)
+    assert record["all_exact"] is False
+    (check,) = record["recurrence_checks"]
+    # the row sums (s^2)_5..8 at q=6 against what the wrong c1 predicts
+    assert check["mismatches"] == [
+        {"n": 5, "expected": "1120", "actual": "960"},
+        {"n": 6, "expected": "6772", "actual": "5812"},
+        {"n": 7, "expected": "41052", "actual": "35240"},
+        {"n": 8, "expected": "248964", "actual": "213724"}]
+    assert [c["failing_equations"] for c in record["system_checks"]] == [[]]
+    assert [c["mismatches"] for c in record["counting_checks"]] == [[]]
+
+
 def test_verify_invalid_q(capsys):
     code, _, err = run(capsys, "verify", "--k-range", "2..2",
                        "--q-list", "4")
@@ -214,6 +260,20 @@ def test_table_exit_ok(capsys):
     lines = out.splitlines()
     assert lines[1].startswith("0,q-1,-q+1,1")
     assert len(lines) == 5
+
+
+def test_table_reports_a_wrong_reference_cell(capsys, monkeypatch):
+    # c2 of k = 3 is q - 19; the reference cell is made 2q - 19
+    monkeypatch.setitem(tables.REFERENCE_COEFFICIENTS, 3,
+                        [[4, 1], [-19, 2], [18, -2], [-2]])
+    code, out, err = run(capsys, "table", "--k-max", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        "diff:", "  k=3 c2: expected 2q-19, computed q-19"]
+    code, out, _ = run(capsys, "table", "--k-max", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["diff"] == [
+        {"k": 3, "j": 2, "expected": "2q-19", "computed": "q-19"}]
 
 
 def test_table_exploratory_marker(capsys):

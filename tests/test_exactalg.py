@@ -26,6 +26,15 @@ def test_qpoly_examples():
     assert (Q + 2) * (Q - 1) == QPoly((-2, 1, 1))
 
 
+def test_qpoly_hash_agrees_with_int_equality():
+    # A constant polynomial equals its integer, so it must hash like it.
+    for c in range(-50, 51):
+        assert QPoly.const(c) == c and hash(QPoly.const(c)) == hash(c)
+    assert 5 in {QPoly.const(5)} and QPoly.const(-3) in {-3}
+    assert QPoly() == 0 and 0 in {QPoly()}
+    assert len({QPoly.const(7), 7, QPoly((7, 0))}) == 1
+
+
 def test_qpoly_formatting():
     assert format_qpoly(-62 * Q + 404) == "-62q+404"
     assert format_qpoly(Q + 2) == "q+2"

@@ -45,22 +45,31 @@ def test_pair_sum_requires_positive_power():
 
 def test_state_vector_examples():
     rows = triples_for(6, 4)
-    assert state_vector(rows[3], 2).coords == [18, 9, 10, 4]
-    assert state_vector(rows[4], 2).coords == [98, 49, 62, 34]
+    assert state_vector(rows[3], 2) == [18, 9, 10, 4]
+    assert state_vector(rows[4], 2) == [98, 49, 62, 34]
     g1 = state_vector(rows[1], 4)
-    assert g1.coords == [0, 0, 0, 0, 2, 1]
+    assert g1 == [0, 0, 0, 0, 2, 1]
+
+
+def test_state_vector_needs_k2():
+    row = triples_for(6, 3)[3]
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            state_vector(row, k)
 
 
 def test_check_system_step_k2_hand_values():
     rows = triples_for(6, 4)
     g3, g4 = state_vector(rows[3], 2), state_vector(rows[4], 2)
-    rep = check_system_step(g3, g4, 6, "full")
-    assert not rep.failures()
-    by_name = {c.name: c for c in rep.checks}
-    # hand evaluations of the k=2 equations at q=6
-    assert by_name["b^k"].predicted == 2 * 18 + 3 * 10 - 4 == 62
-    assert by_name["u"].predicted == 18 + 2 * 10 - 4 == 34
-    assert by_name["a^1b^1"].predicted == 18 + 2 * 9 + 10 + 4 - 1 == 49
+    assert check_system_step(g3, g4, 6, "full") == []
+    # hand evaluations of the k=2 equations at q=6, read from the failures
+    # against a next vector that is one off in every coordinate
+    off = [x + 1 for x in g4]
+    by_name = {name: (p, x) for name, p, x
+               in check_system_step(g3, off, 6, "full")}
+    assert by_name["b^k"] == (2 * 18 + 3 * 10 - 4, 63) == (62, 63)
+    assert by_name["u"] == (18 + 2 * 10 - 4, 35) == (34, 35)
+    assert by_name["a^1b^1"] == (18 + 2 * 9 + 10 + 4 - 1, 50) == (49, 50)
 
 
 def test_check_system_step_dimension_mismatch():
@@ -79,9 +88,7 @@ def test_full_system_steps_hold(q, k, n):
         return
     g = state_vector(rows[n], k)
     g_next = state_vector(rows[n + 1], k)
-    rep = check_system_step(g, g_next, q, "full")
-    assert not rep.failures(), [(c.name, c.predicted, c.actual)
-                                for c in rep.failures()]
+    assert check_system_step(g, g_next, q, "full") == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,7 +129,7 @@ def test_statistics_match_entry_scans(q, n, k):
                        for j in range(1, k)]
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
     t = row_triples(row)
-    assert state_vector(t, k).coords == expected
+    assert state_vector(t, k) == expected
     assert type_power_sums(t, k) == (a, b)
     assert power_sum(t, k) == a + b
     assert pair_sum(t, k, 2, "B", "A") == _scan_pair_sum(row, k, 2, "B", "A")
@@ -130,14 +137,10 @@ def test_statistics_match_entry_scans(q, n, k):
 
 def test_fold_state_even_and_odd():
     rows = triples_for(6, 4)
-    g = state_vector(rows[4], 4)
-    folded = fold_state(g)
-    v = g.coords
-    assert folded == [v[0], v[4], v[1] + v[3], v[2], v[5]]
-    g = state_vector(rows[4], 5)
-    folded = fold_state(g)
-    v = g.coords
-    assert folded == [v[0], v[5], v[1] + v[4], v[2] + v[3], v[6]]
+    v = state_vector(rows[4], 4)
+    assert fold_state(v) == [v[0], v[4], v[1] + v[3], v[2], v[5]]
+    v = state_vector(rows[4], 5)
+    assert fold_state(v) == [v[0], v[5], v[1] + v[4], v[2] + v[3], v[6]]
 
 
 def test_reduced_printed_oracle_k2_passes():
@@ -147,8 +150,7 @@ def test_reduced_printed_oracle_k2_passes():
     for n in range(1, 5):
         g = state_vector(rows[n], 2)
         g_next = state_vector(rows[n + 1], 2)
-        assert not check_system_step(g, g_next, 6,
-                                     "reduced-as-printed").failures()
+        assert check_system_step(g, g_next, 6, "reduced-as-printed") == []
 
 
 def test_reduced_printed_oracle_k3_fails_on_c1():
@@ -157,8 +159,8 @@ def test_reduced_printed_oracle_k3_fails_on_c1():
     rows = triples_for(6, 4)
     g = state_vector(rows[3], 3)
     g_next = state_vector(rows[4], 3)
-    rep = check_system_step(g, g_next, 6, "reduced-as-printed")
-    assert rep.failures()
-    assert [c.name for c in rep.failures()] == ["c1"]
-    (fail,) = rep.failures()
-    assert fail.actual == 342 and fail.predicted == 263
+    failures = check_system_step(g, g_next, 6, "reduced-as-printed")
+    assert failures
+    assert [name for name, _, _ in failures] == ["c1"]
+    (fail,) = failures
+    assert fail == ("c1", 263, 342)  # (name, predicted, actual)

@@ -5,8 +5,7 @@ import pytest
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
-from hptsums.sums import (StateVector, _full_rhs, fold_state, power_sum,
-                          state_vector)
+from hptsums.sums import _full_rhs, fold_state, power_sum, state_vector
 from hptsums.triangle import TriangleParams, generate_rows
 from reference import (build_structured_charpoly, row_triples,
                        structured_addends, system_at)
@@ -52,8 +51,8 @@ def test_full_matrix_agrees_with_step_oracle():
         m, h = system_at(sb.build_full_matrix(k), q)
         rows = generate_rows(TriangleParams(q), 5, entry_cap=10**5).rows
         for n in range(1, 4):
-            g = state_vector(row_triples(rows[n]), k).coords
-            g_next = state_vector(row_triples(rows[n + 1]), k).coords
+            g = state_vector(row_triples(rows[n]), k)
+            g_next = state_vector(row_triples(rows[n + 1]), k)
             stepped = [sum(m[i][j] * g[j] for j in range(len(g))) + h[i]
                        for i in range(len(g))]
             assert stepped == g_next
@@ -66,10 +65,10 @@ def test_full_system_is_the_step_oracle_map():
     for k in range(2, 21):
         n = k + 2
         for q in (5, 9):
-            at_zero = _full_rhs(StateVector(k, [0] * n), q)
+            at_zero = _full_rhs([0] * n, q)
             columns = [[x - z for x, z in zip(
-                _full_rhs(StateVector(k, [int(i == j) for i in range(n)]),
-                          q), at_zero)] for j in range(n)]
+                _full_rhs([int(i == j) for i in range(n)], q), at_zero)]
+                for j in range(n)]
             m, h = system_at(sb.build_full_matrix(k), q)
             assert (m, h) == ([list(r) for r in zip(*columns)], at_zero), \
                 (k, q)
@@ -235,8 +234,8 @@ def test_reduced_matrix_commutes_with_fold():
                 g = [rng.randint(-10**6, 10**6) for _ in range(k + 2)]
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]
-                folded = fold_state(StateVector(k, g))
-                assert fold_state(StateVector(k, stepped)) == [
+                folded = fold_state(g)
+                assert fold_state(stepped) == [
                     sum(a * b for a, b in zip(row, folded)) + c
                     for row, c in zip(m_red, h_red)], (k, q)
 

@@ -1,8 +1,6 @@
 from collections import Counter
 from itertools import islice
 
-import pytest
-
 from hptsums import sums, systembuilder, triangle, verify
 from hptsums.exactalg import QPoly
 
@@ -45,16 +43,9 @@ def test_verify_system_steps():
 
 def test_verify_counting():
     for q in range(5, 10):
-        check = verify.verify_counting(q, depth=12)
+        check = verify.verify_counting(q)
         assert check.all_exact, check.mismatches
-
-
-def test_verify_counting_rejects_depths_below_3():
-    # The initial values are checked at rows 1..3.
-    for depth in (0, 1, 2):
-        with pytest.raises(ValueError, match="depth must be >= 3"):
-            verify.verify_counting(6, depth)
-    assert verify.verify_counting(6, 3).all_exact
+        assert check.depth == verify.COUNTING_DEPTH == 12
 
 
 def test_reproduce_tables_empty_diff():
@@ -107,7 +98,7 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
         return rec
 
     monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
-    check = verify.verify_counting(6, depth=8)
+    check = verify.verify_counting(6)
     assert {name for name, *_ in check.mismatches} \
         == {"a_hat", "b_hat", "s_hat"}
     assert all(n >= 4 for _, n, _, _ in check.mismatches)
@@ -131,7 +122,7 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(triangle, "next_triples", perturbed)
-    check = verify.verify_counting(9, depth=12)
+    check = verify.verify_counting(9)
     assert ("row_counts", 10) in {(name, n) for name, n, *_ in check.mismatches}
     assert min(n for _, n, _, _ in check.mismatches) == 10
 
@@ -148,21 +139,26 @@ def test_verify_materialises_no_rows(monkeypatch):
 
 def test_run_grid_builds_each_input_once(monkeypatch):
     # The rows of each q are built once and the recurrence of each k is
-    # derived once, however many checks read them.
-    calls = Counter()
+    # derived once, however many checks read them.  The counting check of
+    # each q reads the k = 0 and k = 1 recurrences.
+    row_builds, derivations = Counter(), Counter()
+    real_rows = triangle.generate_triples
+    real_rec = systembuilder.recurrence_for_k
 
-    def count(module, name):
-        real = getattr(module, name)
+    def rows(params, *args, **kwargs):
+        row_builds[params.q] += 1
+        return real_rows(params, *args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    def rec(k, *args, **kwargs):
+        derivations[k] += 1
+        return real_rec(k, *args, **kwargs)
 
-    count(triangle, "generate_triples")
-    count(systembuilder, "recurrence_for_k")
+    monkeypatch.setattr(triangle, "generate_triples", rows)
+    monkeypatch.setattr(systembuilder, "recurrence_for_k", rec)
     q_list = (5, 6, 7, 8, 9, 10, 11, 12, 13)
     report = verify.run_grid((2, 11), q_list, 10**5)
-    assert calls == {"generate_triples": 9, "recurrence_for_k": 10}
+    assert row_builds == {q: 1 for q in q_list}
+    assert derivations == {0: 9, 1: 9, **{k: 1 for k in range(2, 12)}}
     assert [(c.k, c.q) for c in report.recurrence_checks] \
         == [(k, q) for k in range(2, 12) for q in q_list]
+    assert [c.q for c in report.counting_checks] == list(q_list)
