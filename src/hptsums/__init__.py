@@ -9,11 +9,11 @@ whole chain against brute-force row sums (verify).
 """
 from .exactalg import QPoly
 from .systembuilder import Recurrence, recurrence_for_k
-from .triangle import Row, TriangleParams, generate_rows, row_counts
+from .triangle import TriangleParams, entry_rows, row_counts
 
 __all__ = [
     "QPoly", "Recurrence", "recurrence_for_k",
-    "Row", "TriangleParams", "generate_rows", "row_counts",
+    "TriangleParams", "entry_rows", "row_counts",
 ]
 
 __version__ = "0.1.0"

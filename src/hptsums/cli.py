@@ -72,14 +72,15 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def cmd_row(args) -> int:
-    res = triangle.generate_rows(triangle.TriangleParams(args.q), args.n,
-                                 entry_cap=args.entry_cap)
-    if res.truncated:
+    params = triangle.TriangleParams(args.q)
+    depth = triangle.capped_depth(params, args.n, args.entry_cap)
+    if depth < args.n:
         print(f"error: row {args.n} exceeds the entry cap of "
-              f"{args.entry_cap} (last generated row: {len(res.rows) - 1})",
+              f"{args.entry_cap} (last generated row: {depth})",
               file=sys.stderr)
         return EXIT_MISMATCH
-    entries = res.rows[args.n].entries  # (value, tag) tuples, never copied
+    # Row n as its (value, tag) tuples, never copied.
+    entries = next(itertools.islice(triangle.entry_rows(params), args.n, None))
     # A generator, so that the long plain line is built only when printed.
     plain = (" ".join(f"{v}{t}" for v, t in e) for e in (entries,))
     _render(args, {"q": args.q, "n": args.n, "entries": entries}, plain,
@@ -94,16 +95,16 @@ def cmd_sums(args) -> int:
     if args.state_vectors and args.k < 2:
         print("error: state vectors need k >= 2", file=sys.stderr)
         return EXIT_USAGE
-    res = triangle.generate_triples(triangle.TriangleParams(args.q),
-                                    args.n_max, entry_cap=args.entry_cap)
-    if res.truncated:
-        print(f"error: rows beyond {len(res.rows) - 1} exceed the entry cap "
+    params = triangle.TriangleParams(args.q)
+    depth = triangle.capped_depth(params, args.n_max, args.entry_cap)
+    if depth < args.n_max:
+        print(f"error: rows beyond {depth} exceed the entry cap "
               f"of {args.entry_cap}", file=sys.stderr)
         return EXIT_MISMATCH
     records, plain = [], []
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
-    for n in range(1, args.n_max + 1):
-        row = res.rows[n]
+    rows = itertools.islice(triangle.triple_rows(params), 1, args.n_max + 1)
+    for n, row in enumerate(rows, 1):
         rec = {"n": n, "power_sum": sums.power_sum(row, args.k)}
         sv = ()
         if args.state_vectors:
@@ -152,6 +153,10 @@ def cmd_verify(args) -> int:
     if any(q < 5 for q in args.q_list):
         print("error: q must be >= 5", file=sys.stderr)
         return EXIT_USAGE
+    repeated = [q for i, q in enumerate(args.q_list) if q in args.q_list[:i]]
+    if repeated:
+        print(f"error: q listed twice: {repeated[0]}", file=sys.stderr)
+        return EXIT_USAGE
     report = verify.run_grid(args.k_range, args.q_list, args.cap,
                              reduced=args.reduced)
     record = verify.report_to_dict(report)
@@ -160,9 +165,10 @@ def cmd_verify(args) -> int:
     plain += [_check_line("system   ", c, c["failing_equations"],
                           "equation failures")
               for c in record["system_checks"]]
-    for c in report.counting_checks:
-        status = "ok" if c.all_exact else f"FAIL ({c.mismatches})"
-        plain.append(f"counting  q={c.q} depth={c.depth}: {status}")
+    for c in record["counting_checks"]:
+        n = len(c["mismatches"])
+        status = f"FAIL ({n} mismatches)" if n else "ok"
+        plain.append(f"counting  q={c['q']} depth={c['depth']}: {status}")
     plain.append("all-exact" if record["all_exact"] else "MISMATCHES FOUND")
     _render(args, record, plain, indent=2)
     return EXIT_OK if record["all_exact"] else EXIT_MISMATCH

@@ -4,17 +4,21 @@ Rows are exact: every entry is an arbitrary-precision natural tagged A
 (two ascendants, value = sum of parents) or B (one ascendant, value copied).
 The boundary 1's (wingers) count as type B.
 
-A Row lists its entries (next_row, generate_rows); only the row command,
-which prints one, builds Rows.  A triple multiset is a Counter of one
-(left, (value, tag), right) triple per entry, None padding the row ends
-(next_triples, generate_triples).  A vertex's children depend only on it
-and its two neighbours, so the multiset of row n determines that of row
-n+1; its size is the number of distinct triples, not of entries.
+A row is its list of (value, tag) entries, left to right (next_row,
+entry_rows); only the row command, which prints one, builds them.  A triple
+multiset is a Counter of one (left, (value, tag), right) triple per entry,
+None padding the row ends (next_triples, triple_rows).  A vertex's children
+depend only on it and its two neighbours, so the multiset of row n
+determines that of row n+1; its size is the number of distinct triples, not
+of entries.
+
+The size of every row follows from the type-count step alone (row_counts),
+so the entry cap is decided before any row is built (capped_depth).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 TAG_A = "A"
@@ -34,33 +38,15 @@ class TriangleParams:
 
 
 @dataclass
-class Row:
-    index: int
-    entries: list  # list of (value, tag) pairs, left to right
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
 class RowCounts:
     a: int  # type-A vertices
     b: int  # type-B vertices (wingers included)
     s: int  # all vertices
 
 
-def row0() -> Row:
-    return Row(0, [(1, TAG_B)])
-
-
-def row1() -> Row:
-    return Row(1, [(1, TAG_B), (1, TAG_B)])
-
-
-def validate_row(row: Row) -> None:
+def validate_row(e: list) -> None:
     """Reject rows that cannot occur in any HPT_{4,q}: wrong wingers,
     broken palindrome, or non-positive values."""
-    e = row.entries
     if len(e) < 2:
         raise ValueError("row must have length >= 2")
     if e[0] != (1, TAG_B) or e[-1] != (1, TAG_B):
@@ -73,17 +59,16 @@ def validate_row(row: Row) -> None:
         raise ValueError("row tags must be A or B")
 
 
-def next_row(row: Row, params: TriangleParams) -> Row:
-    """Construct row n+1 from row n.
+def next_row(e: list, params: TriangleParams) -> list:
+    """Construct row n+1 from row n, n >= 1.
 
     Each adjacent pair contributes one A-child (sum of the pair); each
     interior vertex additionally contributes q-4 (type A) or q-3 (type B)
     equal-valued B-children between its two A-children; wingers contribute
     only the new boundary 1's.
     """
-    validate_row(row)
+    validate_row(e)
     q = params.q
-    e = row.entries
     out = [(1, TAG_B)]
     for i in range(len(e) - 1):
         out.append((e[i][0] + e[i + 1][0], TAG_A))
@@ -92,39 +77,16 @@ def next_row(row: Row, params: TriangleParams) -> Row:
             copies = q - 4 if t == TAG_A else q - 3
             out.extend([(v, TAG_B)] * copies)
     out.append((1, TAG_B))
-    return Row(row.index + 1, out)
+    return out
 
 
-@dataclass
-class GenerationResult:
-    rows: list = field(default_factory=list)
-    truncated: bool = False
-
-
-def _check_limits(n_max: int, entry_cap: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if entry_cap <= 0:
-        raise ValueError("entry_cap must be > 0")
-
-
-def generate_rows(params: TriangleParams, n_max: int,
-                  entry_cap: int = 10**6) -> GenerationResult:
-    """Rows 0..n_max, stopping early (truncated=True) once the next row
-    would exceed entry_cap entries.  Truncation is always reported."""
-    _check_limits(n_max, entry_cap)
-    result = GenerationResult()
-    rows = result.rows
-    rows.append(row0())
-    if n_max >= 1:
-        rows.append(row1())
-    while len(rows) <= n_max:
-        nxt = next_row(rows[-1], params)
-        if len(nxt) > entry_cap:
-            result.truncated = True
-            break
-        rows.append(nxt)
-    return result
+def entry_rows(params: TriangleParams):
+    """The entry lists of rows 0, 1, 2, ... without end."""
+    yield [WINGER]
+    row = [WINGER, WINGER]
+    while True:
+        yield row
+        row = next_row(row, params)
 
 
 def next_triples(triples: Counter, params: TriangleParams) -> Counter:
@@ -173,33 +135,36 @@ def triple_rows(params: TriangleParams):
         row = next_triples(row, params)
 
 
-def generate_triples(params: TriangleParams, n_max: int,
-                     entry_cap: int = 10**6) -> GenerationResult:
-    """The triple multisets of rows 0..n_max, under the contract of
-    generate_rows: rows 0 and 1 always, and truncated=True once the next
-    row would exceed entry_cap entries, counted exactly as the sum of the
-    multiplicities."""
-    _check_limits(n_max, entry_cap)
-    result = GenerationResult()
-    for n, row in enumerate(islice(triple_rows(params), n_max + 1)):
-        if n >= 2 and sum(row.values()) > entry_cap:
-            result.truncated = True
-            break
-        result.rows.append(row)
-    return result
+def _type_counts(q: int):
+    """(a, b) of rows 1, 2, 3, ... without end, by the structural step
+    rules: each adjacent pair yields one A vertex (a_{n+1} = s_n - 1) and
+    each interior vertex yields q-4 or q-3 B copies plus the two new
+    wingers."""
+    a, b = 0, 2  # row 1
+    while True:
+        yield a, b
+        a, b = a + b - 1, 2 + (q - 4) * a + (q - 3) * (b - 2)
 
 
 def row_counts(params: TriangleParams, n: int) -> RowCounts:
-    """Type counts of row n without generating it.
-
-    Iterates the structural step rules: each adjacent pair yields one A
-    vertex (a_{n+1} = s_n - 1) and each interior vertex yields q-4 or q-3
-    B copies plus the two new wingers.
-    """
+    """Type counts of row n without generating it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = params.q
-    a, b = 0, 2  # row 1
-    for _ in range(n - 1):
-        a, b = a + b - 1, 2 + (q - 4) * a + (q - 3) * (b - 2)
+    a, b = next(islice(_type_counts(params.q), n - 1, None))
     return RowCounts(a, b, a + b)
+
+
+def capped_depth(params: TriangleParams, n_max: int, entry_cap: int) -> int:
+    """The last of rows 0..n_max that may be built: rows 0 and 1 always,
+    then each row while it holds at most entry_cap entries.  Sizes come
+    from the type-count step, so no row is built to decide it."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if entry_cap <= 0:
+        raise ValueError("entry_cap must be > 0")
+    depth = min(n_max, 1)
+    for a, b in islice(_type_counts(params.q), 1, n_max):  # rows 2..n_max
+        if a + b > entry_cap:
+            break
+        depth += 1
+    return depth

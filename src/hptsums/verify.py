@@ -90,9 +90,9 @@ class ConjectureFinding:
 
 def _capped_rows(q: int, entry_cap: int) -> list:
     """Triple multisets of the rows of HPT_{4,q} up to the entry cap."""
-    res = triangle.generate_triples(triangle.TriangleParams(q), DEPTH_LIMIT,
-                                    entry_cap=entry_cap)
-    return res.rows
+    p = triangle.TriangleParams(q)
+    depth = triangle.capped_depth(p, DEPTH_LIMIT, entry_cap)
+    return list(islice(triangle.triple_rows(p), depth + 1))
 
 
 def verify_recurrence(rec: systembuilder.Recurrence, q: int,
@@ -279,7 +279,9 @@ def report_to_dict(report: VerificationReport) -> dict:
             for c in report.system_checks],
         "counting_checks": [
             {"q": c.q, "depth": c.depth,
-             "mismatches": [list(map(str, m)) for m in c.mismatches]}
+             "mismatches": [{"sequence": name, "n": n, "expected": str(e),
+                             "actual": str(a)}
+                            for name, n, e, a in c.mismatches]}
             for c in report.counting_checks],
     }
 

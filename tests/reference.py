@@ -219,10 +219,9 @@ def matrix_from_orbit(vectors) -> list:
     return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
 
 
-def row_triples(row) -> Counter:
-    """The triple multiset of a materialised Row: one padded
+def row_triples(e: list) -> Counter:
+    """The triple multiset of a materialised entry list: one padded
     (left, (value, tag), right) triple per entry, None past the ends."""
-    e = row.entries
     return Counter(zip(chain((None,), e), e,
                        chain(islice(e, 1, None), (None,))))
 

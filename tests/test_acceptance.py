@@ -7,6 +7,7 @@ output.
 """
 import random
 import time
+from itertools import islice
 
 from hptsums import systembuilder as sb
 from hptsums import tables, verify
@@ -14,7 +15,7 @@ from hptsums.cli import main
 from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
                               charpoly_q)
 from hptsums.sums import fold_state, state_vector
-from hptsums.triangle import TriangleParams, generate_rows
+from hptsums.triangle import TriangleParams, capped_depth, entry_rows
 from reference import (build_structured_charpoly, matrix_from_orbit,
                        row_triples, system_at)
 
@@ -166,7 +167,9 @@ def test_criterion_9_reduced_system(capsys):
     # criterion-3 grid rows: M_red(q) fold(g_n) + h_red(q) == fold(g_{n+1})
     steps = 0
     for q in GRID_Q:
-        rows = generate_rows(TriangleParams(q), 64, entry_cap=GRID_CAP).rows
+        params = TriangleParams(q)
+        rows = list(islice(entry_rows(params),
+                           capped_depth(params, 64, GRID_CAP) + 1))
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(state_vector(row_triples(r), k))

@@ -4,11 +4,12 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hptsums
-from hptsums import cli, systembuilder, tables
+from hptsums import cli, systembuilder, tables, triangle
 from hptsums.cli import main
 from hptsums.systembuilder import recurrence_for_k
 
@@ -38,6 +39,33 @@ def test_row_truncation(capsys):
     code, _, err = run(capsys, "row", "--q", "6", "--n", "10",
                        "--entry-cap", "10")
     assert code == 1 and "entry cap" in err
+
+
+def test_row_past_the_cap_under_1gib_address_space():
+    # Row 5 at q=1000 holds 9.9e8 entries; the cap is decided from the row
+    # sizes, so no row past it is built.
+    proc = run_under_1gib("row", "--q", "1000", "--n", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: row 5 exceeds the entry cap of 1000000 "
+               "(last generated row: 4)\n")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("row", "--q", "6", "--n", "10", "--entry-cap", "10"),
+    ("sums", "--q", "6", "--k", "2", "--n-max", "10", "--entry-cap", "50")])
+def test_truncation_builds_no_row(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was built past the entry cap")
+
+    monkeypatch.setattr(triangle, "next_row", refuse)
+    monkeypatch.setattr(triangle, "next_triples", refuse)
+    (case,) = [c for c in GOLDEN if c["argv"] == [*argv, "--format", "plain"]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (case["exit"], "", case["stderr"])
 
 
 def test_row_json_deterministic(capsys):
@@ -206,13 +234,13 @@ VERIFY_K2_Q6 = ("verify", "--k-range", "2..2", "--q-list", "6",
                 "--cap", "10000")
 
 
-def wrong_k2_c1(monkeypatch):
-    """Derive k = 2 with c1 one too large; every other k is left as is."""
+def wrong_c1(monkeypatch, wrong_k=2):
+    """Derive wrong_k with c1 one too large; every other k is left as is."""
     real = systembuilder.recurrence_for_k
 
     def wrong(k, *args, **kwargs):
         rec = real(k, *args, **kwargs)
-        if k == 2:
+        if k == wrong_k:
             rec.coefficients[0] = rec.coefficients[0] + 1
         return rec
 
@@ -221,7 +249,7 @@ def wrong_k2_c1(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
 def test_verify_reports_a_wrong_coefficient(capsys, monkeypatch, fmt):
-    wrong_k2_c1(monkeypatch)
+    wrong_c1(monkeypatch)
     code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", fmt)
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -232,7 +260,7 @@ def test_verify_reports_a_wrong_coefficient(capsys, monkeypatch, fmt):
 
 
 def test_verify_reports_a_wrong_coefficient_json(capsys, monkeypatch):
-    wrong_k2_c1(monkeypatch)
+    wrong_c1(monkeypatch)
     code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", "json")
     assert (code, err) == (1, "")
     record = json.loads(out)
@@ -246,6 +274,30 @@ def test_verify_reports_a_wrong_coefficient_json(capsys, monkeypatch):
         {"n": 8, "expected": "248964", "actual": "213724"}]
     assert [c["failing_equations"] for c in record["system_checks"]] == [[]]
     assert [c["mismatches"] for c in record["counting_checks"]] == [[]]
+
+
+def test_verify_reports_a_wrong_counting_coefficient(capsys, monkeypatch):
+    # The k = 0 recurrence is read by the counting check only.
+    wrong_c1(monkeypatch, 0)
+    code, out, err = run(capsys, *VERIFY_K2_Q6)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        "counting  q=6 depth=12: FAIL (9 mismatches)", "MISMATCHES FOUND"]
+    code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", "json")
+    assert (code, err) == (1, "")
+    (check,) = json.loads(out)["counting_checks"]
+    # the vertex counts s_4..12 at q=6 against what the wrong c1 predicts
+    assert check["mismatches"][:2] == [
+        {"sequence": "s", "n": 4, "expected": "23", "actual": "17"},
+        {"sequence": "s", "n": 5, "expected": "75", "actual": "58"}]
+    assert [(m["sequence"], m["n"]) for m in check["mismatches"]] \
+        == [("s", n) for n in range(4, 13)]
+
+
+def test_verify_rejects_a_repeated_q(capsys):
+    code, out, err = run(capsys, "verify", "--k-range", "2..4",
+                         "--q-list", "5,5,9", "--cap", "50")
+    assert (code, out, err) == (2, "", "error: q listed twice: 5\n")
 
 
 def test_verify_invalid_q(capsys):

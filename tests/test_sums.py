@@ -1,15 +1,17 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptsums.sums import (check_system_step, fold_state, power_sum,
                           state_vector, type_power_sums)
-from hptsums.triangle import TriangleParams, generate_rows
+from hptsums.triangle import TriangleParams, entry_rows
 from reference import pair_sum, row_triples
 
 
 def rows_for(q, n):
-    return generate_rows(TriangleParams(q), n, entry_cap=10**5).rows
+    return list(islice(entry_rows(TriangleParams(q)), n + 1))
 
 
 def triples_for(q, n):
@@ -110,9 +112,8 @@ def test_bb_pair_sums_split_independent(q, n, k):
     assert len(vals) == 1
 
 
-def _scan_pair_sum(row, i, j, first_tag, second_tag):
+def _scan_pair_sum(e, i, j, first_tag, second_tag):
     """An adjacent-pair sum by a scan of the materialised entry list."""
-    e = row.entries
     return sum(v1**i * v2**j for (v1, t1), (v2, t2) in zip(e, e[1:])
                if (t1, t2) == (first_tag, second_tag))
 
@@ -123,8 +124,8 @@ def test_statistics_match_entry_scans(q, n, k):
     """The one pass over the triple multiset against the definitions: power
     sums and k-1 separate pair scans over the entry list."""
     row = rows_for(q, n)[n]
-    a = sum(v**k for v, t in row.entries if t == "A")
-    b = sum(v**k for v, t in row.entries if t == "B")
+    a = sum(v**k for v, t in row if t == "A")
+    b = sum(v**k for v, t in row if t == "B")
     expected = ([a] + [_scan_pair_sum(row, k - j, j, "A", "B")
                        for j in range(1, k)]
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])

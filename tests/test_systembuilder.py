@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -6,7 +7,7 @@ from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
 from hptsums.sums import _full_rhs, fold_state, power_sum, state_vector
-from hptsums.triangle import TriangleParams, generate_rows
+from hptsums.triangle import TriangleParams, entry_rows
 from reference import (build_structured_charpoly, row_triples,
                        structured_addends, system_at)
 
@@ -49,7 +50,7 @@ def test_full_matrix_agrees_with_step_oracle():
     # M g_n + h must equal g_{n+1} computed from actual rows
     for q, k in ((5, 3), (6, 4), (7, 2)):
         m, h = system_at(sb.build_full_matrix(k), q)
-        rows = generate_rows(TriangleParams(q), 5, entry_cap=10**5).rows
+        rows = list(islice(entry_rows(TriangleParams(q)), 6))
         for n in range(1, 4):
             g = state_vector(row_triples(rows[n]), k)
             g_next = state_vector(row_triples(rows[n + 1]), k)
@@ -182,7 +183,7 @@ def _initial_values_against_rows(k, q, d=None):
     """The first d initial values at q, asserted equal to direct summation
     over generated rows."""
     vals = [v(q) for v in sb.recurrence_for_k(k).initial_values[:d]]
-    rows = generate_rows(TriangleParams(q), len(vals)).rows
+    rows = list(islice(entry_rows(TriangleParams(q)), len(vals) + 1))
     assert vals == [power_sum(row_triples(rows[n]), k)
                     for n in range(1, len(vals) + 1)], (k, q)
     return vals

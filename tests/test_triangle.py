@@ -1,17 +1,23 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.triangle import (WINGER, Row, TriangleParams, generate_rows,
-                              generate_triples, next_row, next_triples, row0,
-                              row1, row_counts, validate_row)
+from hptsums.triangle import (WINGER, TriangleParams, capped_depth,
+                              entry_rows, next_row, next_triples, row_counts,
+                              triple_rows, validate_row)
 from reference import row_triples
 
 
 def row_of(spec):
-    """Build a Row from compact text like '1B 3A 2B 2B 3A 1B'."""
-    entries = [(int(tok[:-1]), tok[-1]) for tok in spec.split()]
-    return Row(0, entries)
+    """Build a row from compact text like '1B 3A 2B 2B 3A 1B'."""
+    return [(int(tok[:-1]), tok[-1]) for tok in spec.split()]
+
+
+def rows_upto(params, n):
+    """The entry lists of rows 0..n."""
+    return list(islice(entry_rows(params), n + 1))
 
 
 def test_q_validation():
@@ -22,12 +28,12 @@ def test_q_validation():
 
 def test_next_row_q6():
     r3 = next_row(row_of("1B 2A 1B"), TriangleParams(6))
-    assert r3.entries == row_of("1B 3A 2B 2B 3A 1B").entries
+    assert r3 == row_of("1B 3A 2B 2B 3A 1B")
 
 
 def test_next_row_q5():
     r3 = next_row(row_of("1B 2A 1B"), TriangleParams(5))
-    assert r3.entries == row_of("1B 3A 2B 3A 1B").entries
+    assert r3 == row_of("1B 3A 2B 3A 1B")
     assert len(r3) == 5  # s_3 = q
 
 
@@ -35,7 +41,7 @@ def test_next_row_q6_row4():
     r3 = row_of("1B 3A 2B 2B 3A 1B")
     r4 = next_row(r3, TriangleParams(6))
     expected = row_of("1B 4A 3B 3B 5A 2B 2B 2B 4A 2B 2B 2B 5A 3B 3B 4A 1B")
-    assert r4.entries == expected.entries
+    assert r4 == expected
     assert len(r4) == 17 == 5 * 6 - 5 * 3 + 2
 
 
@@ -46,20 +52,18 @@ def test_next_row_rejects_malformed():
         next_row(row_of("2B 1A 2B"), TriangleParams(6))  # missing wingers
 
 
-def test_generate_rows_basics():
-    res = generate_rows(TriangleParams(6), 2)
-    assert [len(r) for r in res.rows] == [1, 2, 3]
-    assert not res.truncated
-    res = generate_rows(TriangleParams(7), 3)
-    assert len(res.rows[3]) == 7  # s_3 = q
-    res = generate_rows(TriangleParams(9), 0)
-    assert len(res.rows) == 1 and res.rows[0].entries == [(1, "B")]
+def test_entry_rows_basics():
+    assert [len(r) for r in rows_upto(TriangleParams(6), 2)] == [1, 2, 3]
+    assert len(rows_upto(TriangleParams(7), 3)[3]) == 7  # s_3 = q
+    assert rows_upto(TriangleParams(9), 0) == [[(1, "B")]]
 
 
-def test_generate_rows_truncation_is_reported():
-    res = generate_rows(TriangleParams(6), 10, entry_cap=20)
-    assert res.truncated
-    assert len(res.rows[-1]) <= 20
+def test_capped_depth_stops_below_the_cap():
+    params = TriangleParams(6)
+    depth = capped_depth(params, 10, 20)
+    assert depth < 10
+    rows = rows_upto(params, depth + 1)
+    assert len(rows[depth]) <= 20 < len(rows[depth + 1])
 
 
 def test_row_counts_examples():
@@ -72,14 +76,13 @@ def test_row_counts_examples():
 @given(q=st.integers(5, 9), n=st.integers(1, 7))
 def test_generated_rows_match_counts_and_structure(q, n):
     params = TriangleParams(q)
-    rows = generate_rows(params, n, entry_cap=10**5).rows
-    row = rows[n]
+    row = rows_upto(params, n)[n]
     rc = row_counts(params, n)
     assert len(row) == rc.s
-    assert sum(1 for _, t in row.entries if t == "A") == rc.a
+    assert sum(1 for _, t in row if t == "A") == rc.a
     validate_row(row) if n >= 1 else None
     # every value bounded by 2^n
-    assert all(1 <= v <= 2**n for v, _ in row.entries)
+    assert all(1 <= v <= 2**n for v, _ in row)
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,11 +91,10 @@ def test_tag_pattern_between_a_entries(q, n):
     """Interior B runs have length q-4 after an A parent, q-3 after a B
     parent; all copies in a run share one value."""
     params = TriangleParams(q)
-    rows = generate_rows(params, n, entry_cap=10**5).rows
-    parent, row = rows[n - 1], rows[n]
+    parent, row = rows_upto(params, n)[n - 1:]
     runs = []
     current = []
-    for v, t in row.entries[1:-1]:
+    for v, t in row[1:-1]:
         if t == "B":
             current.append(v)
         else:
@@ -101,7 +103,7 @@ def test_tag_pattern_between_a_entries(q, n):
             current = []
     if current:
         runs.append(current)
-    interior_parents = parent.entries[1:-1]
+    interior_parents = parent[1:-1]
     assert len(runs) == len(interior_parents)
     for run, (pv, pt) in zip(runs, interior_parents):
         assert set(run) == {pv}
@@ -109,8 +111,8 @@ def test_tag_pattern_between_a_entries(q, n):
 
 
 def test_rows_0_and_1():
-    assert row0().entries == [(1, "B")]
-    assert row1().entries == [(1, "B"), (1, "B")]
+    assert rows_upto(TriangleParams(6), 1) \
+        == [[(1, "B")], [(1, "B"), (1, "B")]]
 
 
 def test_row_triples_pad_the_ends():
@@ -118,7 +120,7 @@ def test_row_triples_pad_the_ends():
     assert t == {(None, (1, "B"), (3, "A")): 1, ((1, "B"), (3, "A"), (2, "B")): 1,
                  ((3, "A"), (2, "B"), (2, "B")): 1, ((2, "B"), (2, "B"), (3, "A")): 1,
                  ((2, "B"), (3, "A"), (1, "B")): 1, ((3, "A"), (1, "B"), None): 1}
-    assert row_triples(row0()) == {(None, (1, "B"), None): 1}
+    assert row_triples([(1, "B")]) == {(None, (1, "B"), None): 1}
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
@@ -127,8 +129,9 @@ def test_triple_step_matches_generated_rows(q):
     rows 0..12 or as far as a row fits in 10**6 entries (q=7: 10, q=9: 9;
     row 12 holds 6.7e6 entries at q=7 and 2.3e8 at q=9)."""
     params = TriangleParams(q)
-    rows = generate_rows(params, 12, entry_cap=10**6).rows
-    triples = generate_triples(params, 12, entry_cap=10**6).rows
+    depth = capped_depth(params, 12, 10**6)
+    rows = rows_upto(params, depth)
+    triples = list(islice(triple_rows(params), depth + 1))
     assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
     assert [row_triples(r) for r in rows] == triples
     for n, t in enumerate(triples[1:], 1):
@@ -145,18 +148,24 @@ def test_triple_step_matches_generated_rows(q):
 @pytest.mark.parametrize("q", [5, 9])
 @pytest.mark.parametrize("cap", [1, 2, 3, 50, 10**5])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 64])
-def test_generate_triples_truncates_like_generate_rows(q, cap, n_max):
+def test_capped_depth_matches_the_triple_step(q, cap, n_max):
+    """The depth decided from the type-count step against the sizes read
+    off the triple step, the sums of the multiplicities: rows 0 and 1
+    always, then each row while it holds at most cap entries.  The rows
+    are read lazily and no further than the first one past the cap."""
     params = TriangleParams(q)
-    rows = generate_rows(params, n_max, entry_cap=cap)
-    triples = generate_triples(params, n_max, entry_cap=cap)
-    assert (len(triples.rows), triples.truncated) \
-        == (len(rows.rows), rows.truncated)
+    depth = 0
+    for n, row in enumerate(islice(triple_rows(params), n_max + 1)):
+        if n >= 2 and sum(row.values()) > cap:
+            break
+        depth = n
+    assert capped_depth(params, n_max, cap) == depth
 
 
-def test_generate_triples_rejects_bad_limits():
+def test_capped_depth_rejects_bad_limits():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        capped_depth(TriangleParams(6), -1, 0)
+    with pytest.raises(ValueError, match="entry_cap must be > 0"):
+        capped_depth(TriangleParams(6), 3, 0)
     with pytest.raises(ValueError):
-        generate_triples(TriangleParams(6), -1)
-    with pytest.raises(ValueError):
-        generate_triples(TriangleParams(6), 3, entry_cap=0)
-    with pytest.raises(ValueError):
-        next_triples(row_triples(row0()), TriangleParams(6))
+        next_triples(row_triples([(1, "B")]), TriangleParams(6))

@@ -132,17 +132,18 @@ def test_verify_materialises_no_rows(monkeypatch):
         raise AssertionError("verify materialised a row")
 
     monkeypatch.setattr(triangle, "next_row", refuse)
-    monkeypatch.setattr(triangle, "generate_rows", refuse)
+    monkeypatch.setattr(triangle, "entry_rows", refuse)
     assert verify.run_grid((2, 4), (5, 9), 10**4, reduced=True).all_exact
     assert verify.verify_counting(7).all_exact
 
 
 def test_run_grid_builds_each_input_once(monkeypatch):
-    # The rows of each q are built once and the recurrence of each k is
-    # derived once, however many checks read them.  The counting check of
-    # each q reads the k = 0 and k = 1 recurrences.
+    # The rows of each q are built twice, once capped for the grid checks
+    # and once to the counting depth for the counting check, and the
+    # recurrence of each k is derived once, however many checks read them.
+    # The counting check of each q reads the k = 0 and k = 1 recurrences.
     row_builds, derivations = Counter(), Counter()
-    real_rows = triangle.generate_triples
+    real_rows = triangle.triple_rows
     real_rec = systembuilder.recurrence_for_k
 
     def rows(params, *args, **kwargs):
@@ -153,11 +154,11 @@ def test_run_grid_builds_each_input_once(monkeypatch):
         derivations[k] += 1
         return real_rec(k, *args, **kwargs)
 
-    monkeypatch.setattr(triangle, "generate_triples", rows)
+    monkeypatch.setattr(triangle, "triple_rows", rows)
     monkeypatch.setattr(systembuilder, "recurrence_for_k", rec)
     q_list = (5, 6, 7, 8, 9, 10, 11, 12, 13)
     report = verify.run_grid((2, 11), q_list, 10**5)
-    assert row_builds == {q: 1 for q in q_list}
+    assert row_builds == {q: 2 for q in q_list}
     assert derivations == {0: 9, 1: 9, **{k: 1 for k in range(2, 12)}}
     assert [(c.k, c.q) for c in report.recurrence_checks] \
         == [(k, q) for k in range(2, 12) for q in q_list]
