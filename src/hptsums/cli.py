@@ -72,6 +72,9 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def cmd_row(args) -> int:
+    if args.n < 0:
+        print("error: n must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     params = triangle.TriangleParams(args.q)
     depth = triangle.capped_depth(params, args.n, args.entry_cap)
     if depth < args.n:
@@ -105,10 +108,12 @@ def cmd_sums(args) -> int:
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
     rows = itertools.islice(triangle.triple_rows(params), 1, args.n_max + 1)
     for n, row in enumerate(rows, 1):
-        rec = {"n": n, "power_sum": sums.power_sum(row, args.k)}
+        a, b = sums.tag_power_sums(row, args.k)
+        rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
         sv = ()
         if args.state_vectors:
-            rec["state_vector"] = sv = sums.state_vector(row, args.k)
+            (sv,) = sums.state_vectors(row, (args.k,))
+            rec["state_vector"] = sv
         records.append(rec)
         plain.append(f"n={n}: {rec['power_sum']}"
                      + (f"  state=[{', '.join(map(str, sv))}]" if sv else ""))

@@ -1,13 +1,16 @@
-"""Power sums and state vectors of a row, read from its triple multiset
-(see triangle), and the row-to-row step oracle.
+"""Power sums by tag and state vectors of a row, read from its triple
+multiset (see triangle) for every k at once, and the row-to-row step oracle.
 
-A state vector is a plain list of k+2 integers, [(a^k), the k-1 mixed pair
-sums, (b^k), u]; k is its length minus 2.  The step oracle
+tag_power_sums gives the power sums of every k up to a bound and
+state_vectors the state vectors of every k of a tuple, each in one pass over
+the row's distinct triples, so a caller that checks many k reads each row
+once.  A state vector is a plain list of k+2 integers, [(a^k), the k-1 mixed
+pair sums, (b^k), u]; k is its length minus 2.  The step oracle
 (check_system_step) evaluates the linear system that advances the state
 vector from one row to the next, directly from its defining formulas, so it
 stays independent of the matrix construction in systembuilder, and returns
 the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live here
-in the equations, never inside state_vector, whose pair sums are a pure
+in the equations, never inside state_vectors, whose pair sums are a pure
 adjacency scan.
 """
 from __future__ import annotations
@@ -18,47 +21,66 @@ from .exactalg import binom
 from .triangle import TAG_A, TAG_B
 
 
-def power_sum(triples: Counter, k: int) -> int:
-    """Sum of value^k over all entries of a row's triple multiset."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return sum(m * v**k for (_, (v, _), _), m in triples.items())
-
-
-def type_power_sums(triples: Counter, k: int) -> tuple:
-    """(sum over tag-A entries, sum over tag-B entries) of value^k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    totals = {TAG_A: 0, TAG_B: 0}
-    for (_, (v, t), _), m in triples.items():
-        totals[t] += m * v**k
+def tag_power_sums(triples: Counter, k_max: int) -> tuple:
+    """(A, B), where A[k] and B[k] are the sums of value^k over the tag-A and
+    the tag-B entries of a row's triple multiset, for k = 0..k_max.  The
+    multiplicities are summed per distinct (value, tag) centre first, and
+    the powers are raised incrementally."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    centres = Counter()
+    for (_, centre, _), m in triples.items():
+        centres[centre] += m
+    totals = {TAG_A: [0] * (k_max + 1), TAG_B: [0] * (k_max + 1)}
+    for (v, t), m in centres.items():
+        acc = totals[t]
+        for k in range(k_max + 1):
+            acc[k] += m
+            m *= v
     return totals[TAG_A], totals[TAG_B]
 
 
-def state_vector(triples: Counter, k: int) -> list:
-    """The state vector [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
-    row's triple multiset, k >= 2, as a list of k+2 integers.  One pass over
-    its distinct triples: the power sums by tag of the centres and the pair
-    sums over (centre, right neighbour) pairs tagged (A, B) and (B, B)."""
-    if k < 2:
+def state_vectors(triples: Counter, ks) -> list:
+    """The state vectors [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
+    row's triple multiset for each k of ks (every k >= 2), in ks order, each
+    a list of k+2 integers.
+
+    One pass over the distinct triples serves every k.  It groups the
+    (A, B) pairs of (centre, right neighbour) values (x, y) by x, and sums
+    U[j] = sum m x y^j over the (B, B) pairs, so that u = U[k-1].  Then,
+    one x at a time, S_x[j] = sum m y^j over the pairs of x does not depend
+    on k, and the mixed sum (a^{k-j} b^j) is sum_x x^(k-j) S_x[j].  The
+    power sums by tag come from tag_power_sums.
+    """
+    if min(ks) < 2:
         raise ValueError("k must be >= 2")
-    a = b = u = 0
-    mixed = [0] * k  # mixed[j] = (a^{k-j} b^j), j = 1..k-1
+    top = max(ks)
+    a, b = tag_power_sums(triples, top)
+    pairs, u = {}, [0] * top  # pairs[x] = [(y, m), ...]; u[j] = U[j], j < top
     for (_, (x, t), right), m in triples.items():
-        xk = m * x**k
+        if right is None or right[1] != TAG_B:
+            continue
+        y = right[0]
         if t == TAG_A:
-            a += xk
-            if right is not None and right[1] == TAG_B:
-                y = right[0]
-                term = xk
-                for j in range(1, k):  # m x^(k-j) y^j, from m x^k
-                    term = term // x * y
-                    mixed[j] += term
+            pairs.setdefault(x, []).append((y, m))
         else:
-            b += xk
-            if right is not None and right[1] == TAG_B:
-                u += m * x * right[0]**(k - 1)
-    return [a] + mixed[1:] + [b, u]
+            m *= x
+            for j in range(top):
+                u[j] += m
+                m *= y
+    mixed = {k: [0] * k for k in ks}  # mixed[k][j] = (a^{k-j} b^j), j >= 1
+    for x, ys in pairs.items():
+        sx, xp = [0] * top, [1] * top  # S_x[j] and x^j, j < top
+        for y, m in ys:
+            for j in range(top):
+                sx[j] += m
+                m *= y
+        for j in range(1, top):
+            xp[j] = xp[j - 1] * x
+        for k, mk in mixed.items():
+            for j in range(1, k):
+                mk[j] += xp[k - j] * sx[j]
+    return [[a[k]] + mixed[k][1:] + [b[k], u[k - 1]] for k in ks]
 
 
 def reduced_labels(k: int) -> list:

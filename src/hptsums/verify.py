@@ -2,10 +2,12 @@
 reference-table reproduction, counting recurrences, step-oracle sweeps, and
 the order/linearity conjecture probe.
 
-The checks take their inputs as arguments; nothing is cached.  run_grid
-builds the capped rows once per q and the recurrence once per k, passes them
-to every check that reads them, and adds the counting checks of each q, so
-that its report is the whole of verify.  Mismatches and failing equations
+The checks take their inputs as arguments, numbers read from rows, never
+the rows; nothing is cached.  run_grid derives each recurrence once and
+streams the rows of each q once, keeping of each row its tag power sums and
+state vectors for every k at once (see sums) and dropping the row; it passes
+them to every check that reads them and adds the counting checks of each q,
+so that its report is the whole of verify.  Mismatches and failing equations
 are plain tuples, (n, expected, actual) and (n, name, predicted, actual).
 
 Everything is exact integer equality; there are no tolerances anywhere.
@@ -88,20 +90,12 @@ class ConjectureFinding:
         return self.trailing_zero_count > 0
 
 
-def _capped_rows(q: int, entry_cap: int) -> list:
-    """Triple multisets of the rows of HPT_{4,q} up to the entry cap."""
-    p = triangle.TriangleParams(q)
-    depth = triangle.capped_depth(p, DEPTH_LIMIT, entry_cap)
-    return list(islice(triangle.triple_rows(p), depth + 1))
-
-
 def verify_recurrence(rec: systembuilder.Recurrence, q: int,
-                      rows: list) -> RecurrenceCheck:
-    """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every row of rows (the
-    triple multisets of rows 0, 1, ... at q) past the initial segment, with
+                      seq: list) -> RecurrenceCheck:
+    """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every n of seq past the
+    initial segment, seq[n] being the power sum (s^k)_n of row n at q, with
     exact integer equality."""
     cs = rec.evaluated_at(q)
-    seq = [sums.power_sum(r, rec.k) for r in rows]  # seq[n] = (s^k)_n
     d = rec.order
     check = RecurrenceCheck(rec.k, q, rec.variant, d, first_n=d + 1,
                             last_n=len(seq) - 1)
@@ -112,47 +106,46 @@ def verify_recurrence(rec: systembuilder.Recurrence, q: int,
     return check
 
 
-def verify_system_steps(k: int, q: int, rows: list,
+def verify_system_steps(k: int, q: int, vectors: list,
                         system: str = "full") -> SystemStepCheck:
-    """Run the step oracle on every consecutive pair of rows (the triple
-    multisets of rows 0, 1, ... at q), n >= 1, for the "full" or the
+    """Run the step oracle on every consecutive pair of vectors, the state
+    vectors of k of rows 1, 2, ... at q, for the "full" or the
     "reduced-as-printed" system of equations."""
-    check = SystemStepCheck(k, q, system, first_n=1, last_n=len(rows) - 2)
-    vectors = [sums.state_vector(r, k) for r in rows[1:]]
+    check = SystemStepCheck(k, q, system, first_n=1, last_n=len(vectors) - 1)
     for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1):
         check.failing_equations += [
             (n, *f) for f in sums.check_system_step(g, g_next, q, system)]
     return check
 
 
-def verify_counting(q: int) -> CountingCheck:
+def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
+                    hat_rec: systembuilder.Recurrence) -> CountingCheck:
     """Check the ternary recurrences and initial values for the four row
     sequences: vertex counts s_n and the value sums a-hat, b-hat, s-hat.
 
-    Every row up to COUNTING_DEPTH is read from its triple multiset, whose
-    size is the number of distinct triples, so deep rows are checked without
-    materializing hundreds of millions of entries.
+    tag_sums holds the tag power sums (A, B) of rows 1, 2, ... at q, read
+    at k = 0 and k = 1; s_rec and hat_rec are the k = 0 and k = 1
+    recurrences with their initial values.  The row sums come from triple
+    multisets, whose size is the number of distinct triples, so deep rows
+    are checked without materializing hundreds of millions of entries.
     """
-    depth = COUNTING_DEPTH
+    depth = len(tag_sums)
     params = triangle.TriangleParams(q)
     check = CountingCheck(q, depth)
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
-    rows = islice(triangle.triple_rows(params), 1, depth + 1)
-    for n, row in enumerate(rows, 1):
-        a1, b1 = sums.type_power_sums(row, 1)
-        a0, b0 = sums.type_power_sums(row, 0)
+    for n, (a, b) in enumerate(tag_sums, 1):
         rc = triangle.row_counts(params, n)
-        if (a0, b0) != (rc.a, rc.b):
-            check.mismatches.append(("row_counts", n, (rc.a, rc.b), (a0, b0)))
-        counts.append((a0, b0))
-        ahat.append(a1)
-        bhat.append(b1)
+        if (a[0], b[0]) != (rc.a, rc.b):
+            check.mismatches.append(
+                ("row_counts", n, (rc.a, rc.b), (a[0], b[0])))
+        counts.append((a[0], b[0]))
+        ahat.append(a[1])
+        bhat.append(b[1])
 
     s = [a + b for a, b in counts]
     shat = [x + y for x, y in zip(ahat, bhat)]
     # s follows the k = 0 recurrence and every value sum the k = 1 one;
     # a-hat and b-hat have initial values of their own.
-    s_rec, hat_rec = (systembuilder.recurrence_for_k(k) for k in (0, 1))
     hat_cs = hat_rec.evaluated_at(q)
     for name, seq, cs, initial in (
             ("s", s, s_rec.evaluated_at(q),
@@ -236,24 +229,55 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     """Verify recurrences and system steps over a (k, q) grid, then the
     counting recurrences of each q, in q_list order.
 
-    With reduced=True the printed reduced equations are swept by the oracle
-    too; their failures are recorded in the report (they do not flip
-    all_exact, which judges the verified systems only)."""
+    Each recurrence is derived once.  The rows of each q are streamed once,
+    to the entry cap or COUNTING_DEPTH, whichever is deeper; of each row
+    only its statistics are kept, for every k at once, and the row itself
+    is dropped.  With reduced=True the printed reduced equations are swept
+    by the oracle too, on the same state vectors; their failures are
+    recorded in the report (they do not flip all_exact, which judges the
+    verified systems only)."""
     k_lo, k_hi = k_range
+    ks = range(k_lo, k_hi + 1)
+    vector_ks = range(max(k_lo, 2), k_hi + 1)
+    systems = ("full", "reduced-as-printed") if reduced else ("full",)
     report = VerificationReport((k_lo, k_hi), tuple(q_list), entry_cap)
-    rows = {q: _capped_rows(q, entry_cap) for q in q_list}
-    for k in range(k_lo, k_hi + 1):
-        rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
+    recs = [systembuilder.recurrence_for_k(k, with_initial_values=False)
+            for k in ks]
+    counting_recs = [systembuilder.recurrence_for_k(k) for k in (0, 1)]
+    checks = {}  # (k, q) -> (recurrence check, system checks)
+    for q in q_list:
+        params = triangle.TriangleParams(q)
+        depth = triangle.capped_depth(params, DEPTH_LIMIT, entry_cap)
+        seqs = [[] for _ in ks]  # seqs[i][n] = (s^k)_n, k = ks[i]
+        vectors = [[] for _ in vector_ks]  # of rows 1..depth
+        tag_sums = []  # of rows 1..COUNTING_DEPTH, read at k = 0 and 1
+        rows = islice(triangle.triple_rows(params),
+                      max(depth, COUNTING_DEPTH) + 1)
+        for n, row in enumerate(rows):
+            if n > depth:
+                a, b = sums.tag_power_sums(row, 1)
+            else:
+                a, b = sums.tag_power_sums(row, max(k_hi, 1))
+                for seq, k in zip(seqs, ks):
+                    seq.append(a[k] + b[k])
+                if n >= 1 and vector_ks:
+                    for vs, g in zip(vectors,
+                                     sums.state_vectors(row, vector_ks)):
+                        vs.append(g)
+            if 1 <= n <= COUNTING_DEPTH:
+                tag_sums.append((a, b))
+        for rec, seq in zip(recs, seqs):
+            checks[rec.k, q] = (verify_recurrence(rec, q, seq), [])
+        for k, vs in zip(vector_ks, vectors):
+            checks[k, q][1].extend(verify_system_steps(k, q, vs, system)
+                                   for system in systems)
+        report.counting_checks.append(
+            verify_counting(q, tag_sums, *counting_recs))
+    for k in ks:
         for q in q_list:
-            report.recurrence_checks.append(verify_recurrence(rec, q, rows[q]))
-            if k >= 2:
-                report.system_checks.append(
-                    verify_system_steps(k, q, rows[q], "full"))
-                if reduced:
-                    report.system_checks.append(
-                        verify_system_steps(k, q, rows[q],
-                                            "reduced-as-printed"))
-    report.counting_checks = [verify_counting(q) for q in q_list]
+            rec_check, system_checks = checks[k, q]
+            report.recurrence_checks.append(rec_check)
+            report.system_checks += system_checks
     return report
 
 

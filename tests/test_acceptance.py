@@ -14,7 +14,7 @@ from hptsums import tables, verify
 from hptsums.cli import main
 from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
                               charpoly_q)
-from hptsums.sums import fold_state, state_vector
+from hptsums.sums import fold_state, state_vectors
 from hptsums.triangle import TriangleParams, capped_depth, entry_rows
 from reference import (build_structured_charpoly, matrix_from_orbit,
                        row_triples, system_at)
@@ -104,9 +104,10 @@ def test_criterion_5_structured_path_equivalence(capsys):
 
 
 def test_criterion_6_counting_recurrences(capsys):
-    for q in range(5, 10):
-        check = verify.verify_counting(q)
-        assert check.all_exact, (q, check.mismatches)
+    checks = verify.run_grid((0, 1), range(5, 10), GRID_CAP).counting_checks
+    assert [c.q for c in checks] == list(range(5, 10))
+    for check in checks:
+        assert check.all_exact, (check.q, check.mismatches)
         assert check.depth == 12
     with capsys.disabled():
         _report(6, "counting and value-sum recurrences exact for q=5..9 "
@@ -172,8 +173,8 @@ def test_criterion_9_reduced_system(capsys):
                            capped_depth(params, 64, GRID_CAP) + 1))
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
-            folded = [fold_state(state_vector(row_triples(r), k))
-                      for r in rows[1:]]
+            folded = [fold_state(g) for r in rows[1:]
+                      for g in state_vectors(row_triples(r), (k,))]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.sums import (check_system_step, fold_state, power_sum,
-                          state_vector, type_power_sums)
-from hptsums.triangle import TriangleParams, entry_rows
+from hptsums.sums import (check_system_step, fold_state, state_vectors,
+                          tag_power_sums)
+from hptsums.triangle import TriangleParams, entry_rows, triple_rows
 from reference import pair_sum, row_triples
 
 
@@ -18,18 +18,59 @@ def triples_for(q, n):
     return [row_triples(r) for r in rows_for(q, n)]
 
 
+def state_vector(triples, k):
+    (g,) = state_vectors(triples, (k,))
+    return g
+
+
 def test_power_sum_examples():
     rows = rows_for(6, 4)
-    assert power_sum(row_triples(rows[3]), 2) == 28  # 4q+4 at q=6
-    assert power_sum(row_triples(rows[4]), 2) == 160  # 4q^2+6q-20 at q=6
-    assert power_sum(row_triples(rows[3]), 0) == len(rows[3])
+    a, b = tag_power_sums(row_triples(rows[3]), 2)
+    assert a[2] + b[2] == 28  # 4q+4 at q=6
+    assert a[0] + b[0] == len(rows[3])
+    a, b = tag_power_sums(row_triples(rows[4]), 2)
+    assert a[2] + b[2] == 160  # 4q^2+6q-20 at q=6
 
 
-def test_type_power_sums_examples():
+def test_tag_power_sums_examples():
     rows = triples_for(6, 4)
-    assert type_power_sums(rows[3], 1) == (6, 6)
-    assert type_power_sums(rows[4], 2) == (98, 62)
-    assert type_power_sums(rows[1], 5) == (0, 2)
+    assert tag_power_sums(rows[3], 1) == ([2, 6], [4, 6])
+    assert tag_power_sums(rows[4], 2) == ([5, 22, 98], [12, 26, 62])
+    assert tag_power_sums(rows[1], 5) == ([0] * 6, [2] * 6)
+    assert tag_power_sums(rows[0], 0) == ([0], [1])
+
+
+def test_tag_power_sums_needs_k_max_0():
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        tag_power_sums(triples_for(6, 2)[2], -1)
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 9])
+def test_tag_power_sums_match_entry_sums(q):
+    """Every k = 0..11 at once from the triple step, against brute-force
+    sums over the materialised entries of rows 0..8."""
+    for row, triples in zip(rows_for(q, 8), triple_rows(TriangleParams(q))):
+        assert tag_power_sums(triples, 11) == tuple(
+            [sum(v**k for v, t in row if t == tag) for k in range(12)]
+            for tag in "AB")
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 9])
+def test_state_vectors_match_pair_sums(q):
+    """The state vectors of many k from one pass over the triple step,
+    against the reference pair sums on the materialised rows 1..8, for a
+    k range, a single k and a tuple with gaps."""
+    params = TriangleParams(q)
+    rows = zip(rows_for(q, 8)[1:], islice(triple_rows(params), 1, None))
+    for row, triples in rows:
+        ref = row_triples(row)
+        want = {k: ([sum(v**k for v, t in row if t == "A")]
+                    + [pair_sum(ref, k - j, j, "A", "B") for j in range(1, k)]
+                    + [sum(v**k for v, t in row if t == "B"),
+                       pair_sum(ref, 1, k - 1, "B", "B")])
+                for k in range(2, 12)}
+        for ks in (range(2, 12), (5,), (3, 7), (11, 2)):
+            assert state_vectors(triples, ks) == [want[k] for k in ks], ks
 
 
 def test_pair_sum_examples():
@@ -45,19 +86,19 @@ def test_pair_sum_requires_positive_power():
         pair_sum(rows[2], 0, 0, "A", "B")
 
 
-def test_state_vector_examples():
+def test_state_vectors_examples():
     rows = triples_for(6, 4)
-    assert state_vector(rows[3], 2) == [18, 9, 10, 4]
-    assert state_vector(rows[4], 2) == [98, 49, 62, 34]
-    g1 = state_vector(rows[1], 4)
-    assert g1 == [0, 0, 0, 0, 2, 1]
+    assert state_vectors(rows[3], (2,)) == [[18, 9, 10, 4]]
+    assert state_vectors(rows[4], (2,)) == [[98, 49, 62, 34]]
+    assert state_vectors(rows[1], (4, 2)) \
+        == [[0, 0, 0, 0, 2, 1], [0, 0, 2, 1]]
 
 
-def test_state_vector_needs_k2():
+def test_state_vectors_need_k2():
     row = triples_for(6, 3)[3]
-    for k in (0, 1):
+    for ks in ((0,), (1,), (3, 1), range(1, 5)):
         with pytest.raises(ValueError, match="k must be >= 2"):
-            state_vector(row, k)
+            state_vectors(row, ks)
 
 
 def test_check_system_step_k2_hand_values():
@@ -131,8 +172,8 @@ def test_statistics_match_entry_scans(q, n, k):
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
     t = row_triples(row)
     assert state_vector(t, k) == expected
-    assert type_power_sums(t, k) == (a, b)
-    assert power_sum(t, k) == a + b
+    tag_a, tag_b = tag_power_sums(t, k)
+    assert (tag_a[k], tag_b[k]) == (a, b)
     assert pair_sum(t, k, 2, "B", "A") == _scan_pair_sum(row, k, 2, "B", "A")
 
 

@@ -16,7 +16,8 @@ def test_verify_recurrence_hand_value():
     # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2) and the
     # power sums of rows 1..4, read from the triple step
     rows = islice(triangle.triple_rows(triangle.TriangleParams(6)), 1, 6)
-    seq = [sums.power_sum(r, 2) for r in rows]  # seq[n - 1] = (s^2)_n
+    seq = [sum(x[2] for x in sums.tag_power_sums(r, 2))
+           for r in rows]  # seq[n - 1] = (s^2)_n
     assert seq == [2, 6, 28, 160, 960]
     rec = systembuilder.recurrence_for_k(2, with_initial_values=False)
     cs = rec.evaluated_at(6)
@@ -42,8 +43,7 @@ def test_verify_system_steps():
 
 
 def test_verify_counting():
-    for q in range(5, 10):
-        check = verify.verify_counting(q)
+    for check in verify.run_grid((2, 2), range(5, 10), 10**5).counting_checks:
         assert check.all_exact, check.mismatches
         assert check.depth == verify.COUNTING_DEPTH == 12
 
@@ -98,16 +98,18 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
         return rec
 
     monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
-    check = verify.verify_counting(6)
+    (check,) = verify.run_grid((2, 2), (6,), 10**5).counting_checks
     assert {name for name, *_ in check.mismatches} \
         == {"a_hat", "b_hat", "s_hat"}
     assert all(n >= 4 for _, n, _, _ in check.mismatches)
 
 
 def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
-    # Row 10 at q=9 holds 4,976,786 entries, more than a 2e5-entry cap on
-    # materialised rows reaches (row 8).  One A entry of that row turned into
-    # a B entry must show, from row 10 on.
+    # Row 10 at q=9 holds 4,976,786 entries: past what a 2e5-entry cap on
+    # materialised rows reaches (row 8) and past the 1e5-entry cap of the
+    # grid checks (row 7), so only the counting check reads it, from the one
+    # stream of q=9.  One A entry of that row turned into a B entry must show
+    # there, from row 10 on, while the grid check of rows <= 7 stays exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
     real = triangle.next_triples
@@ -122,9 +124,13 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(triangle, "next_triples", perturbed)
-    check = verify.verify_counting(9)
+    report = verify.run_grid((2, 2), (9,), 10**5)
+    (check,) = report.counting_checks
     assert ("row_counts", 10) in {(name, n) for name, n, *_ in check.mismatches}
     assert min(n for _, n, _, _ in check.mismatches) == 10
+    (rec_check,) = report.recurrence_checks
+    assert rec_check.last_n == 7
+    assert rec_check.all_exact
 
 
 def test_verify_materialises_no_rows(monkeypatch):
@@ -133,15 +139,14 @@ def test_verify_materialises_no_rows(monkeypatch):
 
     monkeypatch.setattr(triangle, "next_row", refuse)
     monkeypatch.setattr(triangle, "entry_rows", refuse)
-    assert verify.run_grid((2, 4), (5, 9), 10**4, reduced=True).all_exact
-    assert verify.verify_counting(7).all_exact
+    assert verify.run_grid((2, 4), (5, 7, 9), 10**4, reduced=True).all_exact
 
 
 def test_run_grid_builds_each_input_once(monkeypatch):
-    # The rows of each q are built twice, once capped for the grid checks
-    # and once to the counting depth for the counting check, and the
-    # recurrence of each k is derived once, however many checks read them.
-    # The counting check of each q reads the k = 0 and k = 1 recurrences.
+    # The rows of each q are streamed once, for the grid checks and the
+    # counting check alike, and the recurrence of each k is derived once,
+    # however many checks read them; the counting checks of every q read
+    # the same k = 0 and k = 1 recurrences.
     row_builds, derivations = Counter(), Counter()
     real_rows = triangle.triple_rows
     real_rec = systembuilder.recurrence_for_k
@@ -158,8 +163,8 @@ def test_run_grid_builds_each_input_once(monkeypatch):
     monkeypatch.setattr(systembuilder, "recurrence_for_k", rec)
     q_list = (5, 6, 7, 8, 9, 10, 11, 12, 13)
     report = verify.run_grid((2, 11), q_list, 10**5)
-    assert row_builds == {q: 2 for q in q_list}
-    assert derivations == {0: 9, 1: 9, **{k: 1 for k in range(2, 12)}}
+    assert row_builds == {q: 1 for q in q_list}
+    assert derivations == {0: 1, 1: 1, **{k: 1 for k in range(2, 12)}}
     assert [(c.k, c.q) for c in report.recurrence_checks] \
         == [(k, q) for k in range(2, 12) for q in q_list]
     assert [c.q for c in report.counting_checks] == list(q_list)
