@@ -14,9 +14,9 @@ integer one of A and the Krylov scalars v^T A^j u.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
 
 
 class ExactAlgError(Exception):

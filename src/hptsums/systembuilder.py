@@ -40,7 +40,6 @@ tests/reference.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, mul
 
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
@@ -53,19 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class LinearSystem:
     """g_{n+1} = (a + q u v^T) g_n + h0 + q h1, all integer lists."""
 
-    k: int
-    a: list
-    u: list
-    v: list
-    h0: list
-    h1: list
+    def __init__(self, k: int, a: list, u: list, v: list, h0: list,
+                 h1: list):
+        self.k, self.a, self.u, self.v, self.h0, self.h1 = k, a, u, v, h0, h1
 
 
-@dataclass
 class Recurrence:
     """(s^k)_n = sum_j c_j(q) (s^k)_{n-j}, with maximal x-stripping.
 
@@ -74,12 +68,12 @@ class Recurrence:
     short of conjectured_order(k) for some k, such as 9 and 11.
     """
 
-    k: int
-    order: int
-    coefficients: list  # QPoly c_1..c_order
-    x_strip_count: int
-    variant: str = "full"  # "full" | "closed" (k = 0, 1)
-    initial_values: list = field(default_factory=list)  # QPoly per n
+    def __init__(self, k: int, order: int, coefficients: list,
+                 x_strip_count: int, variant: str = "full"):
+        self.k, self.order, self.x_strip_count = k, order, x_strip_count
+        self.coefficients = coefficients  # QPoly c_1..c_order
+        self.variant = variant  # "full" | "closed" (k = 0, 1)
+        self.initial_values = []  # QPoly per n
 
     def coefficients_padded(self, width: int) -> list:
         if width < self.order:

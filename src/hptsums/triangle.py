@@ -18,7 +18,6 @@ so the entry cap is decided before any row is built (capped_depth).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 
 TAG_A = "A"
@@ -26,22 +25,20 @@ TAG_B = "B"
 WINGER = (1, TAG_B)  # a boundary 1
 
 
-@dataclass(frozen=True)
 class TriangleParams:
     """Schlafli parameter q of the mosaic {4,q}; hyperbolic requires q >= 5."""
 
-    q: int
+    def __init__(self, q: int):
+        if q < 5:
+            raise ValueError(f"q must be >= 5, got {q}")
+        self.q = q
 
-    def __post_init__(self):
-        if self.q < 5:
-            raise ValueError(f"q must be >= 5, got {self.q}")
 
-
-@dataclass
 class RowCounts:
-    a: int  # type-A vertices
-    b: int  # type-B vertices (wingers included)
-    s: int  # all vertices
+    def __init__(self, a: int, b: int, s: int):
+        self.a = a  # type-A vertices
+        self.b = b  # type-B vertices (wingers included)
+        self.s = s  # all vertices
 
 
 def validate_row(e: list) -> None:

@@ -14,7 +14,6 @@ Everything is exact integer equality; there are no tolerances anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
@@ -27,54 +26,47 @@ DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
 COUNTING_DEPTH = 12  # the deepest row the counting checks read
 
 
-@dataclass
 class RecurrenceCheck:
-    k: int
-    q: int
-    variant: str
-    order: int
-    first_n: int
-    last_n: int
-    mismatches: list = field(default_factory=list)  # (n, expected, actual)
+    def __init__(self, k: int, q: int, variant: str, order: int,
+                 first_n: int, last_n: int):
+        self.k, self.q, self.variant, self.order = k, q, variant, order
+        self.first_n, self.last_n = first_n, last_n
+        self.mismatches = []  # (n, expected, actual)
 
     @property
     def all_exact(self) -> bool:
         return not self.mismatches
 
 
-@dataclass
 class SystemStepCheck:
-    k: int
-    q: int
-    variant: str
-    first_n: int
-    last_n: int
-    failing_equations: list = field(default_factory=list)  # (n, name, pred, act)
+    def __init__(self, k: int, q: int, variant: str, first_n: int,
+                 last_n: int):
+        self.k, self.q, self.variant = k, q, variant
+        self.first_n, self.last_n = first_n, last_n
+        self.failing_equations = []  # (n, name, pred, act)
 
     @property
     def all_exact(self) -> bool:
         return not self.failing_equations
 
 
-@dataclass
 class CountingCheck:
-    q: int
-    depth: int
-    mismatches: list = field(default_factory=list)  # (sequence, n, expected, actual)
+    def __init__(self, q: int, depth: int):
+        self.q, self.depth = q, depth
+        self.mismatches = []  # (sequence, n, expected, actual)
 
     @property
     def all_exact(self) -> bool:
         return not self.mismatches
 
 
-@dataclass
 class ConjectureFinding:
-    k: int
-    stripped_order: int
-    conjectured_order: int
-    trailing_zero_count: int
-    max_q_degree: int
-    tabled: bool
+    def __init__(self, k: int, stripped_order: int, conjectured_order: int,
+                 trailing_zero_count: int, max_q_degree: int, tabled: bool):
+        self.k, self.stripped_order = k, stripped_order
+        self.conjectured_order = conjectured_order
+        self.trailing_zero_count = trailing_zero_count
+        self.max_q_degree, self.tabled = max_q_degree, tabled
 
     @property
     def order_matches(self) -> bool:
@@ -206,14 +198,12 @@ def probe_conjecture(k_min: int, k_max: int) -> list:
 # Grid runner and report serialization
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
-    k_range: tuple
-    q_list: tuple
-    entry_cap: int
-    recurrence_checks: list = field(default_factory=list)
-    system_checks: list = field(default_factory=list)
-    counting_checks: list = field(default_factory=list)
+    def __init__(self, k_range: tuple, q_list: tuple, entry_cap: int):
+        self.k_range, self.q_list, self.entry_cap = k_range, q_list, entry_cap
+        self.recurrence_checks = []
+        self.system_checks = []
+        self.counting_checks = []
 
     @property
     def all_exact(self) -> bool:

@@ -107,6 +107,21 @@ def test_sums_state_vectors_need_k2(capsys, k, fmt):
     assert (code, out, err) == (2, "", "error: state vectors need k >= 2\n")
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_sums_prints_integers_of_any_length(capsys, fmt):
+    # Row 2 at q=5 is 1B 2A 1B, so (s^15000)_2 = 2**15000 + 2 has 4516
+    # digits, past the interpreter's default int-to-str limit of 4300.
+    code, out, err = run(capsys, "sums", "--q", "5", "--k", "15000",
+                         "--n-max", "2", "--format", fmt)
+    assert (code, err) == (0, "")
+    expected = 2**15000 + 2
+    assert len(str(expected)) == 4516
+    if fmt == "json":
+        assert json.loads(out)["rows"][-1] == {"n": 2, "power_sum": expected}
+    else:
+        assert out.splitlines() == ["n=1: 2", f"n=2: {expected}"]
+
+
 def test_recurrence_json_schema(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "json")
     payload = json.loads(out)
