@@ -106,7 +106,7 @@ def cmd_sums(args) -> int:
         return EXIT_MISMATCH
     records, plain = [], []
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
-    rows = itertools.islice(triangle.triple_rows(params), 1, args.n_max + 1)
+    rows = itertools.islice(triangle.pair_rows(params), 1, args.n_max + 1)
     for n, row in enumerate(rows, 1):
         a, b = sums.tag_power_sums(row, args.k)
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}

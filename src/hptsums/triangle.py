@@ -5,12 +5,12 @@ Rows are exact: every entry is an arbitrary-precision natural tagged A
 The boundary 1's (wingers) count as type B.
 
 A row is its list of (value, tag) entries, left to right (next_row,
-entry_rows); only the row command, which prints one, builds them.  A triple
-multiset is a Counter of one (left, (value, tag), right) triple per entry,
-None padding the row ends (next_triples, triple_rows).  A vertex's children
-depend only on it and its two neighbours, so the multiset of row n
-determines that of row n+1; its size is the number of distinct triples, not
-of entries.
+entry_rows); only the row command, which prints one, builds them.  A pair
+multiset is a Counter of one ((x, tx), (y, ty)) pair per two adjacent
+entries, the wingers tagged W (next_pairs, pair_rows).  The children of a
+pair depend only on the pair, so the multiset of row n determines that of
+row n+1 in one step with no branch on q; its size is the number of distinct
+pairs, not of entries.
 
 The size of every row follows from the type-count step alone (row_counts),
 so the entry cap is decided before any row is built (capped_depth).
@@ -22,7 +22,8 @@ from itertools import islice
 
 TAG_A = "A"
 TAG_B = "B"
-WINGER = (1, TAG_B)  # a boundary 1
+TAG_W = "W"  # a winger in a pair multiset: value 1, counted as B
+WINGER = (1, TAG_B)  # a boundary 1 in an entry list
 
 
 class TriangleParams:
@@ -86,50 +87,42 @@ def entry_rows(params: TriangleParams):
         row = next_row(row, params)
 
 
-def next_triples(triples: Counter, params: TriangleParams) -> Counter:
-    """The triple multiset of row n+1 from that of row n, for n >= 1.
+def next_pairs(pairs: Counter, params: TriangleParams) -> Counter:
+    """The pair multiset of row n+1 from that of row n, for n >= 1.
 
-    Row n+1 holds one block per vertex of row n: the left winger gives the
-    new left winger and the A-child it shares with its right neighbour; an
-    interior vertex its q-4 (type A) or q-3 (type B) B-copies and then that
-    A-child; the right winger the new right winger.  A block borders the
-    left neighbour's A-child and the right neighbour's first entry, which
-    has that neighbour's value and tag B.  A winger is the centre of the
-    triple with None on one side; no step tells wingers apart by value.
+    Row n+1 holds one block per vertex v of row n: copies(v) copies of v,
+    q-4 for tag A, q-3 for B and 1 for a winger, tagged B (W for a winger);
+    then, unless v is the right winger, the A-child of v and its right
+    neighbour.  So a pair (x, y) of row n has the children (x, B) (x+y, A)
+    and (x+y, A) (y, B), and the copies(y) - 1 pairs (y, B) (y, B) inside
+    y's block.  Each block but the left winger's, which has no inner pair,
+    is the right end of exactly one pair.
     """
+    if not pairs:
+        raise ValueError("row 0 has no pair step; start at row 1")
     q = params.q
+    copies = {TAG_A: q - 4, TAG_B: q - 3, TAG_W: 1}
+    copy_tag = {TAG_A: TAG_B, TAG_B: TAG_B, TAG_W: TAG_W}
     out = Counter()
-    for (left, (v, t), right), m in triples.items():
-        if left is None:
-            if right is None:
-                raise ValueError("row 0 has no triple step; start at row 1")
-            child = (1 + right[0], TAG_A)
-            out[(None, WINGER, child)] += m
-            out[(WINGER, child, (right[0], TAG_B))] += m
-        elif right is None:
-            out[((left[0] + 1, TAG_A), WINGER, None)] += m
-        else:
-            copy = (v, TAG_B)
-            first, child = (left[0] + v, TAG_A), (v + right[0], TAG_A)
-            copies = q - 4 if t == TAG_A else q - 3
-            if copies == 1:
-                out[(first, copy, child)] += m
-            else:
-                out[(first, copy, copy)] += m
-                if copies > 2:
-                    out[(copy, copy, copy)] += (copies - 2) * m
-                out[(copy, copy, child)] += m
-            out[(copy, child, (right[0], TAG_B))] += m
+    for ((x, tx), (y, ty)), m in pairs.items():
+        child = (x + y, TAG_A)
+        copy = (y, copy_tag[ty])
+        out[((x, copy_tag[tx]), child)] += m
+        out[(child, copy)] += m
+        inner = m * (copies[ty] - 1)
+        if inner > 0:  # a winger, or tag A at q = 5, has a single copy
+            out[(copy, copy)] += inner
     return out
 
 
-def triple_rows(params: TriangleParams):
-    """The triple multisets of rows 0, 1, 2, ... without end."""
-    yield Counter({(None, WINGER, None): 1})
-    row = Counter({(None, WINGER, WINGER): 1, (WINGER, WINGER, None): 1})
+def pair_rows(params: TriangleParams):
+    """The pair multisets of rows 0, 1, 2, ... without end; row 0, a single
+    vertex, has no pair."""
+    yield Counter()
+    row = Counter({((1, TAG_W), (1, TAG_W)): 1})
     while True:
         yield row
-        row = next_triples(row, params)
+        row = next_pairs(row, params)
 
 
 def _type_counts(q: int):

@@ -4,11 +4,12 @@ the order/linearity conjecture probe.
 
 The checks take their inputs as arguments, numbers read from rows, never
 the rows; nothing is cached.  run_grid derives each recurrence once and
-streams the rows of each q once, keeping of each row its tag power sums and
-state vectors for every k at once (see sums) and dropping the row; it passes
-them to every check that reads them and adds the counting checks of each q,
-so that its report is the whole of verify.  Mismatches and failing equations
-are plain tuples, (n, expected, actual) and (n, name, predicted, actual).
+streams the rows of each q once, as pair multisets (see triangle), keeping
+of each row its tag power sums and state vectors for every k at once (see
+sums) and dropping the row; it passes them to every check that reads them
+and adds the counting checks of each q, so that its report is the whole of
+verify.  Mismatches and failing equations are plain tuples, (n, expected,
+actual) and (n, name, predicted, actual).
 
 Everything is exact integer equality; there are no tolerances anywhere.
 """
@@ -117,9 +118,10 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
 
     tag_sums holds the tag power sums (A, B) of rows 1, 2, ... at q, read
     at k = 0 and k = 1; s_rec and hat_rec are the k = 0 and k = 1
-    recurrences with their initial values.  The row sums come from triple
-    multisets, whose size is the number of distinct triples, so deep rows
-    are checked without materializing hundreds of millions of entries.
+    recurrences with their initial values.  The row sums come from pair
+    multisets, whose size is the number of distinct adjacent pairs, so deep
+    rows are checked without materializing hundreds of millions of
+    entries.
     """
     depth = len(tag_sums)
     params = triangle.TriangleParams(q)
@@ -241,7 +243,7 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
         seqs = [[] for _ in ks]  # seqs[i][n] = (s^k)_n, k = ks[i]
         vectors = [[] for _ in vector_ks]  # of rows 1..depth
         tag_sums = []  # of rows 1..COUNTING_DEPTH, read at k = 0 and 1
-        rows = islice(triangle.triple_rows(params),
+        rows = islice(triangle.pair_rows(params),
                       max(depth, COUNTING_DEPTH) + 1)
         for n, row in enumerate(rows):
             if n > depth:

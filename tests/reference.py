@@ -13,12 +13,13 @@ that tests compare the product path against.  No command runs them.
     polynomial as the determinant of the row-reduced form of M - xI, with
     polynomials in x as ascending lists of QPoly (xq_add, xq_eval_x);
   * matrix_from_orbit, a system matrix recovered from its orbit;
-  * row_triples and pair_sum, a materialised row's triple multiset and its
-    adjacent-pair sums.
+  * row_pairs and pair_sum, a materialised row's multiset of adjacent
+    pairs, its wingers tagged W, and the sums over those pairs, a winger
+    counted as B.
 """
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice, zip_longest
+from itertools import zip_longest
 
 from hptsums.exactalg import Q, QONE, QZERO, ExactAlgError, QPoly, binom
 
@@ -219,20 +220,23 @@ def matrix_from_orbit(vectors) -> list:
     return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
 
 
-def row_triples(e: list) -> Counter:
-    """The triple multiset of a materialised entry list: one padded
-    (left, (value, tag), right) triple per entry, None past the ends."""
-    return Counter(zip(chain((None,), e), e,
-                       chain(islice(e, 1, None), (None,))))
+def row_pairs(e: list) -> Counter:
+    """The pair multiset of a materialised entry list: one (left, right)
+    pair per two adjacent entries, the wingers at both ends tagged W."""
+    ends = (0, len(e) - 1)
+    w = [(v, "W") if i in ends else (v, t) for i, (v, t) in enumerate(e)]
+    return Counter(zip(w, w[1:]))
 
 
-def pair_sum(triples: Counter, i: int, j: int, first_tag: str,
+def pair_sum(pairs: Counter, i: int, j: int, first_tag: str,
              second_tag: str) -> int:
     """Sum of first^i * second^j over adjacent ordered entry pairs whose
-    tags match (first_tag, second_tag)."""
+    tags match (first_tag, second_tag), a winger counted as B."""
     if i + j < 1:
         raise ValueError("i + j must be >= 1")
-    return sum(m * v1**i * right[0]**j
-               for (_, (v1, t1), right), m in triples.items()
-               if right is not None and t1 == first_tag
-               and right[1] == second_tag)
+
+    def tag(t):
+        return "B" if t == "W" else t
+
+    return sum(m * x**i * y**j for ((x, tx), (y, ty)), m in pairs.items()
+               if tag(tx) == first_tag and tag(ty) == second_tag)

@@ -17,7 +17,7 @@ from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
 from hptsums.sums import fold_state, state_vectors
 from hptsums.triangle import TriangleParams, capped_depth, entry_rows
 from reference import (build_structured_charpoly, matrix_from_orbit,
-                       row_triples, system_at)
+                       row_pairs, system_at)
 
 GRID_K = range(2, 7)
 GRID_Q = (5, 6, 7, 9)
@@ -174,7 +174,7 @@ def test_criterion_9_reduced_system(capsys):
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(g) for r in rows[1:]
-                      for g in state_vectors(row_triples(r), (k,))]
+                      for g in state_vectors(row_pairs(r), (k,))]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]

@@ -62,7 +62,7 @@ def test_truncation_builds_no_row(capsys, monkeypatch, argv):
         raise AssertionError("a row was built past the entry cap")
 
     monkeypatch.setattr(triangle, "next_row", refuse)
-    monkeypatch.setattr(triangle, "next_triples", refuse)
+    monkeypatch.setattr(triangle, "next_pairs", refuse)
     (case,) = [c for c in GOLDEN if c["argv"] == [*argv, "--format", "plain"]]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (case["exit"], "", case["stderr"])
@@ -208,8 +208,8 @@ def test_recurrence_large_k_json_is_pinned(capsys, k):
 
 
 def test_deep_sums_under_1gib_address_space():
-    # sums reads triple multisets: row 12 at q=9 holds 2.3e8 entries in
-    # 8,089 distinct triples.
+    # sums reads pair multisets: row 12 at q=9 holds 2.3e8 entries in
+    # 5,433 distinct adjacent pairs.
     proc = run_under_1gib("sums", "--q", "9", "--k", "3", "--n-max", "12",
                           "--entry-cap", "1000000000", "--format", "json")
     assert proc.returncode == 0, proc.stderr

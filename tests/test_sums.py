@@ -6,34 +6,34 @@ from hypothesis import strategies as st
 
 from hptsums.sums import (check_system_step, fold_state, state_vectors,
                           tag_power_sums)
-from hptsums.triangle import TriangleParams, entry_rows, triple_rows
-from reference import pair_sum, row_triples
+from hptsums.triangle import TriangleParams, entry_rows, pair_rows
+from reference import pair_sum, row_pairs
 
 
 def rows_for(q, n):
     return list(islice(entry_rows(TriangleParams(q)), n + 1))
 
 
-def triples_for(q, n):
-    return [row_triples(r) for r in rows_for(q, n)]
+def pairs_for(q, n):
+    return [row_pairs(r) for r in rows_for(q, n)]
 
 
-def state_vector(triples, k):
-    (g,) = state_vectors(triples, (k,))
+def state_vector(pairs, k):
+    (g,) = state_vectors(pairs, (k,))
     return g
 
 
 def test_power_sum_examples():
     rows = rows_for(6, 4)
-    a, b = tag_power_sums(row_triples(rows[3]), 2)
+    a, b = tag_power_sums(row_pairs(rows[3]), 2)
     assert a[2] + b[2] == 28  # 4q+4 at q=6
     assert a[0] + b[0] == len(rows[3])
-    a, b = tag_power_sums(row_triples(rows[4]), 2)
+    a, b = tag_power_sums(row_pairs(rows[4]), 2)
     assert a[2] + b[2] == 160  # 4q^2+6q-20 at q=6
 
 
 def test_tag_power_sums_examples():
-    rows = triples_for(6, 4)
+    rows = pairs_for(6, 4)
     assert tag_power_sums(rows[3], 1) == ([2, 6], [4, 6])
     assert tag_power_sums(rows[4], 2) == ([5, 22, 98], [12, 26, 62])
     assert tag_power_sums(rows[1], 5) == ([0] * 6, [2] * 6)
@@ -42,52 +42,52 @@ def test_tag_power_sums_examples():
 
 def test_tag_power_sums_needs_k_max_0():
     with pytest.raises(ValueError, match="k_max must be >= 0"):
-        tag_power_sums(triples_for(6, 2)[2], -1)
+        tag_power_sums(pairs_for(6, 2)[2], -1)
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
 def test_tag_power_sums_match_entry_sums(q):
-    """Every k = 0..11 at once from the triple step, against brute-force
+    """Every k = 0..11 at once from the pair step, against brute-force
     sums over the materialised entries of rows 0..8."""
-    for row, triples in zip(rows_for(q, 8), triple_rows(TriangleParams(q))):
-        assert tag_power_sums(triples, 11) == tuple(
+    for row, pairs in zip(rows_for(q, 8), pair_rows(TriangleParams(q))):
+        assert tag_power_sums(pairs, 11) == tuple(
             [sum(v**k for v, t in row if t == tag) for k in range(12)]
             for tag in "AB")
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
 def test_state_vectors_match_pair_sums(q):
-    """The state vectors of many k from one pass over the triple step,
+    """The state vectors of many k from one pass over the pair step,
     against the reference pair sums on the materialised rows 1..8, for a
     k range, a single k and a tuple with gaps."""
     params = TriangleParams(q)
-    rows = zip(rows_for(q, 8)[1:], islice(triple_rows(params), 1, None))
-    for row, triples in rows:
-        ref = row_triples(row)
+    rows = zip(rows_for(q, 8)[1:], islice(pair_rows(params), 1, None))
+    for row, pairs in rows:
+        ref = row_pairs(row)
         want = {k: ([sum(v**k for v, t in row if t == "A")]
                     + [pair_sum(ref, k - j, j, "A", "B") for j in range(1, k)]
                     + [sum(v**k for v, t in row if t == "B"),
                        pair_sum(ref, 1, k - 1, "B", "B")])
                 for k in range(2, 12)}
         for ks in (range(2, 12), (5,), (3, 7), (11, 2)):
-            assert state_vectors(triples, ks) == [want[k] for k in ks], ks
+            assert state_vectors(pairs, ks) == [want[k] for k in ks], ks
 
 
 def test_pair_sum_examples():
-    rows = triples_for(6, 3)
+    rows = pairs_for(6, 3)
     assert pair_sum(rows[3], 2, 3, "A", "B") == 81
     assert pair_sum(rows[3], 1, 3, "B", "B") == 16
     assert pair_sum(rows[3], 1, 1, "A", "A") == 0
 
 
 def test_pair_sum_requires_positive_power():
-    rows = triples_for(6, 2)
+    rows = pairs_for(6, 2)
     with pytest.raises(ValueError):
         pair_sum(rows[2], 0, 0, "A", "B")
 
 
 def test_state_vectors_examples():
-    rows = triples_for(6, 4)
+    rows = pairs_for(6, 4)
     assert state_vectors(rows[3], (2,)) == [[18, 9, 10, 4]]
     assert state_vectors(rows[4], (2,)) == [[98, 49, 62, 34]]
     assert state_vectors(rows[1], (4, 2)) \
@@ -95,14 +95,14 @@ def test_state_vectors_examples():
 
 
 def test_state_vectors_need_k2():
-    row = triples_for(6, 3)[3]
+    row = pairs_for(6, 3)[3]
     for ks in ((0,), (1,), (3, 1), range(1, 5)):
         with pytest.raises(ValueError, match="k must be >= 2"):
             state_vectors(row, ks)
 
 
 def test_check_system_step_k2_hand_values():
-    rows = triples_for(6, 4)
+    rows = pairs_for(6, 4)
     g3, g4 = state_vector(rows[3], 2), state_vector(rows[4], 2)
     assert check_system_step(g3, g4, 6, "full") == []
     # hand evaluations of the k=2 equations at q=6, read from the failures
@@ -116,7 +116,7 @@ def test_check_system_step_k2_hand_values():
 
 
 def test_check_system_step_dimension_mismatch():
-    rows = triples_for(6, 3)
+    rows = pairs_for(6, 3)
     g2 = state_vector(rows[2], 2)
     g3 = state_vector(rows[3], 3)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_check_system_step_dimension_mismatch():
 @settings(max_examples=30, deadline=None)
 @given(q=st.integers(5, 9), k=st.integers(2, 6), n=st.integers(1, 6))
 def test_full_system_steps_hold(q, k, n):
-    rows = triples_for(q, n + 1)
+    rows = pairs_for(q, n + 1)
     if len(rows) <= n + 1:
         return
     g = state_vector(rows[n], k)
@@ -138,7 +138,7 @@ def test_full_system_steps_hold(q, k, n):
 @given(q=st.integers(5, 8), n=st.integers(2, 6), i=st.integers(1, 4),
        j=st.integers(1, 4))
 def test_pair_sum_reversal_symmetry(q, n, i, j):
-    row = triples_for(q, n)[n]
+    row = pairs_for(q, n)[n]
     assert pair_sum(row, i, j, "A", "B") == pair_sum(row, j, i, "B", "A")
     assert pair_sum(row, i, j, "B", "A") == pair_sum(row, j, i, "A", "B")
 
@@ -148,7 +148,7 @@ def test_pair_sum_reversal_symmetry(q, n, i, j):
 def test_bb_pair_sums_split_independent(q, n, k):
     """(b^i b^{k-i})_n is the same for every split of k (adjacent B's are
     equal)."""
-    row = triples_for(q, n)[n]
+    row = pairs_for(q, n)[n]
     vals = {pair_sum(row, i, k - i, "B", "B") for i in range(1, k)}
     assert len(vals) == 1
 
@@ -162,7 +162,7 @@ def _scan_pair_sum(e, i, j, first_tag, second_tag):
 @settings(max_examples=30, deadline=None)
 @given(q=st.integers(5, 9), n=st.integers(1, 7), k=st.integers(2, 8))
 def test_statistics_match_entry_scans(q, n, k):
-    """The one pass over the triple multiset against the definitions: power
+    """The one pass over the pair multiset against the definitions: power
     sums and k-1 separate pair scans over the entry list."""
     row = rows_for(q, n)[n]
     a = sum(v**k for v, t in row if t == "A")
@@ -170,7 +170,7 @@ def test_statistics_match_entry_scans(q, n, k):
     expected = ([a] + [_scan_pair_sum(row, k - j, j, "A", "B")
                        for j in range(1, k)]
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
-    t = row_triples(row)
+    t = row_pairs(row)
     assert state_vector(t, k) == expected
     tag_a, tag_b = tag_power_sums(t, k)
     assert (tag_a[k], tag_b[k]) == (a, b)
@@ -178,7 +178,7 @@ def test_statistics_match_entry_scans(q, n, k):
 
 
 def test_fold_state_even_and_odd():
-    rows = triples_for(6, 4)
+    rows = pairs_for(6, 4)
     v = state_vector(rows[4], 4)
     assert fold_state(v) == [v[0], v[4], v[1] + v[3], v[2], v[5]]
     v = state_vector(rows[4], 5)
@@ -188,7 +188,7 @@ def test_fold_state_even_and_odd():
 def test_reduced_printed_oracle_k2_passes():
     # for k=2 there are no paired c_j equations, and the printed system
     # agrees with the triangle
-    rows = triples_for(6, 5)
+    rows = pairs_for(6, 5)
     for n in range(1, 5):
         g = state_vector(rows[n], 2)
         g_next = state_vector(rows[n + 1], 2)
@@ -198,7 +198,7 @@ def test_reduced_printed_oracle_k2_passes():
 def test_reduced_printed_oracle_k3_fails_on_c1():
     # the printed paired-c_j equations disagree with the triangle from k=3 on;
     # the oracle reports the failing equation instead of correcting it
-    rows = triples_for(6, 4)
+    rows = pairs_for(6, 4)
     g = state_vector(rows[3], 3)
     g_next = state_vector(rows[4], 3)
     failures = check_system_step(g, g_next, 6, "reduced-as-printed")

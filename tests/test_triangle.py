@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.triangle import (WINGER, TriangleParams, capped_depth,
-                              entry_rows, next_row, next_triples, row_counts,
-                              triple_rows, validate_row)
-from reference import row_triples
+from hptsums.triangle import (TriangleParams, capped_depth, entry_rows,
+                              next_pairs, next_row, pair_rows, row_counts,
+                              validate_row)
+from reference import row_pairs
 
 
 def row_of(spec):
@@ -115,48 +115,52 @@ def test_rows_0_and_1():
         == [[(1, "B")], [(1, "B"), (1, "B")]]
 
 
-def test_row_triples_pad_the_ends():
-    t = row_triples(row_of("1B 3A 2B 2B 3A 1B"))
-    assert t == {(None, (1, "B"), (3, "A")): 1, ((1, "B"), (3, "A"), (2, "B")): 1,
-                 ((3, "A"), (2, "B"), (2, "B")): 1, ((2, "B"), (2, "B"), (3, "A")): 1,
-                 ((2, "B"), (3, "A"), (1, "B")): 1, ((3, "A"), (1, "B"), None): 1}
-    assert row_triples([(1, "B")]) == {(None, (1, "B"), None): 1}
+def test_row_pairs_tag_the_wingers():
+    t = row_pairs(row_of("1B 3A 2B 2B 3A 1B"))
+    assert t == {((1, "W"), (3, "A")): 1, ((3, "A"), (2, "B")): 1,
+                 ((2, "B"), (2, "B")): 1, ((2, "B"), (3, "A")): 1,
+                 ((3, "A"), (1, "W")): 1}
+    assert row_pairs([(1, "B"), (1, "B")]) == {((1, "W"), (1, "W")): 1}
+    assert row_pairs([(1, "B")]) == {}
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
-def test_triple_step_matches_generated_rows(q):
-    """The triple step against the padded triples of the materialised rows,
+def test_pair_step_matches_generated_rows(q):
+    """The pair step against the adjacent pairs of the materialised rows,
     rows 0..12 or as far as a row fits in 10**6 entries (q=7: 10, q=9: 9;
     row 12 holds 6.7e6 entries at q=7 and 2.3e8 at q=9)."""
     params = TriangleParams(q)
     depth = capped_depth(params, 12, 10**6)
     rows = rows_upto(params, depth)
-    triples = list(islice(triple_rows(params), depth + 1))
+    pairs = list(islice(pair_rows(params), depth + 1))
     assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
-    assert [row_triples(r) for r in rows] == triples
-    for n, t in enumerate(triples[1:], 1):
-        # The two wingers are the centres of the only triples with a None
-        # side; the step tells them apart by that, not by their value 1,
-        # which no interior entry has either.
-        assert [(key[1], m) for key, m in t.items() if None in key] \
-            == [(WINGER, 1), (WINGER, 1)]
-        assert all(centre[0] > 1 for left, centre, right in t
-                   if left is not None and right is not None)
-        assert sum(t.values()) == row_counts(params, n).s
+    assert [row_pairs(r) for r in rows] == pairs
+    for n, t in enumerate(pairs[1:], 1):
+        # Counter equality treats a zero count as absent, so the step must
+        # be seen to write no key it does not use.
+        assert all(m > 0 for m in t.values())
+        # The two wingers are the only W entries: one pair starts and one
+        # ends with a W, each once (the same pair in row 1).  The step tells
+        # them apart by their tag, not by their value 1, which no interior
+        # entry has either.
+        assert [m for (left, _), m in t.items() if left[1] == "W"] == [1]
+        assert [m for (_, right), m in t.items() if right[1] == "W"] == [1]
+        assert all(v > 1 for pair in t for v, tag in pair if tag != "W")
+        assert sum(t.values()) + 1 == row_counts(params, n).s
 
 
 @pytest.mark.parametrize("q", [5, 9])
 @pytest.mark.parametrize("cap", [1, 2, 3, 50, 10**5])
 @pytest.mark.parametrize("n_max", [0, 1, 2, 64])
-def test_capped_depth_matches_the_triple_step(q, cap, n_max):
+def test_capped_depth_matches_the_pair_step(q, cap, n_max):
     """The depth decided from the type-count step against the sizes read
-    off the triple step, the sums of the multiplicities: rows 0 and 1
-    always, then each row while it holds at most cap entries.  The rows
-    are read lazily and no further than the first one past the cap."""
+    off the pair step, one more than the sum of the multiplicities: rows 0
+    and 1 always, then each row while it holds at most cap entries.  The
+    rows are read lazily and no further than the first one past the cap."""
     params = TriangleParams(q)
     depth = 0
-    for n, row in enumerate(islice(triple_rows(params), n_max + 1)):
-        if n >= 2 and sum(row.values()) > cap:
+    for n, row in enumerate(islice(pair_rows(params), n_max + 1)):
+        if n >= 2 and sum(row.values()) + 1 > cap:
             break
         depth = n
     assert capped_depth(params, n_max, cap) == depth
@@ -168,4 +172,4 @@ def test_capped_depth_rejects_bad_limits():
     with pytest.raises(ValueError, match="entry_cap must be > 0"):
         capped_depth(TriangleParams(6), 3, 0)
     with pytest.raises(ValueError):
-        next_triples(row_triples([(1, "B")]), TriangleParams(6))
+        next_pairs(row_pairs([(1, "B")]), TriangleParams(6))

@@ -14,8 +14,8 @@ def test_verify_recurrence_k2_q6():
 
 def test_verify_recurrence_hand_value():
     # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2) and the
-    # power sums of rows 1..4, read from the triple step
-    rows = islice(triangle.triple_rows(triangle.TriangleParams(6)), 1, 6)
+    # power sums of rows 1..4, read from the pair step
+    rows = islice(triangle.pair_rows(triangle.TriangleParams(6)), 1, 6)
     seq = [sum(x[2] for x in sums.tag_power_sums(r, 2))
            for r in rows]  # seq[n - 1] = (s^2)_n
     assert seq == [2, 6, 28, 160, 960]
@@ -112,18 +112,17 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     # there, from row 10 on, while the grid check of rows <= 7 stays exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
-    real = triangle.next_triples
+    real = triangle.next_pairs
 
-    def perturbed(triples, params):
-        out = real(triples, params)
-        if sum(out.values()) == row10:
-            left, (v, _), right = key = next(
-                key for key in out if key[1][1] == "A" and None not in key)
+    def perturbed(pairs, params):
+        out = real(pairs, params)
+        if sum(out.values()) + 1 == row10:
+            left, (v, _) = key = next(key for key in out if key[1][1] == "A")
             out[key] -= 1
-            out[(left, (v, "B"), right)] += 1
+            out[(left, (v, "B"))] += 1
         return out
 
-    monkeypatch.setattr(triangle, "next_triples", perturbed)
+    monkeypatch.setattr(triangle, "next_pairs", perturbed)
     report = verify.run_grid((2, 2), (9,), 10**5)
     (check,) = report.counting_checks
     assert ("row_counts", 10) in {(name, n) for name, n, *_ in check.mismatches}
@@ -148,7 +147,7 @@ def test_run_grid_builds_each_input_once(monkeypatch):
     # however many checks read them; the counting checks of every q read
     # the same k = 0 and k = 1 recurrences.
     row_builds, derivations = Counter(), Counter()
-    real_rows = triangle.triple_rows
+    real_rows = triangle.pair_rows
     real_rec = systembuilder.recurrence_for_k
 
     def rows(params, *args, **kwargs):
@@ -159,7 +158,7 @@ def test_run_grid_builds_each_input_once(monkeypatch):
         derivations[k] += 1
         return real_rec(k, *args, **kwargs)
 
-    monkeypatch.setattr(triangle, "triple_rows", rows)
+    monkeypatch.setattr(triangle, "pair_rows", rows)
     monkeypatch.setattr(systembuilder, "recurrence_for_k", rec)
     q_list = (5, 6, 7, 8, 9, 10, 11, 12, 13)
     report = verify.run_grid((2, 11), q_list, 10**5)
