@@ -112,7 +112,7 @@ def cmd_sums(args) -> int:
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
         sv = ()
         if args.state_vectors:
-            (sv,) = sums.state_vectors(row, (args.k,))
+            (sv,) = sums.state_vectors(row, (args.k,), (a, b))
             rec["state_vector"] = sv
         records.append(rec)
         plain.append(f"n={n}: {rec['power_sum']}"

@@ -1,65 +1,69 @@
 """Power sums by tag and state vectors of a row, read from its pair
-multiset (see triangle) for every k at once, and the row-to-row step oracle.
+multiset (see triangle: a dict from flat (x, tx, y, ty) keys to
+multiplicities) for every k at once, and the row-to-row step oracle.
 
 tag_power_sums gives the power sums of every k up to a bound and
 state_vectors the state vectors of every k of a tuple, each in one pass over
 the row's distinct pairs, so a caller that checks many k reads each row
-once.  Both count a winger, tagged W in the pairs, as B.  A state vector is
-a plain list of k+2 integers, [(a^k), the k-1 mixed pair sums, (b^k), u]; k
-is its length minus 2.  The step oracle (check_system_step) evaluates the
-linear system that advances the state vector from one row to the next,
-directly from its defining formulas, so it stays independent of the matrix
-construction in systembuilder, and returns the equations that fail.  The
-winger corrections (-2, -1, -2(q-4)) live here in the equations, never
-inside state_vectors, whose pair sums are a pure adjacency scan.
+once.  state_vectors takes the row's tag power sums from its caller, which
+computes them once per row.  Both count a winger, tagged W in the pairs, as
+B.  A state vector is a plain list of k+2 integers, [(a^k), the k-1 mixed
+pair sums, (b^k), u]; k is its length minus 2.  The step oracle
+(check_system_step) evaluates the linear system that advances the state
+vector from one row to the next, directly from its defining formulas, so it
+stays independent of the matrix construction in systembuilder, and returns
+the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live
+here in the equations, never inside state_vectors, whose pair sums are a
+pure adjacency scan.
 """
 from __future__ import annotations
-
-from collections import Counter
 
 from .exactalg import binom
 from .triangle import TAG_A, TAG_B, TAG_W
 
 
-def tag_power_sums(pairs: Counter, k_max: int) -> tuple:
+def tag_power_sums(pairs: dict, k_max: int) -> tuple:
     """(A, B), where A[k] and B[k] are the sums of value^k over the tag-A and
     the tag-B entries of a row's pair multiset, for k = 0..k_max.  Every
     entry but the left winger ends one pair, so the multiplicities are
-    summed per distinct right element, plus 1 for the left winger, and the
-    powers are raised incrementally."""
+    summed per right value, in one dict per tag (W shares B's), plus 1 for
+    the left winger, and the powers are raised incrementally."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    ends = Counter({(1, TAG_W): 1})
-    for (_, end), m in pairs.items():
-        ends[end] += m
+    a_ends, b_ends = {}, {1: 1}  # value -> multiplicity; the left winger
+    ends = {TAG_A: a_ends, TAG_B: b_ends, TAG_W: b_ends}
+    for (_, _, y, ty), m in pairs.items():
+        d = ends[ty]
+        d[y] = d.get(y, 0) + m
     a, b = [0] * (k_max + 1), [0] * (k_max + 1)
-    totals = {TAG_A: a, TAG_B: b, TAG_W: b}
-    for (v, t), m in ends.items():
-        acc = totals[t]
-        for k in range(k_max + 1):
-            acc[k] += m
-            m *= v
+    for acc, by_value in ((a, a_ends), (b, b_ends)):
+        for v, m in by_value.items():
+            for k in range(k_max + 1):
+                acc[k] += m
+                m *= v
     return a, b
 
 
-def state_vectors(pairs: Counter, ks) -> list:
+def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
     """The state vectors [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
     row's pair multiset for each k of ks (every k >= 2), in ks order, each
-    a list of k+2 integers.
+    a list of k+2 integers.  tag_sums is the row's (A, B) from
+    tag_power_sums, read up to max(ks).
 
     One pass over the distinct pairs serves every k.  It groups the (A, B)
     pairs of values (x, y) by x, and sums U[j] = sum m x y^j over the
     (B, B) pairs, so that u = U[k-1]; a winger counts as B.  Then, one x at
     a time, S_x[j] = sum m y^j over the pairs of x does not depend on k,
-    and the mixed sum (a^{k-j} b^j) is sum_x x^(k-j) S_x[j].  The power
-    sums by tag come from tag_power_sums.
+    and the mixed sum (a^{k-j} b^j) is sum_x x^(k-j) S_x[j].
     """
     if min(ks) < 2:
         raise ValueError("k must be >= 2")
     top = max(ks)
-    a, b = tag_power_sums(pairs, top)
+    a, b = tag_sums
+    if min(len(a), len(b)) <= top:
+        raise ValueError(f"tag sums must reach k = {top}")
     by_x, u = {}, [0] * top  # by_x[x] = [(y, m), ...]; u[j] = U[j], j < top
-    for ((x, t), (y, ty)), m in pairs.items():
+    for (x, t, y, ty), m in pairs.items():
         if ty == TAG_A:
             continue
         if t == TAG_A:

@@ -6,18 +6,18 @@ The boundary 1's (wingers) count as type B.
 
 A row is its list of (value, tag) entries, left to right (next_row,
 entry_rows); only the row command, which prints one, builds them.  A pair
-multiset is a Counter of one ((x, tx), (y, ty)) pair per two adjacent
-entries, the wingers tagged W (next_pairs, pair_rows).  The children of a
-pair depend only on the pair, so the multiset of row n determines that of
-row n+1 in one step with no branch on q; its size is the number of distinct
-pairs, not of entries.
+multiset is a plain dict from the flat key (x, tx, y, ty) of each two
+adjacent entries (x, tx) (y, ty) to its multiplicity, always > 0, the
+wingers tagged W (next_pairs, pair_rows).  The children of a pair depend
+only on the pair, so the multiset of row n determines that of row n+1 in
+one step with no branch on q; its size is the number of distinct pairs, not
+of entries.
 
 The size of every row follows from the type-count step alone (row_counts),
 so the entry cap is decided before any row is built (capped_depth).
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import islice
 
 TAG_A = "A"
@@ -87,39 +87,43 @@ def entry_rows(params: TriangleParams):
         row = next_row(row, params)
 
 
-def next_pairs(pairs: Counter, params: TriangleParams) -> Counter:
+def next_pairs(pairs: dict, params: TriangleParams) -> dict:
     """The pair multiset of row n+1 from that of row n, for n >= 1.
 
     Row n+1 holds one block per vertex v of row n: copies(v) copies of v,
     q-4 for tag A, q-3 for B and 1 for a winger, tagged B (W for a winger);
     then, unless v is the right winger, the A-child of v and its right
-    neighbour.  So a pair (x, y) of row n has the children (x, B) (x+y, A)
-    and (x+y, A) (y, B), and the copies(y) - 1 pairs (y, B) (y, B) inside
-    y's block.  Each block but the left winger's, which has no inner pair,
-    is the right end of exactly one pair.
+    neighbour.  So a pair (x, tx, y, ty) of row n has the children
+    (x, B, x+y, A) and (x+y, A, y, B), and the copies(y) - 1 pairs
+    (y, B, y, B) inside y's block.  Each block but the left winger's, which
+    has no inner pair, is the right end of exactly one pair.  A key is
+    written only with a count > 0.
     """
     if not pairs:
         raise ValueError("row 0 has no pair step; start at row 1")
     q = params.q
-    copies = {TAG_A: q - 4, TAG_B: q - 3, TAG_W: 1}
+    inner = {TAG_A: q - 5, TAG_B: q - 4, TAG_W: 0}  # copies - 1
     copy_tag = {TAG_A: TAG_B, TAG_B: TAG_B, TAG_W: TAG_W}
-    out = Counter()
-    for ((x, tx), (y, ty)), m in pairs.items():
-        child = (x + y, TAG_A)
-        copy = (y, copy_tag[ty])
-        out[((x, copy_tag[tx]), child)] += m
-        out[(child, copy)] += m
-        inner = m * (copies[ty] - 1)
-        if inner > 0:  # a winger, or tag A at q = 5, has a single copy
-            out[(copy, copy)] += inner
+    out = {}
+    get = out.get
+    for (x, tx, y, ty), m in pairs.items():
+        s, cy = x + y, copy_tag[ty]
+        key = (x, copy_tag[tx], s, TAG_A)
+        out[key] = get(key, 0) + m
+        key = (s, TAG_A, y, cy)
+        out[key] = get(key, 0) + m
+        c = m * inner[ty]
+        if c > 0:  # a winger, or tag A at q = 5, has a single copy
+            key = (y, cy, y, cy)
+            out[key] = get(key, 0) + c
     return out
 
 
 def pair_rows(params: TriangleParams):
     """The pair multisets of rows 0, 1, 2, ... without end; row 0, a single
     vertex, has no pair."""
-    yield Counter()
-    row = Counter({((1, TAG_W), (1, TAG_W)): 1})
+    yield {}
+    row = {(1, TAG_W, 1, TAG_W): 1}
     while True:
         yield row
         row = next_pairs(row, params)

@@ -224,7 +224,8 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     Each recurrence is derived once.  The rows of each q are streamed once,
     to the entry cap or COUNTING_DEPTH, whichever is deeper; of each row
     only its statistics are kept, for every k at once, and the row itself
-    is dropped.  With reduced=True the printed reduced equations are swept
+    is dropped.  Its tag power sums are computed once and passed to
+    state_vectors.  With reduced=True the printed reduced equations are swept
     by the oracle too, on the same state vectors; their failures are
     recorded in the report (they do not flip all_exact, which judges the
     verified systems only)."""
@@ -253,8 +254,8 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
                 for seq, k in zip(seqs, ks):
                     seq.append(a[k] + b[k])
                 if n >= 1 and vector_ks:
-                    for vs, g in zip(vectors,
-                                     sums.state_vectors(row, vector_ks)):
+                    for vs, g in zip(vectors, sums.state_vectors(
+                            row, vector_ks, (a, b))):
                         vs.append(g)
             if 1 <= n <= COUNTING_DEPTH:
                 tag_sums.append((a, b))

@@ -14,8 +14,9 @@ that tests compare the product path against.  No command runs them.
     polynomials in x as ascending lists of QPoly (xq_add, xq_eval_x);
   * matrix_from_orbit, a system matrix recovered from its orbit;
   * row_pairs and pair_sum, a materialised row's multiset of adjacent
-    pairs, its wingers tagged W, and the sums over those pairs, a winger
-    counted as B.
+    pairs, a plain dict from flat (x, tx, y, ty) keys to multiplicities,
+    its wingers tagged W, and the sums over those pairs, a winger counted
+    as B.
 """
 from collections import Counter
 from fractions import Fraction
@@ -220,15 +221,17 @@ def matrix_from_orbit(vectors) -> list:
     return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
 
 
-def row_pairs(e: list) -> Counter:
-    """The pair multiset of a materialised entry list: one (left, right)
-    pair per two adjacent entries, the wingers at both ends tagged W."""
+def row_pairs(e: list) -> dict:
+    """The pair multiset of a materialised entry list: one flat
+    (x, tx, y, ty) key per two adjacent entries, the wingers at both ends
+    tagged W, as a plain dict, so that comparing it with a pair step's
+    dict also compares any zero count."""
     ends = (0, len(e) - 1)
     w = [(v, "W") if i in ends else (v, t) for i, (v, t) in enumerate(e)]
-    return Counter(zip(w, w[1:]))
+    return dict(Counter(left + right for left, right in zip(w, w[1:])))
 
 
-def pair_sum(pairs: Counter, i: int, j: int, first_tag: str,
+def pair_sum(pairs: dict, i: int, j: int, first_tag: str,
              second_tag: str) -> int:
     """Sum of first^i * second^j over adjacent ordered entry pairs whose
     tags match (first_tag, second_tag), a winger counted as B."""
@@ -238,5 +241,5 @@ def pair_sum(pairs: Counter, i: int, j: int, first_tag: str,
     def tag(t):
         return "B" if t == "W" else t
 
-    return sum(m * x**i * y**j for ((x, tx), (y, ty)), m in pairs.items()
+    return sum(m * x**i * y**j for (x, tx, y, ty), m in pairs.items()
                if tag(tx) == first_tag and tag(ty) == second_tag)

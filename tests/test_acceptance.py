@@ -14,7 +14,7 @@ from hptsums import tables, verify
 from hptsums.cli import main
 from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
                               charpoly_q)
-from hptsums.sums import fold_state, state_vectors
+from hptsums.sums import fold_state, state_vectors, tag_power_sums
 from hptsums.triangle import TriangleParams, capped_depth, entry_rows
 from reference import (build_structured_charpoly, matrix_from_orbit,
                        row_pairs, system_at)
@@ -173,8 +173,8 @@ def test_criterion_9_reduced_system(capsys):
                            capped_depth(params, 64, GRID_CAP) + 1))
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
-            folded = [fold_state(g) for r in rows[1:]
-                      for g in state_vectors(row_pairs(r), (k,))]
+            folded = [fold_state(g) for t in map(row_pairs, rows[1:])
+                      for g in state_vectors(t, (k,), tag_power_sums(t, k))]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]

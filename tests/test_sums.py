@@ -19,7 +19,7 @@ def pairs_for(q, n):
 
 
 def state_vector(pairs, k):
-    (g,) = state_vectors(pairs, (k,))
+    (g,) = state_vectors(pairs, (k,), tag_power_sums(pairs, k))
     return g
 
 
@@ -70,7 +70,8 @@ def test_state_vectors_match_pair_sums(q):
                        pair_sum(ref, 1, k - 1, "B", "B")])
                 for k in range(2, 12)}
         for ks in (range(2, 12), (5,), (3, 7), (11, 2)):
-            assert state_vectors(pairs, ks) == [want[k] for k in ks], ks
+            assert state_vectors(pairs, ks, tag_power_sums(pairs, max(ks))) \
+                == [want[k] for k in ks], ks
 
 
 def test_pair_sum_examples():
@@ -88,9 +89,9 @@ def test_pair_sum_requires_positive_power():
 
 def test_state_vectors_examples():
     rows = pairs_for(6, 4)
-    assert state_vectors(rows[3], (2,)) == [[18, 9, 10, 4]]
-    assert state_vectors(rows[4], (2,)) == [[98, 49, 62, 34]]
-    assert state_vectors(rows[1], (4, 2)) \
+    assert state_vector(rows[3], 2) == [18, 9, 10, 4]
+    assert state_vector(rows[4], 2) == [98, 49, 62, 34]
+    assert state_vectors(rows[1], (4, 2), tag_power_sums(rows[1], 4)) \
         == [[0, 0, 0, 0, 2, 1], [0, 0, 2, 1]]
 
 
@@ -98,7 +99,21 @@ def test_state_vectors_need_k2():
     row = pairs_for(6, 3)[3]
     for ks in ((0,), (1,), (3, 1), range(1, 5)):
         with pytest.raises(ValueError, match="k must be >= 2"):
-            state_vectors(row, ks)
+            state_vectors(row, ks, tag_power_sums(row, 4))
+
+
+def test_state_vectors_need_tag_sums_to_max_k():
+    # The caller's tag sums are read, never recomputed, so sums that stop
+    # short of max(ks) are rejected rather than indexed past their end.
+    row = pairs_for(6, 3)[3]
+    for ks, k_max in (((2,), 1), ((3, 5), 4), (range(2, 12), 10)):
+        with pytest.raises(ValueError, match=f"must reach k = {max(ks)}"):
+            state_vectors(row, ks, tag_power_sums(row, k_max))
+    a, b = tag_power_sums(row, 5)
+    with pytest.raises(ValueError):
+        state_vectors(row, (5,), (a, b[:5]))
+    assert state_vectors(row, (3, 5), (a, b)) \
+        == [state_vector(row, 3), state_vector(row, 5)]
 
 
 def test_check_system_step_k2_hand_values():

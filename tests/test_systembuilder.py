@@ -6,7 +6,8 @@ import pytest
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
-from hptsums.sums import _full_rhs, fold_state, state_vectors
+from hptsums.sums import (_full_rhs, fold_state, state_vectors,
+                          tag_power_sums)
 from hptsums.triangle import TriangleParams, entry_rows
 from reference import (build_structured_charpoly, row_pairs,
                        structured_addends, system_at)
@@ -52,8 +53,8 @@ def test_full_matrix_agrees_with_step_oracle():
         m, h = system_at(sb.build_full_matrix(k), q)
         rows = list(islice(entry_rows(TriangleParams(q)), 6))
         for n in range(1, 4):
-            (g,) = state_vectors(row_pairs(rows[n]), (k,))
-            (g_next,) = state_vectors(row_pairs(rows[n + 1]), (k,))
+            (g,), (g_next,) = [state_vectors(t, (k,), tag_power_sums(t, k))
+                               for t in map(row_pairs, rows[n:n + 2])]
             stepped = [sum(m[i][j] * g[j] for j in range(len(g))) + h[i]
                        for i in range(len(g))]
             assert stepped == g_next

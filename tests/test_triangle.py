@@ -117,10 +117,10 @@ def test_rows_0_and_1():
 
 def test_row_pairs_tag_the_wingers():
     t = row_pairs(row_of("1B 3A 2B 2B 3A 1B"))
-    assert t == {((1, "W"), (3, "A")): 1, ((3, "A"), (2, "B")): 1,
-                 ((2, "B"), (2, "B")): 1, ((2, "B"), (3, "A")): 1,
-                 ((3, "A"), (1, "W")): 1}
-    assert row_pairs([(1, "B"), (1, "B")]) == {((1, "W"), (1, "W")): 1}
+    assert t == {(1, "W", 3, "A"): 1, (3, "A", 2, "B"): 1,
+                 (2, "B", 2, "B"): 1, (2, "B", 3, "A"): 1,
+                 (3, "A", 1, "W"): 1}
+    assert row_pairs([(1, "B"), (1, "B")]) == {(1, "W", 1, "W"): 1}
     assert row_pairs([(1, "B")]) == {}
 
 
@@ -136,16 +136,16 @@ def test_pair_step_matches_generated_rows(q):
     assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
     assert [row_pairs(r) for r in rows] == pairs
     for n, t in enumerate(pairs[1:], 1):
-        # Counter equality treats a zero count as absent, so the step must
-        # be seen to write no key it does not use.
+        # The step must write no key it does not use: no zero count.
         assert all(m > 0 for m in t.values())
         # The two wingers are the only W entries: one pair starts and one
         # ends with a W, each once (the same pair in row 1).  The step tells
         # them apart by their tag, not by their value 1, which no interior
         # entry has either.
-        assert [m for (left, _), m in t.items() if left[1] == "W"] == [1]
-        assert [m for (_, right), m in t.items() if right[1] == "W"] == [1]
-        assert all(v > 1 for pair in t for v, tag in pair if tag != "W")
+        assert [m for (_, tx, _, _), m in t.items() if tx == "W"] == [1]
+        assert [m for (_, _, _, ty), m in t.items() if ty == "W"] == [1]
+        assert all(v > 1 for x, tx, y, ty in t
+                   for v, tag in ((x, tx), (y, ty)) if tag != "W")
         assert sum(t.values()) + 1 == row_counts(params, n).s
 
 

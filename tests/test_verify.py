@@ -117,9 +117,10 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     def perturbed(pairs, params):
         out = real(pairs, params)
         if sum(out.values()) + 1 == row10:
-            left, (v, _) = key = next(key for key in out if key[1][1] == "A")
+            x, tx, y, _ = key = next(key for key in out if key[3] == "A")
+            moved = (x, tx, y, "B")
             out[key] -= 1
-            out[(left, (v, "B"))] += 1
+            out[moved] = out.get(moved, 0) + 1
         return out
 
     monkeypatch.setattr(triangle, "next_pairs", perturbed)
@@ -167,3 +168,20 @@ def test_run_grid_builds_each_input_once(monkeypatch):
     assert [(c.k, c.q) for c in report.recurrence_checks] \
         == [(k, q) for k in range(2, 12) for q in q_list]
     assert [c.q for c in report.counting_checks] == list(q_list)
+
+
+def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
+    # Each streamed row's tag power sums are computed once and passed to
+    # state_vectors, never computed again there: on the default grid the
+    # streams reach row 13 at q=5 and row 12 at q=6, 7 and 9, so 14 + 3 * 13
+    # rows.
+    calls = []
+    real = sums.tag_power_sums
+
+    def counted(pairs, k_max):
+        calls.append(k_max)
+        return real(pairs, k_max)
+
+    monkeypatch.setattr(sums, "tag_power_sums", counted)
+    verify.run_grid((2, 11))
+    assert len(calls) == 14 + 3 * 13 == 53
