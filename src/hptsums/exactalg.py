@@ -7,9 +7,12 @@ package; a division that would not be exact raises instead of rounding.
 
 Integer characteristic polynomials come from Newton's identities on power
 traces, read off half-powers of the matrix.  Every system matrix is
-A + q u v^T with integer A, u and v, and the matrix determinant lemma gives
-its characteristic polynomial, a list of q-linear coefficients, from the
-integer one of A and the Krylov scalars v^T A^j u.
+A + q u v^T with integer A, u and v, where u is nonzero on two rows only
+and those rows, with v, read one column outside them.  The Schur
+complement on those two rows and the matrix determinant lemma give its
+characteristic polynomial, a list of q-linear coefficients, from the
+integer one of the q-free block on the other n-2 coordinates and its left
+Krylov rows; an input of any other form raises ExactAlgError.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from operator import mul
 
 class ExactAlgError(Exception):
     """Raised when an exactness contract is violated: a non-exact division
-    in charpoly_int, or a system row that cannot be folded."""
+    in charpoly_int, a system whose q-part charpoly_q cannot split off, or
+    a system row that cannot be folded."""
 
 
 def binom(n: int, r: int) -> int:
@@ -189,17 +193,70 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
     """det(xI - a - q u v^T) for integer a, u and v, as an ascending list
     of its x-coefficients, each a QPoly of degree <= 1 in q.
 
-    By the matrix determinant lemma,
-    det(xI - a - q u v^T) = p(x) - q v^T adj(xI - a) u with
-    p(x) = det(xI - a) = sum_e c_e x^e, and by Cayley-Hamilton
-    adj(xI - a) = sum_d x^d sum_{e>d} c_e a^(e-d-1).  So the x^d
-    coefficient is c_d - q sum_{e>d} c_e s_(e-d-1), with the Krylov scalars
-    s_j = v^T a^j u: one integer charpoly and n matrix-vector products.
+    The q-part must sit on two rows: u has exactly two nonzero entries, S,
+    and the rows S of a, with v, touch exactly one column d0 outside S;
+    any other input raises ExactAlgError.  With D the other coordinates,
+    M = a + q u v^T has q-free blocks M_DD = a_DD and M_DS = a_DS, and
+    M_SD = p e_d0^T is rank 1, p_s = a[s][d0] + q u_s v[d0].  The Schur
+    complement on D and the matrix determinant lemma give
+
+        det(xI - M) = det(X) c_D - rho^T adj(X) p,
+
+    with X = xI - M_SS (2x2), c_D = det(xI - a_DD) = sum_e c_e x^e and
+    rho_s = e_d0^T adj(xI - a_DD) a_{D,s}.  By Cayley-Hamilton
+    adj(xI - a_DD) = sum_d x^d sum_{e>d} c_e a_DD^(e-d-1), so the x^d
+    coefficient of rho_s is sum_{e>d} c_e t_(e-d-1) a_{D,s} with the left
+    Krylov rows t_j = e_d0^T a_DD^j: one integer charpoly of the
+    (n-2)-dimensional block and n-3 vector-matrix products.  The q^2 part
+    vanishes by the rank-1 form and is checked.
     """
     n = len(a)
-    c = charpoly_int(a)
-    s, w = [], u  # s[j] = v^T a^j u, w = a^j u
-    for _ in range(n):
-        s.append(sum(map(mul, v, w)))
-        w = [sum(map(mul, row, w)) for row in a]
-    return [QPoly((c[d], -sum(map(mul, c[d + 1:], s)))) for d in range(n + 1)]
+    qrows = [i for i in range(n) if u[i]]
+    if len(qrows) != 2:
+        raise ExactAlgError(
+            f"q-part must sit on exactly two rows, not {len(qrows)}")
+    rest = [i for i in range(n) if not u[i]]
+    outside = [j for j in rest if v[j] or any(a[s][j] for s in qrows)]
+    if len(outside) != 1:
+        raise ExactAlgError("q-rows and v must touch exactly one column "
+                            f"outside them, not {len(outside)}")
+    d0 = outside[0]
+    a_dd = [[a[i][j] for j in rest] for i in rest]
+    c = charpoly_int(a_dd)
+    cols = list(zip(*a_dd))
+    krylov = [[int(i == d0) for i in rest]]  # krylov[j] = e_d0^T a_DD^j
+    for _ in range(len(rest) - 1):
+        krylov.append([sum(map(mul, krylov[-1], col)) for col in cols])
+    rho = []
+    for s in qrows:
+        a_ds = [a[i][s] for i in rest]
+        sigma = [sum(map(mul, t, a_ds)) for t in krylov]
+        rho.append([sum(map(mul, c[d + 1:], sigma)) for d in range(len(rest))])
+
+    def entry(i, j):  # M_ij
+        return QPoly((a[i][j], u[i] * v[j]))
+
+    (m00, m01), (m10, m11) = [[entry(i, j) for j in qrows] for i in qrows]
+    p0, p1 = entry(qrows[0], d0), entry(qrows[1], d0)
+    # x-coefficients of det(X) and of the two entries of adj(X) p
+    det_x = [m00 * m11 - m01 * m10, -(m00 + m11), QONE]
+    adj_p = [[m01 * p1 - m11 * p0, p0], [m10 * p0 - m00 * p1, p1]]
+    out = []
+    for g in range(3):  # the q^g part
+        acc = _polymul([e.coeff(g) for e in det_x], c)
+        for w, r in zip(adj_p, rho):
+            for d, x in enumerate(_polymul([e.coeff(g) for e in w], r)):
+                acc[d] -= x
+        out.append(acc)
+    if any(out[2]):
+        raise ExactAlgError("q^2 term in a rank-1 characteristic polynomial")
+    return [QPoly(pair) for pair in zip(out[0], out[1])]
+
+
+def _polymul(x: list, y: list) -> list:
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    return out

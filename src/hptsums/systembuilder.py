@@ -4,9 +4,11 @@ and initial values.
 Every system is stored as g_{n+1} = (A + q u v^T) g_n + h0 + q h1 with
 integer A, u, v, h0 and h1 (LinearSystem).  The q-part is rank 1 by
 construction: in the full system only the two closing rows depend on q,
-both by q (a^k + b^k).  So every characteristic polynomial is q-linear by
-its form, and the matrix determinant lemma (exactalg.charpoly_q) reads it
-off one integer characteristic polynomial.
+both by q (a^k + b^k), and those two rows read no column but a^k, b^k.
+So every characteristic polynomial is q-linear by its form, and
+exactalg.charpoly_q reads it off the Schur complement on the two q-rows:
+one integer characteristic polynomial of the q-free block on the other
+coordinates, two dimensions smaller, and a 2x2 determinant lemma.
 
 One route derives every recurrence and its initial values: the folded
 reduced system of dimension r = floor(k/2)+3.  The fold P maps the full
@@ -147,7 +149,7 @@ def build_reduced_matrix(k: int) -> LinearSystem:
         return [vec[c[0]] for c in classes]
 
     # the rows of a summed within each class, then read class by class
-    a = [read(row) for row in zip(*map(fold, zip(*full.a)))]
+    a = [read(list(map(sum, zip(*(full.a[i] for i in c))))) for c in classes]
     return LinearSystem(k, a, fold(full.u), read(full.v), fold(full.h0),
                         fold(full.h1))
 

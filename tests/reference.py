@@ -3,6 +3,9 @@ that tests compare the product path against.  No command runs them.
 
   * lagrange_interpolate, the integer polynomial through sample points
     over exact rationals, with extra points that verify its degree bound;
+  * charpoly_rank_one, the characteristic polynomial of a + q u v^T for
+    any integer a, u and v by the matrix determinant lemma on all n
+    dimensions, the general form of exactalg.charpoly_q;
   * rank_one_update and system_at, a systembuilder.LinearSystem written
     out as its matrix a + q u v^T and constant h0 + q h1, at an integer q
     or over Z[q] with q = Q, as lists of ints or of QPoly;
@@ -21,8 +24,10 @@ that tests compare the product path against.  No command runs them.
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 
-from hptsums.exactalg import Q, QONE, QZERO, ExactAlgError, QPoly, binom
+from hptsums.exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
+                              charpoly_int)
 
 
 def lagrange_interpolate(points, deg_bound: int) -> QPoly:
@@ -104,6 +109,26 @@ def det_q(m) -> QPoly:
     points = [(q0, det_int([[e(q0) for e in row] for row in m]))
               for q0 in range(5, 5 + deg_bound + 2)]
     return lagrange_interpolate(points, deg_bound)
+
+
+def charpoly_rank_one(a, u, v) -> list:
+    """det(xI - a - q u v^T) for any integer a, u and v, as an ascending
+    list of its x-coefficients, each a QPoly of degree <= 1 in q.
+
+    By the matrix determinant lemma,
+    det(xI - a - q u v^T) = p(x) - q v^T adj(xI - a) u with
+    p(x) = det(xI - a) = sum_e c_e x^e, and by Cayley-Hamilton
+    adj(xI - a) = sum_d x^d sum_{e>d} c_e a^(e-d-1).  So the x^d
+    coefficient is c_d - q sum_{e>d} c_e s_(e-d-1), with the Krylov scalars
+    s_j = v^T a^j u: one integer charpoly and n matrix-vector products.
+    """
+    n = len(a)
+    c = charpoly_int(a)
+    s, w = [], u  # s[j] = v^T a^j u, w = a^j u
+    for _ in range(n):
+        s.append(sum(map(mul, v, w)))
+        w = [sum(map(mul, row, w)) for row in a]
+    return [QPoly((c[d], -sum(map(mul, c[d + 1:], s)))) for d in range(n + 1)]
 
 
 def rank_one_update(a, u, v, q):

@@ -8,8 +8,8 @@ from hptsums import exactalg
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, ExactAlgError, QPoly, binom, charpoly_int,
                               charpoly_q, format_qpoly)
-from reference import (det_int, lagrange_interpolate, matrix_from_orbit,
-                       rank_one_update, xq_eval_x)
+from reference import (charpoly_rank_one, det_int, lagrange_interpolate,
+                       matrix_from_orbit, rank_one_update, xq_eval_x)
 
 small_ints = st.integers(-50, 50)
 qpolys = st.lists(small_ints, max_size=5).map(QPoly)
@@ -127,13 +127,13 @@ def test_charpoly_int_matches_bareiss_at_n_plus_1_points():
 
 
 def _counting_charpoly_q(monkeypatch, a, u, v):
-    """charpoly_q(a, u, v) and the number of charpoly_int calls it made."""
+    """charpoly_q(a, u, v) and the matrices it passed to charpoly_int."""
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(exactalg, "charpoly_int",
                       lambda mat: calls.append(mat) or charpoly_int(mat))
         cp = charpoly_q(a, u, v)
-    return cp, len(calls)
+    return cp, calls
 
 
 def _random_rank_one_cases():
@@ -152,8 +152,22 @@ def _random_rank_one_cases():
     return cases
 
 
-LEMMA_CASES = {
-    "random": _random_rank_one_cases,
+def test_charpoly_rank_one_is_the_determinant_lemma():
+    # The reference takes any a, u and v; its coefficients at held-out q
+    # are the integer charpoly of a + q u v^T.
+    for a, u, v in _random_rank_one_cases():
+        cp = charpoly_rank_one(a, u, v)
+        for q0 in (11, 23, 40):
+            assert [c(q0) for c in cp] \
+                == charpoly_int(rank_one_update(a, u, v, q0)), (a, u, v, q0)
+
+
+def test_charpoly_rank_one_diagonal():
+    cp = charpoly_rank_one([[0, 0], [0, 1]], [1, 0], [1, 0])
+    assert cp == [Q, -Q - 1, QPoly.const(1)]  # (x-q)(x-1)
+
+
+SYSTEMS = {
     "reduced k=2..64": lambda: [(s.a, s.u, s.v) for s in map(
         sb.build_reduced_matrix, range(2, 65))],
     "full k=2..20": lambda: [(s.a, s.u, s.v) for s in map(
@@ -161,16 +175,44 @@ LEMMA_CASES = {
 }
 
 
-@pytest.mark.parametrize("family", LEMMA_CASES)
+@pytest.mark.parametrize("family", SYSTEMS)
 def test_charpoly_q_is_the_determinant_lemma(monkeypatch, family):
-    # One charpoly_int call per matrix, and the coefficients at held-out q
-    # are the integer charpoly of a + q u v^T.
-    for a, u, v in LEMMA_CASES[family]():
+    # One charpoly_int call per system, on the (n-2)-dim block off the two
+    # q-rows; the result is the lemma's on all n dimensions, and its
+    # coefficients at held-out q are the integer charpoly of a + q u v^T.
+    for a, u, v in SYSTEMS[family]():
+        n = len(a)
         cp, calls = _counting_charpoly_q(monkeypatch, a, u, v)
-        assert calls == 1, len(a)
+        assert len(calls) == 1, n
+        assert len(calls[0]) == n - 2, n
+        assert all(len(row) == n - 2 for row in calls[0]), n
+        assert cp == charpoly_rank_one(a, u, v), n
         for q0 in (11, 23, 40):
             assert [c(q0) for c in cp] \
                 == charpoly_int(rank_one_update(a, u, v, q0)), (a, u, v, q0)
+
+
+def _broken_q_parts():
+    """Reduced k=10, over [a^k, b^k, c_1..c_5, u], edited so that the
+    q-part no longer sits on two rows reading one column outside them."""
+    s = sb.build_reduced_matrix(10)
+    third_column = [row[:] for row in s.a]
+    third_column[1][3] = 1  # the b^k row also reads c_2
+    one_row, three_rows, second_column = s.u[:], s.u[:], s.v[:]
+    one_row[-1] = 0
+    three_rows[2] = 1
+    second_column[2] = 1  # v reads c_1 as well as a^k
+    return {"a[1][3] = 1": (third_column, s.u, s.v),
+            "u on one row": (s.a, one_row, s.v),
+            "u on three rows": (s.a, three_rows, s.v),
+            "v reads two columns outside": (s.a, s.u, second_column)}
+
+
+@pytest.mark.parametrize("case", _broken_q_parts())
+def test_charpoly_q_checks_its_precondition(case):
+    a, u, v = _broken_q_parts()[case]
+    with pytest.raises(ExactAlgError):
+        charpoly_q(a, u, v)
 
 
 def test_lagrange_examples():
@@ -196,11 +238,6 @@ def test_lagrange_round_trip(coeffs):
     bound = max(len(p.coeffs) - 1, 0)
     pts = [(x, p(x)) for x in range(5, 5 + bound + 3)]
     assert lagrange_interpolate(pts, bound) == p
-
-
-def test_charpoly_q_diagonal():
-    cp = charpoly_q([[0, 0], [0, 1]], [1, 0], [1, 0])
-    assert cp == [Q, -Q - 1, QPoly.const(1)]  # (x-q)(x-1)
 
 
 def test_matrix_from_orbit_trivial():
