@@ -108,7 +108,7 @@ def cmd_sums(args) -> int:
     table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
     rows = itertools.islice(triangle.pair_rows(params), 1, args.n_max + 1)
     for n, row in enumerate(rows, 1):
-        a, b = sums.tag_power_sums(row, args.k)
+        a, b = sums.tag_power_sums(row, (args.k,))
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
         sv = ()
         if args.state_vectors:
@@ -162,9 +162,8 @@ def cmd_verify(args) -> int:
     if repeated:
         print(f"error: q listed twice: {repeated[0]}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify.run_grid(args.k_range, args.q_list, args.cap,
+    record = verify.run_grid(args.k_range, args.q_list, args.cap,
                              reduced=args.reduced)
-    record = verify.report_to_dict(report)
     plain = [_check_line("recurrence", c, c["mismatches"], "mismatches")
              for c in record["recurrence_checks"]]
     plain += [_check_line("system   ", c, c["failing_equations"],
@@ -210,8 +209,7 @@ def cmd_conjecture(args) -> int:
     if args.k_max < args.k_min:
         print("error: k-max must be >= k-min", file=sys.stderr)
         return EXIT_USAGE
-    record = verify.findings_to_dict(
-        verify.probe_conjecture(args.k_min, args.k_max))
+    record = verify.probe_conjecture(args.k_min, args.k_max)
     plain = []
     for f in record:
         flags = []

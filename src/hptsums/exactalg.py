@@ -91,14 +91,7 @@ class QPoly:
         return QPoly(-c for c in self.coeffs)
 
     def __mul__(self, other) -> "QPoly":
-        other = _as_qpoly(other)
-        if not self or not other:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return QPoly(_polymul(self.coeffs, _as_qpoly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -254,7 +247,7 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
 
 
 def _polymul(x: list, y: list) -> list:
-    """Product of two ascending integer coefficient lists."""
+    """Product of two ascending integer coefficient sequences, as a list."""
     out = [0] * (len(x) + len(y) - 1)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):

@@ -2,45 +2,53 @@
 multiset (see triangle: a dict from flat (x, tx, y, ty) keys to
 multiplicities) for every k at once, and the row-to-row step oracle.
 
-tag_power_sums gives the power sums of every k up to a bound and
-state_vectors the state vectors of every k of a tuple, each in one pass over
-the row's distinct pairs, so a caller that checks many k reads each row
-once.  state_vectors takes the row's tag power sums from its caller, which
-computes them once per row.  Both count a winger, tagged W in the pairs, as
-B.  A state vector is a plain list of k+2 integers, [(a^k), the k-1 mixed
-pair sums, (b^k), u]; k is its length minus 2.  The step oracle
-(check_system_step) evaluates the linear system that advances the state
-vector from one row to the next, directly from its defining formulas, so it
-stays independent of the matrix construction in systembuilder, and returns
-the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live
+tag_power_sums gives the power sums and state_vectors the state vectors of
+every k its caller asks for, each in one pass over the row's distinct pairs,
+so a caller that checks many k reads each row once and one that prints a
+single k computes that k alone.  state_vectors takes the row's tag power
+sums from its caller, which computes them once per row.  Both count a
+winger, tagged W in the pairs, as B.  A state vector is a plain list of k+2
+integers, [(a^k), the k-1 mixed pair sums, (b^k), u]; k is its length
+minus 2.  The step oracle (check_system_step) evaluates the linear system
+that advances the state vector from one row to the next, directly from its
+defining formulas, so it stays independent of the matrix construction in
+systembuilder, and returns the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live
 here in the equations, never inside state_vectors, whose pair sums are a
 pure adjacency scan.
 """
 from __future__ import annotations
 
+from operator import mul
+
 from .exactalg import binom
 from .triangle import TAG_A, TAG_B, TAG_W
 
 
-def tag_power_sums(pairs: dict, k_max: int) -> tuple:
-    """(A, B), where A[k] and B[k] are the sums of value^k over the tag-A and
-    the tag-B entries of a row's pair multiset, for k = 0..k_max.  Every
-    entry but the left winger ends one pair, so the multiplicities are
-    summed per right value, in one dict per tag (W shares B's), plus 1 for
-    the left winger, and the powers are raised incrementally."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+def tag_power_sums(pairs: dict, ks) -> tuple:
+    """(A, B), dicts from each k of ks to the sum of value^k over the tag-A
+    and the tag-B entries of a row's pair multiset.  Every entry but the
+    left winger ends one pair, so the multiplicities are summed per right
+    value, in one dict per tag (W shares B's), plus 1 for the left winger,
+    and each value's power is raised from one k of ks to the next."""
+    ks = sorted(set(ks))
+    if min(ks, default=0) < 0:
+        raise ValueError("k must be >= 0")
     a_ends, b_ends = {}, {1: 1}  # value -> multiplicity; the left winger
     ends = {TAG_A: a_ends, TAG_B: b_ends, TAG_W: b_ends}
     for (_, _, y, ty), m in pairs.items():
         d = ends[ty]
         d[y] = d.get(y, 0) + m
-    a, b = [0] * (k_max + 1), [0] * (k_max + 1)
+    a, b = {}, {}
     for acc, by_value in ((a, a_ends), (b, b_ends)):
-        for v, m in by_value.items():
-            for k in range(k_max + 1):
-                acc[k] += m
-                m *= v
+        values, terms = list(by_value), list(by_value.values())
+        prev = 0
+        for k in ks:
+            # A run of ks, as run_grid asks for, costs one product per value.
+            step = (values if k == prev + 1
+                    else [v ** (k - prev) for v in values])
+            terms = list(map(mul, terms, step))
+            acc[k] = sum(terms)
+            prev = k
     return a, b
 
 
@@ -48,7 +56,7 @@ def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
     """The state vectors [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
     row's pair multiset for each k of ks (every k >= 2), in ks order, each
     a list of k+2 integers.  tag_sums is the row's (A, B) from
-    tag_power_sums, read up to max(ks).
+    tag_power_sums, holding every k of ks.
 
     One pass over the distinct pairs serves every k.  It groups the (A, B)
     pairs of values (x, y) by x, and sums U[j] = sum m x y^j over the
@@ -60,8 +68,9 @@ def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
         raise ValueError("k must be >= 2")
     top = max(ks)
     a, b = tag_sums
-    if min(len(a), len(b)) <= top:
-        raise ValueError(f"tag sums must reach k = {top}")
+    missing = [k for k in ks if k not in a or k not in b]
+    if missing:
+        raise ValueError(f"tag sums must reach k = {max(missing)}")
     by_x, u = {}, [0] * top  # by_x[x] = [(y, m), ...]; u[j] = U[j], j < top
     for (x, t, y, ty), m in pairs.items():
         if ty == TAG_A:

@@ -8,8 +8,9 @@ streams the rows of each q once, as pair multisets (see triangle), keeping
 of each row its tag power sums and state vectors for every k at once (see
 sums) and dropping the row; it passes them to every check that reads them
 and adds the counting checks of each q, so that its report is the whole of
-verify.  Mismatches and failing equations are plain tuples, (n, expected,
-actual) and (n, name, predicted, actual).
+verify.  Each check returns its record as the verify command prints it, a
+dict of JSON values whose mismatches and failing equations give their
+numbers as decimal strings.
 
 Everything is exact integer equality; there are no tolerances anywhere.
 """
@@ -27,92 +28,39 @@ DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
 COUNTING_DEPTH = 12  # the deepest row the counting checks read
 
 
-class RecurrenceCheck:
-    def __init__(self, k: int, q: int, variant: str, order: int,
-                 first_n: int, last_n: int):
-        self.k, self.q, self.variant, self.order = k, q, variant, order
-        self.first_n, self.last_n = first_n, last_n
-        self.mismatches = []  # (n, expected, actual)
-
-    @property
-    def all_exact(self) -> bool:
-        return not self.mismatches
-
-
-class SystemStepCheck:
-    def __init__(self, k: int, q: int, variant: str, first_n: int,
-                 last_n: int):
-        self.k, self.q, self.variant = k, q, variant
-        self.first_n, self.last_n = first_n, last_n
-        self.failing_equations = []  # (n, name, pred, act)
-
-    @property
-    def all_exact(self) -> bool:
-        return not self.failing_equations
-
-
-class CountingCheck:
-    def __init__(self, q: int, depth: int):
-        self.q, self.depth = q, depth
-        self.mismatches = []  # (sequence, n, expected, actual)
-
-    @property
-    def all_exact(self) -> bool:
-        return not self.mismatches
-
-
-class ConjectureFinding:
-    def __init__(self, k: int, stripped_order: int, conjectured_order: int,
-                 trailing_zero_count: int, max_q_degree: int, tabled: bool):
-        self.k, self.stripped_order = k, stripped_order
-        self.conjectured_order = conjectured_order
-        self.trailing_zero_count = trailing_zero_count
-        self.max_q_degree, self.tabled = max_q_degree, tabled
-
-    @property
-    def order_matches(self) -> bool:
-        return self.stripped_order + self.trailing_zero_count \
-            == self.conjectured_order
-
-    @property
-    def coefficients_linear(self) -> bool:
-        return self.max_q_degree <= 1
-
-    @property
-    def anomaly(self) -> bool:
-        return self.trailing_zero_count > 0
-
-
 def verify_recurrence(rec: systembuilder.Recurrence, q: int,
-                      seq: list) -> RecurrenceCheck:
+                      seq: list) -> dict:
     """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every n of seq past the
     initial segment, seq[n] being the power sum (s^k)_n of row n at q, with
     exact integer equality."""
     cs = rec.evaluated_at(q)
     d = rec.order
-    check = RecurrenceCheck(rec.k, q, rec.variant, d, first_n=d + 1,
-                            last_n=len(seq) - 1)
+    mismatches = []
     for n in range(d + 1, len(seq)):
         rhs = sum(c * seq[n - j - 1] for j, c in enumerate(cs))
         if rhs != seq[n]:
-            check.mismatches.append((n, rhs, seq[n]))
-    return check
+            mismatches.append(
+                {"n": n, "expected": str(rhs), "actual": str(seq[n])})
+    return {"k": rec.k, "q": q, "variant": rec.variant, "order": d,
+            "first_n": d + 1, "last_n": len(seq) - 1,
+            "mismatches": mismatches}
 
 
 def verify_system_steps(k: int, q: int, vectors: list,
-                        system: str = "full") -> SystemStepCheck:
+                        system: str = "full") -> dict:
     """Run the step oracle on every consecutive pair of vectors, the state
     vectors of k of rows 1, 2, ... at q, for the "full" or the
     "reduced-as-printed" system of equations."""
-    check = SystemStepCheck(k, q, system, first_n=1, last_n=len(vectors) - 1)
-    for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1):
-        check.failing_equations += [
-            (n, *f) for f in sums.check_system_step(g, g_next, q, system)]
-    return check
+    failing = [{"n": n, "equation": name, "predicted": str(p),
+                "actual": str(a)}
+               for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1)
+               for name, p, a in sums.check_system_step(g, g_next, q, system)]
+    return {"k": k, "q": q, "variant": system, "first_n": 1,
+            "last_n": len(vectors) - 1, "failing_equations": failing}
 
 
 def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
-                    hat_rec: systembuilder.Recurrence) -> CountingCheck:
+                    hat_rec: systembuilder.Recurrence) -> dict:
     """Check the ternary recurrences and initial values for the four row
     sequences: vertex counts s_n and the value sums a-hat, b-hat, s-hat.
 
@@ -125,13 +73,12 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
     """
     depth = len(tag_sums)
     params = triangle.TriangleParams(q)
-    check = CountingCheck(q, depth)
+    mismatches = []  # (sequence, n, expected, actual)
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
     for n, (a, b) in enumerate(tag_sums, 1):
         rc = triangle.row_counts(params, n)
         if (a[0], b[0]) != (rc.a, rc.b):
-            check.mismatches.append(
-                ("row_counts", n, (rc.a, rc.b), (a[0], b[0])))
+            mismatches.append(("row_counts", n, (rc.a, rc.b), (a[0], b[0])))
         counts.append((a[0], b[0]))
         ahat.append(a[1])
         bhat.append(b[1])
@@ -149,12 +96,14 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
             ("s_hat", shat, hat_cs, [v(q) for v in hat_rec.initial_values])):
         for n, want in enumerate(initial, 1):
             if want != seq[n]:
-                check.mismatches.append((name, n, want, seq[n]))
+                mismatches.append((name, n, want, seq[n]))
         for n in range(len(cs) + 1, depth + 1):
             want = sum(c * seq[n - j] for j, c in enumerate(cs, 1))
             if want != seq[n]:
-                check.mismatches.append((name, n, want, seq[n]))
-    return check
+                mismatches.append((name, n, want, seq[n]))
+    return {"q": q, "depth": depth, "mismatches": [
+        {"sequence": name, "n": n, "expected": str(e), "actual": str(a)}
+        for name, n, e, a in mismatches]}
 
 
 def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
@@ -179,8 +128,8 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
 
 
 def probe_conjecture(k_min: int, k_max: int) -> list:
-    """Order and q-degree evidence for each k; rows beyond the reference
-    table are exploratory output."""
+    """Order and q-degree evidence for each k, one finding dict per k; rows
+    beyond the reference table are exploratory output."""
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
     findings = []
@@ -190,34 +139,22 @@ def probe_conjecture(k_min: int, k_max: int) -> list:
         trailing = conj - rec.order if rec.order <= conj else 0
         max_deg = max((len(c.coeffs) - 1 for c in rec.coefficients
                        if c), default=0)
-        findings.append(ConjectureFinding(
-            k, rec.order, conj, trailing, max_deg,
-            tabled=k <= tables.MAX_TABLED_K))
+        findings.append({
+            "k": k, "stripped_order": rec.order, "conjectured_order": conj,
+            "trailing_zero_count": trailing, "max_q_degree": max_deg,
+            "order_matches": rec.order + trailing == conj,
+            "coefficients_linear": max_deg <= 1, "anomaly": trailing > 0,
+            "tabled": k <= tables.MAX_TABLED_K})
     return findings
 
 
 # ---------------------------------------------------------------------------
-# Grid runner and report serialization
+# Grid runner: the report is the dict the verify command prints
 # ---------------------------------------------------------------------------
-
-class VerificationReport:
-    def __init__(self, k_range: tuple, q_list: tuple, entry_cap: int):
-        self.k_range, self.q_list, self.entry_cap = k_range, q_list, entry_cap
-        self.recurrence_checks = []
-        self.system_checks = []
-        self.counting_checks = []
-
-    @property
-    def all_exact(self) -> bool:
-        return all(c.all_exact for c in
-                   self.recurrence_checks + self.counting_checks) \
-            and all(c.all_exact for c in self.system_checks
-                    if c.variant == "full")
-
 
 def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
              entry_cap: int = DEFAULT_ENTRY_CAP,
-             reduced: bool = False) -> VerificationReport:
+             reduced: bool = False) -> dict:
     """Verify recurrences and system steps over a (k, q) grid, then the
     counting recurrences of each q, in q_list order.
 
@@ -233,11 +170,11 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     ks = range(k_lo, k_hi + 1)
     vector_ks = range(max(k_lo, 2), k_hi + 1)
     systems = ("full", "reduced-as-printed") if reduced else ("full",)
-    report = VerificationReport((k_lo, k_hi), tuple(q_list), entry_cap)
     recs = [systembuilder.recurrence_for_k(k, with_initial_values=False)
             for k in ks]
     counting_recs = [systembuilder.recurrence_for_k(k) for k in (0, 1)]
     checks = {}  # (k, q) -> (recurrence check, system checks)
+    counting_checks = []
     for q in q_list:
         params = triangle.TriangleParams(q)
         depth = triangle.capped_depth(params, DEPTH_LIMIT, entry_cap)
@@ -248,9 +185,9 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
                       max(depth, COUNTING_DEPTH) + 1)
         for n, row in enumerate(rows):
             if n > depth:
-                a, b = sums.tag_power_sums(row, 1)
+                a, b = sums.tag_power_sums(row, range(2))
             else:
-                a, b = sums.tag_power_sums(row, max(k_hi, 1))
+                a, b = sums.tag_power_sums(row, range(max(k_hi, 1) + 1))
                 for seq, k in zip(seqs, ks):
                     seq.append(a[k] + b[k])
                 if n >= 1 and vector_ks:
@@ -264,51 +201,15 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
         for k, vs in zip(vector_ks, vectors):
             checks[k, q][1].extend(verify_system_steps(k, q, vs, system)
                                    for system in systems)
-        report.counting_checks.append(
-            verify_counting(q, tag_sums, *counting_recs))
-    for k in ks:
-        for q in q_list:
-            rec_check, system_checks = checks[k, q]
-            report.recurrence_checks.append(rec_check)
-            report.system_checks += system_checks
-    return report
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "k_range": list(report.k_range),
-        "q_list": list(report.q_list),
-        "entry_cap": report.entry_cap,
-        "all_exact": report.all_exact,
-        "recurrence_checks": [
-            {"k": c.k, "q": c.q, "variant": c.variant, "order": c.order,
-             "first_n": c.first_n, "last_n": c.last_n,
-             "mismatches": [{"n": n, "expected": str(e), "actual": str(a)}
-                            for n, e, a in c.mismatches]}
-            for c in report.recurrence_checks],
-        "system_checks": [
-            {"k": c.k, "q": c.q, "variant": c.variant,
-             "first_n": c.first_n, "last_n": c.last_n,
-             "failing_equations": [
-                 {"n": n, "equation": name, "predicted": str(p),
-                  "actual": str(a)}
-                 for n, name, p, a in c.failing_equations]}
-            for c in report.system_checks],
-        "counting_checks": [
-            {"q": c.q, "depth": c.depth,
-             "mismatches": [{"sequence": name, "n": n, "expected": str(e),
-                             "actual": str(a)}
-                            for name, n, e, a in c.mismatches]}
-            for c in report.counting_checks],
-    }
-
-
-def findings_to_dict(findings: list) -> list:
-    return [{"k": f.k, "stripped_order": f.stripped_order,
-             "conjectured_order": f.conjectured_order,
-             "trailing_zero_count": f.trailing_zero_count,
-             "max_q_degree": f.max_q_degree,
-             "order_matches": f.order_matches,
-             "coefficients_linear": f.coefficients_linear,
-             "anomaly": f.anomaly,
-             "tabled": f.tabled} for f in findings]
+        counting_checks.append(verify_counting(q, tag_sums, *counting_recs))
+    recurrence_checks = [checks[k, q][0] for k in ks for q in q_list]
+    system_checks = [c for k in ks for q in q_list for c in checks[k, q][1]]
+    all_exact = not any(c["mismatches"]
+                        for c in recurrence_checks + counting_checks) \
+        and not any(c["failing_equations"] for c in system_checks
+                    if c["variant"] == "full")
+    return {"k_range": [k_lo, k_hi], "q_list": list(q_list),
+            "entry_cap": entry_cap, "all_exact": all_exact,
+            "recurrence_checks": recurrence_checks,
+            "system_checks": system_checks,
+            "counting_checks": counting_checks}

@@ -66,12 +66,13 @@ def test_criterion_2_k2_golden_path(capsys):
 def test_criterion_3_recurrence_oracle_grid(capsys):
     t0 = time.monotonic()
     checked = 0
-    checks = _grid().recurrence_checks
-    assert [(c.k, c.q) for c in checks] == GRID_KQ
+    checks = _grid()["recurrence_checks"]
+    assert [(c["k"], c["q"]) for c in checks] == GRID_KQ
     for check in checks:
-        assert check.all_exact, (check.k, check.q, check.mismatches[:3])
-        assert check.last_n >= check.first_n
-        checked += check.last_n - check.first_n + 1
+        assert not check["mismatches"], \
+            (check["k"], check["q"], check["mismatches"][:3])
+        assert check["last_n"] >= check["first_n"]
+        checked += check["last_n"] - check["first_n"] + 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     with capsys.disabled():
@@ -81,13 +82,13 @@ def test_criterion_3_recurrence_oracle_grid(capsys):
 
 def test_criterion_4_system_equation_oracle(capsys):
     steps = 0
-    checks = _grid().system_checks
-    assert [(c.k, c.q, c.variant) for c in checks] \
+    checks = _grid()["system_checks"]
+    assert [(c["k"], c["q"], c["variant"]) for c in checks] \
         == [(k, q, "full") for k, q in GRID_KQ]
     for check in checks:
-        assert check.all_exact, (check.k, check.q,
-                                 check.failing_equations[:3])
-        steps += check.last_n - check.first_n + 1
+        assert not check["failing_equations"], \
+            (check["k"], check["q"], check["failing_equations"][:3])
+        steps += check["last_n"] - check["first_n"] + 1
     with capsys.disabled():
         _report(4, f"every full-system equation exact over {steps} row "
                    "steps on the grid")
@@ -104,11 +105,12 @@ def test_criterion_5_structured_path_equivalence(capsys):
 
 
 def test_criterion_6_counting_recurrences(capsys):
-    checks = verify.run_grid((0, 1), range(5, 10), GRID_CAP).counting_checks
-    assert [c.q for c in checks] == list(range(5, 10))
+    checks = verify.run_grid((0, 1), range(5, 10),
+                             GRID_CAP)["counting_checks"]
+    assert [c["q"] for c in checks] == list(range(5, 10))
     for check in checks:
-        assert check.all_exact, (check.q, check.mismatches)
-        assert check.depth == 12
+        assert not check["mismatches"], (check["q"], check["mismatches"])
+        assert check["depth"] == 12
     with capsys.disabled():
         _report(6, "counting and value-sum recurrences exact for q=5..9 "
                    "to depth 12, initial values included")
@@ -174,7 +176,8 @@ def test_criterion_9_reduced_system(capsys):
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(g) for t in map(row_pairs, rows[1:])
-                      for g in state_vectors(t, (k,), tag_power_sums(t, k))]
+                      for g in state_vectors(t, (k,),
+                                             tag_power_sums(t, (k,)))]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]
@@ -184,15 +187,15 @@ def test_criterion_9_reduced_system(capsys):
     # the printed reduced equations are adjudicated by the step oracle:
     # k=2 holds verbatim, k>=3 fails on the paired c_j rows, and the
     # discrepancy report identifies each failing equation
-    printed = {c.k: c for c in verify.run_grid(
-        (2, 6), (6,), 10**4, reduced=True).system_checks
-        if c.variant == "reduced-as-printed"}
-    assert printed[2].all_exact
+    printed = {c["k"]: c for c in verify.run_grid(
+        (2, 6), (6,), 10**4, reduced=True)["system_checks"]
+        if c["variant"] == "reduced-as-printed"}
+    assert not printed[2]["failing_equations"]
     adjudicated = {}
     for k in range(3, 7):
         check = printed[k]
-        assert not check.all_exact
-        names = {name for _, name, _, _ in check.failing_equations}
+        assert check["failing_equations"]
+        names = {f["equation"] for f in check["failing_equations"]}
         assert names and all(name.startswith("c") for name in names), names
         adjudicated[k] = sorted(names)
     with capsys.disabled():
@@ -205,13 +208,14 @@ def test_criterion_9_reduced_system(capsys):
 def test_criterion_10_conjecture_probe(capsys):
     findings = verify.probe_conjecture(2, 11)
     for f in findings:
-        assert f.order_matches, f
-        assert f.max_q_degree <= 1, f
+        assert f["order_matches"], f
+        assert f["max_q_degree"] <= 1, f
     exploratory = verify.probe_conjecture(12, 13)
-    assert [f.k for f in exploratory] == [12, 13]
+    assert [f["k"] for f in exploratory] == [12, 13]
     for f in exploratory:
-        assert f.stripped_order >= 1 and not f.tabled
-    summary = {f.k: (f.stripped_order, f.max_q_degree) for f in exploratory}
+        assert f["stripped_order"] >= 1 and not f["tabled"]
+    summary = {f["k"]: (f["stripped_order"], f["max_q_degree"])
+               for f in exploratory}
     with capsys.disabled():
         _report(10, "printed orders match floor(k/2)+3 with linear "
                     f"coefficients for k=2..11; exploratory k=12,13 -> "

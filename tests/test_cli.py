@@ -4,12 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import hptsums
-from hptsums import cli, systembuilder, tables, triangle
+from hptsums import cli, systembuilder, tables, triangle, verify
 from hptsums.cli import main
 from hptsums.systembuilder import recurrence_for_k
 
@@ -122,6 +124,24 @@ def test_sums_prints_integers_of_any_length(capsys, fmt):
         assert out.splitlines() == ["n=1: 2", f"n=2: {expected}"]
 
 
+def test_sums_computes_only_the_printed_power(capsys):
+    # sums --k K prints k = K alone and computes no power below it: holding
+    # every power sum up to K kept about K**2 / 2 bits per distinct value,
+    # a 168 MiB peak here.
+    tracemalloc.start()
+    try:
+        code = main(["sums", "--q", "6", "--k", "20000", "--n-max", "4",
+                     "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20, peak
+    rows = islice(triangle.entry_rows(triangle.TriangleParams(6)), 1, 5)
+    assert [r["power_sum"] for r in json.loads(capsys.readouterr().out)
+            ["rows"]] == [sum(v**20000 for v, _ in row) for row in rows]
+
+
 def test_recurrence_json_schema(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "json")
     payload = json.loads(out)
@@ -231,6 +251,19 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: out of memory")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, result", [
+    (["verify", "--k-range", "0..5", "--q-list", "6,5", "--cap", "500",
+      "--reduced"], lambda: verify.run_grid((0, 5), (6, 5), 500, True)),
+    (["conjecture", "--k-min", "2", "--k-max", "12"],
+     lambda: verify.probe_conjecture(2, 12)),
+])
+def test_json_output_is_what_verify_returns(capsys, argv, result):
+    # verify and conjecture render the records that verify returns as they
+    # are: the json form is the same data, key for key.
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out) == result()
 
 
 def test_verify_small_grid(capsys):

@@ -53,7 +53,8 @@ def test_full_matrix_agrees_with_step_oracle():
         m, h = system_at(sb.build_full_matrix(k), q)
         rows = list(islice(entry_rows(TriangleParams(q)), 6))
         for n in range(1, 4):
-            (g,), (g_next,) = [state_vectors(t, (k,), tag_power_sums(t, k))
+            (g,), (g_next,) = [state_vectors(t, (k,),
+                                             tag_power_sums(t, (k,)))
                                for t in map(row_pairs, rows[n:n + 2])]
             stepped = [sum(m[i][j] * g[j] for j in range(len(g))) + h[i]
                        for i in range(len(g))]

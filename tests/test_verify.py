@@ -6,17 +6,17 @@ from hptsums.exactalg import QPoly
 
 
 def test_verify_recurrence_k2_q6():
-    (check,) = verify.run_grid((2, 2), (6,), 10**5).recurrence_checks
-    assert check.all_exact
-    assert check.order == 4
-    assert check.last_n >= 8
+    (check,) = verify.run_grid((2, 2), (6,), 10**5)["recurrence_checks"]
+    assert not check["mismatches"]
+    assert check["order"] == 4
+    assert check["last_n"] >= 8
 
 
 def test_verify_recurrence_hand_value():
     # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2) and the
     # power sums of rows 1..4, read from the pair step
     rows = islice(triangle.pair_rows(triangle.TriangleParams(6)), 1, 6)
-    seq = [sum(x[2] for x in sums.tag_power_sums(r, 2))
+    seq = [sum(x[2] for x in sums.tag_power_sums(r, range(3)))
            for r in rows]  # seq[n - 1] = (s^2)_n
     assert seq == [2, 6, 28, 160, 960]
     rec = systembuilder.recurrence_for_k(2, with_initial_values=False)
@@ -26,26 +26,27 @@ def test_verify_recurrence_hand_value():
 
 
 def test_verify_recurrence_counting_cases():
-    k0, k1 = verify.run_grid((0, 1), (6,), 10**5).recurrence_checks
-    assert k0.all_exact
-    assert k1.all_exact
-    (k2,) = verify.run_grid((2, 2), (5,), 10**5).recurrence_checks
-    assert k2.all_exact  # q-5 = 0 case
+    k0, k1 = verify.run_grid((0, 1), (6,), 10**5)["recurrence_checks"]
+    assert not k0["mismatches"]
+    assert not k1["mismatches"]
+    (k2,) = verify.run_grid((2, 2), (5,), 10**5)["recurrence_checks"]
+    assert not k2["mismatches"]  # q-5 = 0 case
 
 
 def test_verify_system_steps():
-    (full,) = verify.run_grid((3, 3), (5,), 10**4).system_checks
-    assert full.all_exact
+    (full,) = verify.run_grid((3, 3), (5,), 10**4)["system_checks"]
+    assert not full["failing_equations"]
     _, printed = verify.run_grid((3, 3), (6,), 10**4,
-                                 reduced=True).system_checks
-    assert not printed.all_exact
-    assert {name for _, name, _, _ in printed.failing_equations} == {"c1"}
+                                 reduced=True)["system_checks"]
+    assert printed["failing_equations"]
+    assert {f["equation"] for f in printed["failing_equations"]} == {"c1"}
 
 
 def test_verify_counting():
-    for check in verify.run_grid((2, 2), range(5, 10), 10**5).counting_checks:
-        assert check.all_exact, check.mismatches
-        assert check.depth == verify.COUNTING_DEPTH == 12
+    for check in verify.run_grid((2, 2), range(5, 10),
+                                 10**5)["counting_checks"]:
+        assert not check["mismatches"], check["mismatches"]
+        assert check["depth"] == verify.COUNTING_DEPTH == 12
 
 
 def test_reproduce_tables_empty_diff():
@@ -60,30 +61,30 @@ def test_reproduce_tables_subrange():
 
 def test_probe_conjecture():
     findings = verify.probe_conjecture(2, 11)
-    assert all(f.order_matches for f in findings)
-    assert all(f.coefficients_linear for f in findings)
-    anomalies = {f.k for f in findings if f.anomaly}
+    assert all(f["order_matches"] for f in findings)
+    assert all(f["coefficients_linear"] for f in findings)
+    anomalies = {f["k"] for f in findings if f["anomaly"]}
     assert anomalies == {9, 11}
-    by_k = {f.k: f for f in findings}
-    assert by_k[2].stripped_order == 4
-    assert by_k[7].stripped_order == 6
+    by_k = {f["k"]: f for f in findings}
+    assert by_k[2]["stripped_order"] == 4
+    assert by_k[7]["stripped_order"] == 6
     rec7 = systembuilder.recurrence_for_k(7, with_initial_values=False)
     assert QPoly((302, -42)) in rec7.coefficients
 
 
 def test_run_grid_small():
     report = verify.run_grid((2, 3), (5, 6), 10**4)
-    assert report.all_exact
+    assert report["all_exact"]
     report = verify.run_grid((2, 3), (6,), 10**4, reduced=True)
     # one recurrence check per (k, q): --reduced adds only the printed sweep
-    assert [(c.k, c.q) for c in report.recurrence_checks] == [(2, 6), (3, 6)]
+    assert [(c["k"], c["q"]) for c in report["recurrence_checks"]] \
+        == [(2, 6), (3, 6)]
     # printed-reduced failures are reported but do not flip all_exact
-    assert report.all_exact
-    printed = [c for c in report.system_checks
-               if c.variant == "reduced-as-printed"]
-    assert any(not c.all_exact for c in printed)
-    d = verify.report_to_dict(report)
-    assert d["all_exact"] and d["system_checks"]
+    assert report["all_exact"]
+    printed = [c for c in report["system_checks"]
+               if c["variant"] == "reduced-as-printed"]
+    assert any(c["failing_equations"] for c in printed)
+    assert report["all_exact"] and report["system_checks"]
 
 
 def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
@@ -98,10 +99,10 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
         return rec
 
     monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
-    (check,) = verify.run_grid((2, 2), (6,), 10**5).counting_checks
-    assert {name for name, *_ in check.mismatches} \
+    (check,) = verify.run_grid((2, 2), (6,), 10**5)["counting_checks"]
+    assert {m["sequence"] for m in check["mismatches"]} \
         == {"a_hat", "b_hat", "s_hat"}
-    assert all(n >= 4 for _, n, _, _ in check.mismatches)
+    assert all(m["n"] >= 4 for m in check["mismatches"])
 
 
 def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
@@ -125,12 +126,13 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
 
     monkeypatch.setattr(triangle, "next_pairs", perturbed)
     report = verify.run_grid((2, 2), (9,), 10**5)
-    (check,) = report.counting_checks
-    assert ("row_counts", 10) in {(name, n) for name, n, *_ in check.mismatches}
-    assert min(n for _, n, _, _ in check.mismatches) == 10
-    (rec_check,) = report.recurrence_checks
-    assert rec_check.last_n == 7
-    assert rec_check.all_exact
+    (check,) = report["counting_checks"]
+    assert ("row_counts", 10) \
+        in {(m["sequence"], m["n"]) for m in check["mismatches"]}
+    assert min(m["n"] for m in check["mismatches"]) == 10
+    (rec_check,) = report["recurrence_checks"]
+    assert rec_check["last_n"] == 7
+    assert not rec_check["mismatches"]
 
 
 def test_verify_materialises_no_rows(monkeypatch):
@@ -139,7 +141,8 @@ def test_verify_materialises_no_rows(monkeypatch):
 
     monkeypatch.setattr(triangle, "next_row", refuse)
     monkeypatch.setattr(triangle, "entry_rows", refuse)
-    assert verify.run_grid((2, 4), (5, 7, 9), 10**4, reduced=True).all_exact
+    assert verify.run_grid((2, 4), (5, 7, 9), 10**4,
+                           reduced=True)["all_exact"]
 
 
 def test_run_grid_builds_each_input_once(monkeypatch):
@@ -165,9 +168,9 @@ def test_run_grid_builds_each_input_once(monkeypatch):
     report = verify.run_grid((2, 11), q_list, 10**5)
     assert row_builds == {q: 1 for q in q_list}
     assert derivations == {0: 1, 1: 1, **{k: 1 for k in range(2, 12)}}
-    assert [(c.k, c.q) for c in report.recurrence_checks] \
+    assert [(c["k"], c["q"]) for c in report["recurrence_checks"]] \
         == [(k, q) for k in range(2, 12) for q in q_list]
-    assert [c.q for c in report.counting_checks] == list(q_list)
+    assert [c["q"] for c in report["counting_checks"]] == list(q_list)
 
 
 def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
@@ -178,9 +181,9 @@ def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
     calls = []
     real = sums.tag_power_sums
 
-    def counted(pairs, k_max):
-        calls.append(k_max)
-        return real(pairs, k_max)
+    def counted(pairs, ks):
+        calls.append(ks)
+        return real(pairs, ks)
 
     monkeypatch.setattr(sums, "tag_power_sums", counted)
     verify.run_grid((2, 11))
