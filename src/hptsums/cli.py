@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch or truncation, 2 usage or
-validation error, or out of memory.  All numeric output is exact decimal text.
+validation error, out of memory, or output that cannot be written.  All
+numeric output is exact decimal text.
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 
 from . import sums, systembuilder, tables, triangle, verify
@@ -41,7 +43,16 @@ def _render(args, record, plain, table=None, indent=None) -> None:
                     rows.writerow(line)
 
     if not args.output:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The reader closed the pipe.  fd 1 now points at devnull, so
+            # that the interpreter's final flush cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:
         with open(args.output, "w") as fh:

@@ -1,6 +1,7 @@
 """Power sums by tag and state vectors of a row, read from its pair
 multiset (see triangle: a dict from flat (x, tx, y, ty) keys to
-multiplicities) for every k at once, and the row-to-row step oracle.
+multiplicities) for every k at once, and the fold of a state vector into
+the reduced coordinates.
 
 tag_power_sums gives the power sums and state_vectors the state vectors of
 every k its caller asks for, each in one pass over the row's distinct pairs,
@@ -9,18 +10,15 @@ single k computes that k alone.  state_vectors takes the row's tag power
 sums from its caller, which computes them once per row.  Both count a
 winger, tagged W in the pairs, as B.  A state vector is a plain list of k+2
 integers, [(a^k), the k-1 mixed pair sums, (b^k), u]; k is its length
-minus 2.  The step oracle (check_system_step) evaluates the linear system
-that advances the state vector from one row to the next, directly from its
-defining formulas, so it stays independent of the matrix construction in
-systembuilder, and returns the equations that fail.  The winger corrections (-2, -1, -2(q-4)) live
-here in the equations, never inside state_vectors, whose pair sums are a
-pure adjacency scan.
+minus 2.  Its pair sums are a pure adjacency scan: the winger corrections
+(-2, -1, -2(q-4)) live in the step equations (systembuilder, and the step
+oracle in verify), never here.  fold_classes is the one list of the fold
+classes, which fold_state and the reduced system of systembuilder read.
 """
 from __future__ import annotations
 
 from operator import mul
 
-from .exactalg import binom
 from .triangle import TAG_A, TAG_B, TAG_W
 
 
@@ -97,93 +95,19 @@ def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
     return [[a[k]] + mixed[k][1:] + [b[k], u[k - 1]] for k in ks]
 
 
-def reduced_labels(k: int) -> list:
-    m = -(-(k - 1) // 2)  # ceil((k-1)/2)
-    return ["a^k", "b^k"] + [f"c{j}" for j in range(1, m + 1)] + ["u"]
+def fold_classes(k: int) -> list:
+    """The fold classes of the full state-vector coordinates, in the reduced
+    order [a^k, b^k, c_1..c_m, u]: (0,), (k,), (j, k-j) for 1 <= j < k/2,
+    (k/2,) for even k, and (k+1,).  c_j pairs the mixed sums with
+    b-exponents j and k-j."""
+    classes = [(0,), (k,)] + [(j, k - j) for j in range(1, (k + 1) // 2)]
+    if k % 2 == 0:
+        classes.append((k // 2,))
+    classes.append((k + 1,))
+    return classes
 
 
 def fold_state(g: list) -> list:
     """Fold the full state vector g (k = len(g) - 2) into the reduced
-    coordinates [a^k, b^k, c_1..c_m, u], where c_j pairs the mixed sums with
-    b-exponents j and k-j (the middle term stays unpaired when k is even)."""
-    k = len(g) - 2
-    ell = (k - 1) // 2
-    out = [g[0], g[k]]
-    out += [g[j] + g[k - j] for j in range(1, ell + 1)]
-    if k % 2 == 0:
-        out.append(g[k // 2])
-    out.append(g[-1])
-    return out
-
-
-def _full_rhs(g: list, q: int) -> list:
-    k = len(g) - 2
-    a, b, u = g[0], g[k], g[-1]
-    out = [2 * a + 2 * sum(binom(k, i) * g[i] for i in range(1, k)) + 2 * b
-           + (2**k - 2) * u - 2]
-    for j in range(1, k):
-        mixed = sum(binom(k - j, i) * (g[j + i] + g[k - j - i])
-                    for i in range(k - j))
-        out.append(a + mixed + b + (2**(k - j) - 1) * u - 1)
-    out.append((q - 4) * a + (q - 3) * b - 2 * (q - 4))
-    out.append((q - 5) * a + (q - 4) * b - 2 * (q - 4))
-    return out
-
-
-def _reduced_printed_rhs(folded: list, k: int, q: int) -> list:
-    """Right-hand sides of the reduced system exactly as its equations are
-    printed, with no correction applied."""
-    ell = (k - 1) // 2
-    m = -(-(k - 1) // 2)
-    a, b, u = folded[0], folded[1], folded[-1]
-    c = folded[2:-1]  # c[0] is c_1
-
-    def cs(i):
-        return c[i - 1]
-
-    out = [2 * a + 2 * sum(binom(k, i) * cs(i) for i in range(1, m + 1)) + 2 * b
-           + (2**k - 2) * u - 2]
-    out.append((q - 4) * a + (q - 3) * b - 2 * (q - 4))
-    for j in range(1, ell + 1):
-        rhs = a + sum(binom(k - j, i - j) * cs(i) for i in range(j, m + 1))
-        rhs += sum((binom(k - j, i) + binom(j, i)) * cs(i)
-                   for i in range(1, m + 1))
-        rhs += b + (2**(k - j) - 1) * u - 1
-        out.append(rhs)
-    if k % 2 == 0:
-        rhs = a + cs(ell + 1) + sum(binom(k - ell - 1, i) * cs(i)
-                                    for i in range(1, ell + 2))
-        rhs += b + (2**(k - ell - 1) - 1) * u - 1
-        out.append(rhs)
-    out.append((q - 5) * a + (q - 4) * b - 2 * (q - 4))
-    return out
-
-
-def check_system_step(g_n: list, g_next: list, q: int,
-                      system: str = "full") -> list:
-    """Check every equation of the chosen system between the state vectors
-    of consecutive rows n and n+1, n >= 1, of HPT_{4,q}.  Exact integer
-    comparison per equation; the equations that fail are returned as
-    (name, predicted, actual), so an empty list means the step holds.
-
-    system "full" uses the k+2 equation system; "reduced-as-printed" folds
-    both vectors and evaluates the reduced equations verbatim, reporting any
-    mismatch rather than correcting it.
-    """
-    if len(g_next) != len(g_n):
-        raise ValueError("state vectors must have the same k")
-    k = len(g_n) - 2
-    if system == "full":
-        labels = (["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)]
-                  + ["b^k", "u"])
-        rhs = _full_rhs(g_n, q)
-        actual = g_next
-    elif system == "reduced-as-printed":
-        labels = reduced_labels(k)
-        # Equation order: a^k, b^k, c_1..c_m, u (matching the labels).
-        rhs = _reduced_printed_rhs(fold_state(g_n), k, q)
-        actual = fold_state(g_next)
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    return [(name, p, x) for name, p, x in zip(labels, rhs, actual)
-            if p != x]
+    coordinates, summing each fold class."""
+    return [sum(g[i] for i in c) for c in fold_classes(len(g) - 2)]

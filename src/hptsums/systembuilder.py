@@ -13,7 +13,7 @@ coordinates, two dimensions smaller, and a 2x2 determinant lemma.
 One route derives every recurrence and its initial values: the folded
 reduced system of dimension r = floor(k/2)+3.  The fold P maps the full
 coordinates [a^k, mixed pairs, b^k, u] onto [a^k, b^k, c_1.., u] by summing
-each fold class
+each fold class of sums.fold_classes,
 
   (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
 
@@ -35,7 +35,7 @@ come from iterating the same reduced system, split by powers of q into
 integer vectors, starting from the folded row-1 state vector.
 
 verify checks the system against real rows with the definition-level
-step oracle sums.check_system_step.  The second routes to the
+step oracle verify.verify_system_steps.  The second routes to the
 characteristic polynomial live in the tests: the full matrix's own, and
 the structured determinant of the row-reduced form of M - xI in
 tests/reference.py.
@@ -46,6 +46,7 @@ from operator import add, mul
 
 from .exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
                        charpoly_q, format_qpoly)
+from .sums import fold_classes, fold_state
 
 __all__ = [
     "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
@@ -127,19 +128,12 @@ def build_reduced_matrix(k: int) -> LinearSystem:
     first column.  A row of a, or v, that differs at the two columns of a
     pair cannot be folded and raises ExactAlgError.  The published form of
     the c_j rows is encoded once, as the step oracle's
-    sums._reduced_printed_rhs.
+    verify._reduced_printed_rhs.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     full = build_full_matrix(k)
-    # fold classes, in the reduced order [a^k, b^k, c_1..c_m, u]
-    classes = [(0,), (k,)] + [(j, k - j) for j in range(1, (k + 1) // 2)]
-    if k % 2 == 0:
-        classes.append((k // 2,))
-    classes.append((k + 1,))
-
-    def fold(vec):
-        return [sum(vec[i] for i in c) for c in classes]
+    classes = fold_classes(k)
 
     def read(vec):
         for c in classes:
@@ -150,8 +144,8 @@ def build_reduced_matrix(k: int) -> LinearSystem:
 
     # the rows of a summed within each class, then read class by class
     a = [read(list(map(sum, zip(*(full.a[i] for i in c))))) for c in classes]
-    return LinearSystem(k, a, fold(full.u), read(full.v), fold(full.h0),
-                        fold(full.h1))
+    return LinearSystem(k, a, fold_state(full.u), read(full.v),
+                        fold_state(full.h0), fold_state(full.h1))
 
 
 def lift_inhomogeneous(p: list) -> list:
@@ -185,11 +179,10 @@ def initial_values_symbolic(k: int, d: int) -> list:
     """(s^k)_n for n = 1..d as polynomials in q.
 
     Iterates g_{n+1} = M g_n + h with the reduced system, starting from the
-    folded row-1 state vector g_1 = [0, 2, 0, ..., 0, 1] over
-    [a^k, b^k, c_1..c_m, u] (row 1 is two B-wingers), and reads
-    (s^k)_n = g[0] + g[1].  The fold maps every full-system state and
-    constant onto its reduced one, so this is the full orbit, folded.
-    No rows are built.
+    folded row-1 state vector (row 1 is two B-wingers: (b^k) = 2, u = 1,
+    every other sum 0), and reads (s^k)_n = g[0] + g[1].  The fold maps
+    every full-system state and constant onto its reduced one, so this is
+    the full orbit, folded.  No rows are built.
 
     The iteration runs over Z, split by powers of q: with
     g_n = sum_d q^d G_d and the system's M = A + q u v^T, h = h0 + q h1,
@@ -198,7 +191,7 @@ def initial_values_symbolic(k: int, d: int) -> list:
     if d < 1:
         raise ValueError("d must be >= 1")
     s = build_reduced_matrix(k)
-    gs = [[0, 2] + [0] * (len(s.a) - 3) + [1]]  # [G_0] of g_1
+    gs = [fold_state([0] * k + [2, 1])]  # [G_0] of g_1
     out = [QPoly(g[0] + g[1] for g in gs)]
     while len(out) < d:
         vg = [0] + [sum(map(mul, s.v, g)) for g in gs]  # v . G_{d-1}

@@ -12,6 +12,11 @@ verify.  Each check returns its record as the verify command prints it, a
 dict of JSON values whose mismatches and failing equations give their
 numbers as decimal strings.
 
+verify_system_steps is the step oracle: it evaluates the equations that
+advance a state vector from one row to the next from their defining
+formulas, so it stays independent of the matrices of systembuilder that it
+checks.  verify_recurrence and verify_counting share one recurrence loop.
+
 Everything is exact integer equality; there are no tolerances anywhere.
 """
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
-from .exactalg import QPoly
+from .exactalg import QPoly, binom
 
 DEFAULT_ENTRY_CAP = 10**5
 DEFAULT_K_RANGE = (2, 8)
@@ -28,33 +33,93 @@ DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
 COUNTING_DEPTH = 12  # the deepest row the counting checks read
 
 
+def _misses(seq: list, cs: list) -> list:
+    """(n, expected, actual) for each row n past the first len(cs) where
+    seq[n] != sum_j cs[j-1] seq[n-j]."""
+    out = []
+    for n in range(len(cs) + 1, len(seq)):
+        want = sum(c * seq[n - j] for j, c in enumerate(cs, 1))
+        if want != seq[n]:
+            out.append((n, want, seq[n]))
+    return out
+
+
 def verify_recurrence(rec: systembuilder.Recurrence, q: int,
                       seq: list) -> dict:
     """Check (s^k)_n = sum c_j(q) (s^k)_{n-j} for every n of seq past the
     initial segment, seq[n] being the power sum (s^k)_n of row n at q, with
     exact integer equality."""
-    cs = rec.evaluated_at(q)
     d = rec.order
-    mismatches = []
-    for n in range(d + 1, len(seq)):
-        rhs = sum(c * seq[n - j - 1] for j, c in enumerate(cs))
-        if rhs != seq[n]:
-            mismatches.append(
-                {"n": n, "expected": str(rhs), "actual": str(seq[n])})
     return {"k": rec.k, "q": q, "variant": rec.variant, "order": d,
             "first_n": d + 1, "last_n": len(seq) - 1,
-            "mismatches": mismatches}
+            "mismatches": [{"n": n, "expected": str(e), "actual": str(a)}
+                           for n, e, a in _misses(seq, rec.evaluated_at(q))]}
+
+
+def _full_rhs(g: list, q: int) -> list:
+    """The full system's equations at a state vector, as defined."""
+    k = len(g) - 2
+    a, b, u = g[0], g[k], g[-1]
+    out = [2 * a + 2 * sum(binom(k, i) * g[i] for i in range(1, k)) + 2 * b
+           + (2**k - 2) * u - 2]
+    for j in range(1, k):
+        mixed = sum(binom(k - j, i) * (g[j + i] + g[k - j - i])
+                    for i in range(k - j))
+        out.append(a + mixed + b + (2**(k - j) - 1) * u - 1)
+    out.append((q - 4) * a + (q - 3) * b - 2 * (q - 4))
+    out.append((q - 5) * a + (q - 4) * b - 2 * (q - 4))
+    return out
+
+
+def _reduced_printed_rhs(folded: list, k: int, q: int) -> list:
+    """Right-hand sides of the reduced system exactly as its equations are
+    printed, with no correction applied, at a folded state vector."""
+    ell, m = (k - 1) // 2, k // 2
+    a, b, u = folded[0], folded[1], folded[-1]
+    c = folded[1:-1]  # c[i] is c_i for i >= 1
+    out = [2 * a + 2 * sum(binom(k, i) * c[i] for i in range(1, m + 1))
+           + 2 * b + (2**k - 2) * u - 2]
+    out.append((q - 4) * a + (q - 3) * b - 2 * (q - 4))
+    for j in range(1, ell + 1):
+        rhs = a + sum(binom(k - j, i - j) * c[i] for i in range(j, m + 1))
+        rhs += sum((binom(k - j, i) + binom(j, i)) * c[i]
+                   for i in range(1, m + 1))
+        rhs += b + (2**(k - j) - 1) * u - 1
+        out.append(rhs)
+    if k % 2 == 0:
+        rhs = a + c[ell + 1] + sum(binom(k - ell - 1, i) * c[i]
+                                   for i in range(1, ell + 2))
+        rhs += b + (2**(k - ell - 1) - 1) * u - 1
+        out.append(rhs)
+    out.append((q - 5) * a + (q - 4) * b - 2 * (q - 4))
+    return out
 
 
 def verify_system_steps(k: int, q: int, vectors: list,
                         system: str = "full") -> dict:
-    """Run the step oracle on every consecutive pair of vectors, the state
-    vectors of k of rows 1, 2, ... at q, for the "full" or the
-    "reduced-as-printed" system of equations."""
+    """The step oracle: check every equation of the system between each
+    consecutive pair of vectors, the state vectors of k of rows 1, 2, ...
+    at q.  system "full" is the k+2 equation system; "reduced-as-printed"
+    folds the vectors and evaluates the reduced equations verbatim,
+    reporting any mismatch rather than correcting it."""
+    if any(len(g) != k + 2 for g in vectors):
+        raise ValueError(f"state vectors of k = {k} have length {k + 2}")
+    if system == "full":
+        labels = (["a^k"] + [f"a^{k - j}b^{j}" for j in range(1, k)]
+                  + ["b^k", "u"])
+        states = vectors
+        rhs = [_full_rhs(g, q) for g in vectors[:-1]]
+    elif system == "reduced-as-printed":
+        labels = (["a^k", "b^k"]
+                  + [f"c{j}" for j in range(1, k // 2 + 1)] + ["u"])
+        states = [sums.fold_state(g) for g in vectors]
+        rhs = [_reduced_printed_rhs(c, k, q) for c in states[:-1]]
+    else:
+        raise ValueError(f"unknown system {system!r}")
     failing = [{"n": n, "equation": name, "predicted": str(p),
-                "actual": str(a)}
-               for n, (g, g_next) in enumerate(zip(vectors, vectors[1:]), 1)
-               for name, p, a in sums.check_system_step(g, g_next, q, system)]
+                "actual": str(x)}
+               for n, (predicted, actual) in enumerate(zip(rhs, states[1:]), 1)
+               for name, p, x in zip(labels, predicted, actual) if p != x]
     return {"k": k, "q": q, "variant": system, "first_n": 1,
             "last_n": len(vectors) - 1, "failing_equations": failing}
 
@@ -97,10 +162,7 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
         for n, want in enumerate(initial, 1):
             if want != seq[n]:
                 mismatches.append((name, n, want, seq[n]))
-        for n in range(len(cs) + 1, depth + 1):
-            want = sum(c * seq[n - j] for j, c in enumerate(cs, 1))
-            if want != seq[n]:
-                mismatches.append((name, n, want, seq[n]))
+        mismatches += [(name, *m) for m in _misses(seq, cs)]
     return {"q": q, "depth": depth, "mismatches": [
         {"sequence": name, "n": n, "expected": str(e), "actual": str(a)}
         for name, n, e, a in mismatches]}

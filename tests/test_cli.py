@@ -410,6 +410,25 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_closed_stdout_is_a_usage_error():
+    # Row 9 at q=7 holds 60,607 entries, far more than a pipe buffer; the
+    # reader takes one line and closes the pipe.
+    src = os.path.dirname(os.path.dirname(hptsums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hptsums.cli", "row", "--q", "7", "--n", "9",
+         "--format", "csv"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "value,tag\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_checks_that_cover_no_row_are_uncovered(capsys):
     # An entry cap of 1 stops at row 1: no recurrence or system step can be
     # tested, so neither check may read "ok".

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.sums import (check_system_step, fold_state, state_vectors,
-                          tag_power_sums)
+from hptsums import verify
+from hptsums.sums import fold_state, state_vectors, tag_power_sums
 from hptsums.triangle import TriangleParams, entry_rows, pair_rows
 from reference import pair_sum, row_pairs
 
@@ -120,15 +120,21 @@ def test_state_vectors_need_tag_sums_to_max_k():
         == [state_vector(row, 3), state_vector(row, 5)]
 
 
+def failing_equations(k, q, g, g_next, system="full"):
+    """The step oracle's failing equations between two state vectors."""
+    return verify.verify_system_steps(k, q, [g, g_next],
+                                      system)["failing_equations"]
+
+
 def test_check_system_step_k2_hand_values():
     rows = pairs_for(6, 4)
     g3, g4 = state_vector(rows[3], 2), state_vector(rows[4], 2)
-    assert check_system_step(g3, g4, 6, "full") == []
+    assert failing_equations(2, 6, g3, g4) == []
     # hand evaluations of the k=2 equations at q=6, read from the failures
     # against a next vector that is one off in every coordinate
     off = [x + 1 for x in g4]
-    by_name = {name: (p, x) for name, p, x
-               in check_system_step(g3, off, 6, "full")}
+    by_name = {f["equation"]: (int(f["predicted"]), int(f["actual"]))
+               for f in failing_equations(2, 6, g3, off)}
     assert by_name["b^k"] == (2 * 18 + 3 * 10 - 4, 63) == (62, 63)
     assert by_name["u"] == (18 + 2 * 10 - 4, 35) == (34, 35)
     assert by_name["a^1b^1"] == (18 + 2 * 9 + 10 + 4 - 1, 50) == (49, 50)
@@ -139,7 +145,9 @@ def test_check_system_step_dimension_mismatch():
     g2 = state_vector(rows[2], 2)
     g3 = state_vector(rows[3], 3)
     with pytest.raises(ValueError):
-        check_system_step(g2, g3, 6)
+        failing_equations(2, 6, g2, g3)
+    with pytest.raises(ValueError):
+        verify.verify_system_steps(3, 6, [g3, g3, g2], "reduced-as-printed")
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,7 +158,7 @@ def test_full_system_steps_hold(q, k, n):
         return
     g = state_vector(rows[n], k)
     g_next = state_vector(rows[n + 1], k)
-    assert check_system_step(g, g_next, q, "full") == []
+    assert failing_equations(k, q, g, g_next) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -211,7 +219,7 @@ def test_reduced_printed_oracle_k2_passes():
     for n in range(1, 5):
         g = state_vector(rows[n], 2)
         g_next = state_vector(rows[n + 1], 2)
-        assert check_system_step(g, g_next, 6, "reduced-as-printed") == []
+        assert failing_equations(2, 6, g, g_next, "reduced-as-printed") == []
 
 
 def test_reduced_printed_oracle_k3_fails_on_c1():
@@ -220,8 +228,9 @@ def test_reduced_printed_oracle_k3_fails_on_c1():
     rows = pairs_for(6, 4)
     g = state_vector(rows[3], 3)
     g_next = state_vector(rows[4], 3)
-    failures = check_system_step(g, g_next, 6, "reduced-as-printed")
+    failures = failing_equations(3, 6, g, g_next, "reduced-as-printed")
     assert failures
-    assert [name for name, _, _ in failures] == ["c1"]
+    assert [f["equation"] for f in failures] == ["c1"]
     (fail,) = failures
-    assert fail == ("c1", 263, 342)  # (name, predicted, actual)
+    assert fail == {"n": 1, "equation": "c1", "predicted": "263",
+                    "actual": "342"}

@@ -6,9 +6,9 @@ import pytest
 from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
-from hptsums.sums import (_full_rhs, fold_state, state_vectors,
-                          tag_power_sums)
+from hptsums.sums import fold_state, state_vectors, tag_power_sums
 from hptsums.triangle import TriangleParams, entry_rows
+from hptsums.verify import _full_rhs
 from reference import (build_structured_charpoly, row_pairs,
                        structured_addends, system_at)
 

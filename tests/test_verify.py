@@ -1,6 +1,8 @@
 from collections import Counter
 from itertools import islice
 
+import pytest
+
 from hptsums import sums, systembuilder, triangle, verify
 from hptsums.exactalg import QPoly
 
@@ -40,6 +42,27 @@ def test_verify_system_steps():
                                  reduced=True)["system_checks"]
     assert printed["failing_equations"]
     assert {f["equation"] for f in printed["failing_equations"]} == {"c1"}
+
+
+def test_verify_system_steps_rejects_an_unknown_system():
+    g = [0, 0, 2, 1]  # the k=2 state vector of row 1
+    with pytest.raises(ValueError, match="unknown system 'reduced'"):
+        verify.verify_system_steps(2, 6, [g, g], "reduced")
+
+
+def test_the_step_oracle_reads_no_system_matrix():
+    # The oracle checks the matrices of systembuilder, so no code of it,
+    # nested code included, names that module.
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    for fn in (verify._full_rhs, verify._reduced_printed_rhs,
+               verify.verify_system_steps):
+        assert "systembuilder" not in set(names(fn.__code__)), fn.__name__
+    assert not hasattr(sums, "check_system_step")
 
 
 def test_verify_counting():
