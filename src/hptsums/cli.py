@@ -26,8 +26,8 @@ def _render(args, record, plain, table=None, indent=None) -> None:
 
     json dumps record.  csv writes the rows of table with the csv module; a
     command with no table prints its plain form.  plain prints one line per
-    item of plain, an item that is not a str being a csv row, so that the
-    plain form of the table command is its csv table.
+    item of plain, any iterable, an item that is not a str being a csv row,
+    so that the plain form of the table command is its csv table.
     """
     def write(out):
         if args.format == "json":
@@ -36,7 +36,9 @@ def _render(args, record, plain, table=None, indent=None) -> None:
             csv.writer(out, lineterminator="\n").writerows(table)
         else:
             rows = csv.writer(out, lineterminator="\n")
-            for line in plain or [""]:  # an empty result is one blank line
+            lines = iter(plain)
+            # An empty result is one blank line.
+            for line in itertools.chain([next(lines, "")], lines):
                 if isinstance(line, str):
                     print(line, file=out)
                 else:
@@ -115,21 +117,24 @@ def cmd_sums(args) -> int:
         print(f"error: rows beyond {depth} exceed the entry cap "
               f"of {args.entry_cap}", file=sys.stderr)
         return EXIT_MISMATCH
-    records, plain = [], []
-    table = [["n", "power_sum"] + ["state_vector"] * args.state_vectors]
+    records = []
     rows = itertools.islice(triangle.pair_rows(params), 1, args.n_max + 1)
     for n, row in enumerate(rows, 1):
         a, b = sums.tag_power_sums(row, (args.k,))
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
-        sv = ()
         if args.state_vectors:
-            (sv,) = sums.state_vectors(row, (args.k,), (a, b))
-            rec["state_vector"] = sv
+            (rec["state_vector"],) = sums.state_vectors(row, (args.k,), (a, b))
         records.append(rec)
-        plain.append(f"n={n}: {rec['power_sum']}"
-                     + (f"  state=[{', '.join(map(str, sv))}]" if sv else ""))
-        table.append([n, rec["power_sum"]]
-                     + [" ".join(map(str, sv))] * args.state_vectors)
+    # Generators, so that only the printed form turns numbers into text.
+    vectors = args.state_vectors
+    plain = (f"n={r['n']}: {r['power_sum']}"
+             + (f"  state=[{', '.join(map(str, r['state_vector']))}]"
+                if vectors else "") for r in records)
+    table = itertools.chain(
+        [["n", "power_sum"] + ["state_vector"] * vectors],
+        ([r["n"], r["power_sum"]]
+         + ([" ".join(map(str, r["state_vector"]))] if vectors else [])
+         for r in records))
     _render(args, {"q": args.q, "k": args.k, "rows": records}, plain, table)
     return EXIT_OK
 

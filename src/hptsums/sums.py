@@ -1,66 +1,74 @@
 """Power sums by tag and state vectors of a row, read from its pair
-multiset (see triangle: a dict from flat (x, tx, y, ty) keys to
-multiplicities) for every k at once, and the fold of a state vector into
-the reduced coordinates.
+multiset (see triangle: (ab, bb), the A-then-B pairs and the B copy pairs,
+the B-then-A pairs being the ab pairs mirrored) for every k at once, and the
+fold of a state vector into the reduced coordinates.
 
 tag_power_sums gives the power sums and state_vectors the state vectors of
 every k its caller asks for, each in one pass over the row's distinct pairs,
 so a caller that checks many k reads each row once and one that prints a
 single k computes that k alone.  state_vectors takes the row's tag power
 sums from its caller, which computes them once per row.  Both count a
-winger, tagged W in the pairs, as B.  A state vector is a plain list of k+2
-integers, [(a^k), the k-1 mixed pair sums, (b^k), u]; k is its length
-minus 2.  Its pair sums are a pure adjacency scan: the winger corrections
-(-2, -1, -2(q-4)) live in the step equations (systembuilder, and the step
-oracle in verify), never here.  fold_classes is the one list of the fold
-classes, which fold_state and the reduced system of systembuilder read.
+winger, the value 1, as B, and neither reads the mirror.  A state vector is
+a plain list of k+2 integers, [(a^k), the k-1 mixed pair sums, (b^k), u];
+k is its length minus 2.  Its pair sums are a pure adjacency scan: the
+winger corrections (-2, -1, -2(q-4)) live in the step equations
+(systembuilder, and the step oracle in verify), never here.  fold_classes
+is the one list of the fold classes, which fold_state and the reduced
+system of systembuilder read.
 """
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from operator import mul
 
-from .triangle import TAG_A, TAG_B, TAG_W
+
+def _power_sums(values: list, weights: list, ks) -> list:
+    """The sum of w v^k over the values v and their weights w, for each k
+    of the ascending ks, each value's power raised from one k to the
+    next."""
+    out, prev = [], 0
+    for k in ks:
+        # A run of ks, as run_grid asks for, costs one product per value.
+        step = values if k == prev + 1 else [v ** (k - prev) for v in values]
+        weights = list(map(mul, weights, step))
+        out.append(sum(weights))
+        prev = k
+    return out
 
 
-def tag_power_sums(pairs: dict, ks) -> tuple:
+def tag_power_sums(pairs: tuple, ks) -> tuple:
     """(A, B), dicts from each k of ks to the sum of value^k over the tag-A
-    and the tag-B entries of a row's pair multiset.  Every entry but the
-    left winger ends one pair, so the multiplicities are summed per right
-    value, in one dict per tag (W shares B's), plus 1 for the left winger,
-    and each value's power is raised from one k of ks to the next."""
+    and the tag-B entries of a row's pair multiset (ab, bb).  The A entries
+    are the left ends of ab; the B entries are the left winger and the right
+    ends of ab and bb.  Their multiplicities are summed per value, in one
+    dict per tag, and each value's power is raised from one k of ks to the
+    next."""
     ks = sorted(set(ks))
     if min(ks, default=0) < 0:
         raise ValueError("k must be >= 0")
-    a_ends, b_ends = {}, {1: 1}  # value -> multiplicity; the left winger
-    ends = {TAG_A: a_ends, TAG_B: b_ends, TAG_W: b_ends}
-    for (_, _, y, ty), m in pairs.items():
-        d = ends[ty]
-        d[y] = d.get(y, 0) + m
-    a, b = {}, {}
-    for acc, by_value in ((a, a_ends), (b, b_ends)):
-        values, terms = list(by_value), list(by_value.values())
-        prev = 0
-        for k in ks:
-            # A run of ks, as run_grid asks for, costs one product per value.
-            step = (values if k == prev + 1
-                    else [v ** (k - prev) for v in values])
-            terms = list(map(mul, terms, step))
-            acc[k] = sum(terms)
-            prev = k
-    return a, b
+    ab, bb = pairs
+    a_ends, b_ends = {}, dict(bb)  # value -> multiplicity
+    b_ends[1] = b_ends.get(1, 0) + 1  # the left winger
+    a_get, b_get = a_ends.get, b_ends.get
+    for (s, y), m in ab.items():
+        a_ends[s] = a_get(s, 0) + m
+        b_ends[y] = b_get(y, 0) + m
+    return tuple(dict(zip(ks, _power_sums(list(ends), list(ends.values()),
+                                          ks)))
+                 for ends in (a_ends, b_ends))
 
 
-def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
+def state_vectors(pairs: tuple, ks, tag_sums: tuple) -> list:
     """The state vectors [(a^k), (a^{k-1}b), ..., (a b^{k-1}), (b^k), u] of a
-    row's pair multiset for each k of ks (every k >= 2), in ks order, each
-    a list of k+2 integers.  tag_sums is the row's (A, B) from
+    row's pair multiset (ab, bb) for each k of ks (every k >= 2), in ks
+    order, each a list of k+2 integers.  tag_sums is the row's (A, B) from
     tag_power_sums, holding every k of ks.
 
-    One pass over the distinct pairs serves every k.  It groups the (A, B)
-    pairs of values (x, y) by x, and sums U[j] = sum m x y^j over the
-    (B, B) pairs, so that u = U[k-1]; a winger counts as B.  Then, one x at
-    a time, S_x[j] = sum m y^j over the pairs of x does not depend on k,
-    and the mixed sum (a^{k-j} b^j) is sum_x x^(k-j) S_x[j].
+    One pass over the distinct pairs serves every k.  The A-then-B pairs
+    are ab itself, and u is the sum of m y^k over bb.  ab is grouped by x,
+    and, one x at a time, S_x[j], the sum of m y^j over the pairs (x, y),
+    does not depend on k; the mixed sum (a^{k-j} b^j) is
+    sum_x x^(k-j) S_x[j].  Only one x's powers are held at a time.
     """
     if min(ks) < 2:
         raise ValueError("k must be >= 2")
@@ -69,30 +77,27 @@ def state_vectors(pairs: dict, ks, tag_sums: tuple) -> list:
     missing = [k for k in ks if k not in a or k not in b]
     if missing:
         raise ValueError(f"tag sums must reach k = {max(missing)}")
-    by_x, u = {}, [0] * top  # by_x[x] = [(y, m), ...]; u[j] = U[j], j < top
-    for (x, t, y, ty), m in pairs.items():
-        if ty == TAG_A:
-            continue
-        if t == TAG_A:
-            by_x.setdefault(x, []).append((y, m))
+    ab, bb = pairs
+    by_x = {}  # x -> ([y, ...], [m, ...]) over the ab pairs (x, y)
+    for (x, y), m in ab.items():
+        group = by_x.get(x)
+        if group is None:
+            by_x[x] = [y], [m]
         else:
-            m *= x
-            for j in range(top):
-                u[j] += m
-                m *= y
-    mixed = {k: [0] * k for k in ks}  # mixed[k][j] = (a^{k-j} b^j), j >= 1
-    for x, ys in by_x.items():
-        sx, xp = [0] * top, [1] * top  # S_x[j] and x^j, j < top
-        for y, m in ys:
-            for j in range(top):
-                sx[j] += m
-                m *= y
-        for j in range(1, top):
-            xp[j] = xp[j - 1] * x
+            group[0].append(y)
+            group[1].append(m)
+    ascending = sorted(ks)
+    u = dict(zip(ascending,
+                 _power_sums(list(bb), list(bb.values()), ascending)))
+    mixed = {k: [0] * (k - 1) for k in ks}  # [k][j - 1] = (a^{k-j} b^j)
+    for x, (ys, ms) in by_x.items():
+        # S_x[j] and x^j at index j - 1, for 1 <= j < top
+        sx = _power_sums(ys, ms, range(1, top))
+        xp = list(accumulate(repeat(x, top - 1), mul))
         for k, mk in mixed.items():
-            for j in range(1, k):
-                mk[j] += xp[k - j] * sx[j]
-    return [[a[k]] + mixed[k][1:] + [b[k], u[k - 1]] for k in ks]
+            for j in range(k - 1):
+                mk[j] += xp[k - j - 2] * sx[j]
+    return [[a[k]] + mixed[k] + [b[k], u[k]] for k in ks]
 
 
 def fold_classes(k: int) -> list:

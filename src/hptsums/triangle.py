@@ -6,12 +6,18 @@ The boundary 1's (wingers) count as type B.
 
 A row is its list of (value, tag) entries, left to right (next_row,
 entry_rows); only the row command, which prints one, builds them.  A pair
-multiset is a plain dict from the flat key (x, tx, y, ty) of each two
-adjacent entries (x, tx) (y, ty) to its multiplicity, always > 0, the
-wingers tagged W (next_pairs, pair_rows).  The children of a pair depend
-only on the pair, so the multiset of row n determines that of row n+1 in
-one step with no branch on q; its size is the number of distinct pairs, not
-of entries.
+multiset (next_pairs, pair_rows) is the half of a row's adjacent pairs that
+the rest determines, a tuple (ab, bb) of plain dicts with every count > 0:
+ab maps (s, y), an A entry of value s and its right neighbour y, to its
+count, and bb maps y, two adjacent B entries of value y, to its count.  No
+two A entries are adjacent, and two adjacent B entries are copies of one
+value, so these are all the pairs but the B-then-A ones, which are the ab
+pairs mirrored, since rows are palindromes.  Value 1 marks a winger: an A
+entry sums two entries and a B entry copies an interior one, so no interior
+entry is 1.  A row holds 1 + 2 sum(ab) + sum(bb) entries.  The children of
+a pair depend only on the pair, so the multiset of row n determines that of
+row n+1 in one step, q entering only the count of the copy pairs; its size
+is the number of distinct pairs, not of entries.
 
 The size of every row follows from the type-count step alone (row_counts),
 so the entry cap is decided before any row is built (capped_depth).
@@ -22,7 +28,6 @@ from itertools import islice
 
 TAG_A = "A"
 TAG_B = "B"
-TAG_W = "W"  # a winger in a pair multiset: value 1, counted as B
 WINGER = (1, TAG_B)  # a boundary 1 in an entry list
 
 
@@ -87,43 +92,52 @@ def entry_rows(params: TriangleParams):
         row = next_row(row, params)
 
 
-def next_pairs(pairs: dict, params: TriangleParams) -> dict:
-    """The pair multiset of row n+1 from that of row n, for n >= 1.
+def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
+    """The pair multiset (ab, bb) of row n+1 from that of row n, n >= 1.
 
-    Row n+1 holds one block per vertex v of row n: copies(v) copies of v,
-    q-4 for tag A, q-3 for B and 1 for a winger, tagged B (W for a winger);
-    then, unless v is the right winger, the A-child of v and its right
-    neighbour.  So a pair (x, tx, y, ty) of row n has the children
-    (x, B, x+y, A) and (x+y, A, y, B), and the copies(y) - 1 pairs
-    (y, B, y, B) inside y's block.  Each block but the left winger's, which
-    has no inner pair, is the right end of exactly one pair.  A key is
+    Row n+1 holds one block per entry v of row n: copies(v) copies of v,
+    q-4 for tag A, q-3 for B and 1 for a winger, tagged B; then, unless v
+    is the right winger, the A entry that sums v and its right neighbour.
+    So each pair (x, y) of row n gives the pair (x+y, y) of row n+1: an ab
+    pair (s, y) gives (s+y, y) and, through its mirror (y, s), (s+y, s),
+    and a bb pair y gives (2y, y).  The copies(v) - 1 copy pairs of each
+    block are the whole bb of row n+1: (q-4) #B(v) + (q-5) #A(v) of value v,
+    where #A(v) and #B(v) count the interior A and B entries of value v in
+    row n, the left ends of ab and the right ends of ab and bb.  A key is
     written only with a count > 0.
     """
-    if not pairs:
+    ab, bb = pairs
+    if not ab and not bb:
         raise ValueError("row 0 has no pair step; start at row 1")
     q = params.q
-    inner = {TAG_A: q - 5, TAG_B: q - 4, TAG_W: 0}  # copies - 1
-    copy_tag = {TAG_A: TAG_B, TAG_B: TAG_B, TAG_W: TAG_W}
-    out = {}
-    get = out.get
-    for (x, tx, y, ty), m in pairs.items():
-        s, cy = x + y, copy_tag[ty]
-        key = (x, copy_tag[tx], s, TAG_A)
+    out, n_a, n_b = {}, {}, {}  # next ab; value -> A, B entries of row n
+    get, get_a, get_b = out.get, n_a.get, n_b.get
+    for (s, y), m in ab.items():
+        t = s + y
+        key = (t, y)
         out[key] = get(key, 0) + m
-        key = (s, TAG_A, y, cy)
+        key = (t, s)
         out[key] = get(key, 0) + m
-        c = m * inner[ty]
-        if c > 0:  # a winger, or tag A at q = 5, has a single copy
-            key = (y, cy, y, cy)
-            out[key] = get(key, 0) + c
-    return out
+        n_a[s] = get_a(s, 0) + m
+        n_b[y] = get_b(y, 0) + m
+    for y, m in bb.items():
+        key = (y + y, y)
+        out[key] = get(key, 0) + m
+        n_b[y] = get_b(y, 0) + m
+    n_b.pop(1, None)  # the right winger, the only B end of value 1
+    copy_pairs = {}
+    for v in n_a.keys() | n_b.keys():
+        c = (q - 4) * get_b(v, 0) + (q - 5) * get_a(v, 0)
+        if c:  # zero only for A entries at q = 5, which have one copy
+            copy_pairs[v] = c
+    return out, copy_pairs
 
 
 def pair_rows(params: TriangleParams):
-    """The pair multisets of rows 0, 1, 2, ... without end; row 0, a single
-    vertex, has no pair."""
-    yield {}
-    row = {(1, TAG_W, 1, TAG_W): 1}
+    """The pair multisets of rows 0, 1, 2, ... without end: row 0, a single
+    vertex, has no pair, and row 1 is its two wingers, one bb pair."""
+    yield {}, {}
+    row = {}, {1: 1}
     while True:
         yield row
         row = next_pairs(row, params)

@@ -16,10 +16,12 @@ that tests compare the product path against.  No command runs them.
     polynomial as the determinant of the row-reduced form of M - xI, with
     polynomials in x as ascending lists of QPoly (xq_add, xq_eval_x);
   * matrix_from_orbit, a system matrix recovered from its orbit;
-  * row_pairs and pair_sum, a materialised row's multiset of adjacent
-    pairs, a plain dict from flat (x, tx, y, ty) keys to multiplicities,
-    its wingers tagged W, and the sums over those pairs, a winger counted
-    as B.
+  * entry_pairs and pair_sum, the literal multiset of a materialised
+    row's adjacent pairs, a plain dict from flat (x, tx, y, ty) keys to
+    multiplicities, and the sums over those pairs;
+  * row_pairs, a materialised row's half pair multiset (ab, bb), the form
+    that triangle.pair_rows steps, read from its literal pairs with no
+    symmetry assumed.
 """
 from collections import Counter
 from fractions import Fraction
@@ -246,25 +248,36 @@ def matrix_from_orbit(vectors) -> list:
     return [[a[c][nu + r] for c in range(nu)] for r in range(nu)]
 
 
-def row_pairs(e: list) -> dict:
-    """The pair multiset of a materialised entry list: one flat
-    (x, tx, y, ty) key per two adjacent entries, the wingers at both ends
-    tagged W, as a plain dict, so that comparing it with a pair step's
-    dict also compares any zero count."""
-    ends = (0, len(e) - 1)
-    w = [(v, "W") if i in ends else (v, t) for i, (v, t) in enumerate(e)]
-    return dict(Counter(left + right for left, right in zip(w, w[1:])))
+def entry_pairs(e: list) -> dict:
+    """The literal multiset of a materialised entry list's adjacent pairs:
+    one flat (x, tx, y, ty) key per two adjacent entries, the wingers
+    tagged B as in the list, as a plain dict."""
+    return dict(Counter(left + right for left, right in zip(e, e[1:])))
+
+
+def row_pairs(e: list) -> tuple:
+    """The half pair multiset (ab, bb) of a materialised entry list: ab
+    counts its A-then-B pairs (x, y), and bb its B-then-B pairs by their
+    value.  It reads the literal pairs and assumes no symmetry, so it does
+    not read the B-then-A pairs; a pair that the half form cannot hold, two
+    adjacent A entries or two adjacent B entries of different values,
+    raises ValueError."""
+    ab, bb = Counter(), Counter()
+    for (x, tx, y, ty), m in entry_pairs(e).items():
+        if tx == ty == "A" or (tx == ty == "B" and x != y):
+            raise ValueError(f"no half form holds the pair {x}{tx} {y}{ty}")
+        if (tx, ty) == ("A", "B"):
+            ab[x, y] += m
+        elif tx == ty == "B":
+            bb[y] += m
+    return dict(ab), dict(bb)
 
 
 def pair_sum(pairs: dict, i: int, j: int, first_tag: str,
              second_tag: str) -> int:
-    """Sum of first^i * second^j over adjacent ordered entry pairs whose
-    tags match (first_tag, second_tag), a winger counted as B."""
+    """Sum of first^i * second^j over the adjacent ordered entry pairs of
+    entry_pairs whose tags match (first_tag, second_tag)."""
     if i + j < 1:
         raise ValueError("i + j must be >= 1")
-
-    def tag(t):
-        return "B" if t == "W" else t
-
     return sum(m * x**i * y**j for (x, tx, y, ty), m in pairs.items()
-               if tag(tx) == first_tag and tag(ty) == second_tag)
+               if (tx, ty) == (first_tag, second_tag))

@@ -142,6 +142,53 @@ def test_sums_computes_only_the_printed_power(capsys):
             ["rows"]] == [sum(v**20000 for v, _ in row) for row in rows]
 
 
+class CountedInt(int):
+    """An int that counts its conversions to text; a sum with it is one."""
+    conversions = 0
+
+    def __add__(self, other):
+        return CountedInt(int(self) + other)
+
+    def __str__(self):
+        CountedInt.conversions += 1
+        return int.__repr__(self)
+
+    def __format__(self, spec):
+        CountedInt.conversions += 1
+        return format(int(self), spec)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_sums_renders_only_the_printed_format(capsys, monkeypatch, fmt):
+    # json dumps the numbers itself; the plain lines and the csv table turn
+    # them into text only when they are the format printed.
+    real_tags, real_vectors = cli.sums.tag_power_sums, cli.sums.state_vectors
+
+    def tags(pairs, ks):
+        return tuple({k: CountedInt(v) for k, v in d.items()}
+                     for d in real_tags(pairs, ks))
+
+    def vectors(pairs, ks, tag_sums):
+        return [list(map(CountedInt, g))
+                for g in real_vectors(pairs, ks, tag_sums)]
+
+    monkeypatch.setattr(cli.sums, "tag_power_sums", tags)
+    monkeypatch.setattr(cli.sums, "state_vectors", vectors)
+    monkeypatch.setattr(CountedInt, "conversions", 0)
+    code, out, _ = run(capsys, "sums", "--q", "6", "--k", "3", "--n-max", "4",
+                       "--state-vectors", "--format", fmt)
+    assert code == 0
+    # 4 rows, each a power sum and a state vector of 5 numbers.
+    assert CountedInt.conversions == (0 if fmt == "json" else 4 * 6)
+    last = {"plain": "n=4: 600  state=[442, 221, 121, 158, 86]",
+            "csv": "4,600,442 221 121 158 86"}
+    if fmt == "json":
+        assert json.loads(out)["rows"][3] == {
+            "n": 4, "power_sum": 600, "state_vector": [442, 221, 121, 158, 86]}
+    else:
+        assert out.splitlines()[-1] == last[fmt]
+
+
 def test_recurrence_json_schema(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "json")
     payload = json.loads(out)
@@ -229,7 +276,7 @@ def test_recurrence_large_k_json_is_pinned(capsys, k):
 
 def test_deep_sums_under_1gib_address_space():
     # sums reads pair multisets: row 12 at q=9 holds 2.3e8 entries in
-    # 5,433 distinct adjacent pairs.
+    # 2,777 keys of its half form.
     proc = run_under_1gib("sums", "--q", "9", "--k", "3", "--n-max", "12",
                           "--entry-cap", "1000000000", "--format", "json")
     assert proc.returncode == 0, proc.stderr

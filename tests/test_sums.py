@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hptsums import verify
 from hptsums.sums import fold_state, state_vectors, tag_power_sums
 from hptsums.triangle import TriangleParams, entry_rows, pair_rows
-from reference import pair_sum, row_pairs
+from reference import entry_pairs, pair_sum, row_pairs
 
 
 def rows_for(q, n):
@@ -16,6 +16,10 @@ def rows_for(q, n):
 
 def pairs_for(q, n):
     return [row_pairs(r) for r in rows_for(q, n)]
+
+
+def literal_pairs_for(q, n):
+    return [entry_pairs(r) for r in rows_for(q, n)]
 
 
 def state_vector(pairs, k):
@@ -65,7 +69,7 @@ def test_state_vectors_match_pair_sums(q):
     params = TriangleParams(q)
     rows = zip(rows_for(q, 8)[1:], islice(pair_rows(params), 1, None))
     for row, pairs in rows:
-        ref = row_pairs(row)
+        ref = entry_pairs(row)
         want = {k: ([sum(v**k for v, t in row if t == "A")]
                     + [pair_sum(ref, k - j, j, "A", "B") for j in range(1, k)]
                     + [sum(v**k for v, t in row if t == "B"),
@@ -78,14 +82,14 @@ def test_state_vectors_match_pair_sums(q):
 
 
 def test_pair_sum_examples():
-    rows = pairs_for(6, 3)
+    rows = literal_pairs_for(6, 3)
     assert pair_sum(rows[3], 2, 3, "A", "B") == 81
     assert pair_sum(rows[3], 1, 3, "B", "B") == 16
     assert pair_sum(rows[3], 1, 1, "A", "A") == 0
 
 
 def test_pair_sum_requires_positive_power():
-    rows = pairs_for(6, 2)
+    rows = literal_pairs_for(6, 2)
     with pytest.raises(ValueError):
         pair_sum(rows[2], 0, 0, "A", "B")
 
@@ -165,7 +169,7 @@ def test_full_system_steps_hold(q, k, n):
 @given(q=st.integers(5, 8), n=st.integers(2, 6), i=st.integers(1, 4),
        j=st.integers(1, 4))
 def test_pair_sum_reversal_symmetry(q, n, i, j):
-    row = pairs_for(q, n)[n]
+    row = literal_pairs_for(q, n)[n]
     assert pair_sum(row, i, j, "A", "B") == pair_sum(row, j, i, "B", "A")
     assert pair_sum(row, i, j, "B", "A") == pair_sum(row, j, i, "A", "B")
 
@@ -175,7 +179,7 @@ def test_pair_sum_reversal_symmetry(q, n, i, j):
 def test_bb_pair_sums_split_independent(q, n, k):
     """(b^i b^{k-i})_n is the same for every split of k (adjacent B's are
     equal)."""
-    row = pairs_for(q, n)[n]
+    row = literal_pairs_for(q, n)[n]
     vals = {pair_sum(row, i, k - i, "B", "B") for i in range(1, k)}
     assert len(vals) == 1
 
@@ -201,7 +205,8 @@ def test_statistics_match_entry_scans(q, n, k):
     assert state_vector(t, k) == expected
     tag_a, tag_b = tag_power_sums(t, (k,))
     assert (tag_a[k], tag_b[k]) == (a, b)
-    assert pair_sum(t, k, 2, "B", "A") == _scan_pair_sum(row, k, 2, "B", "A")
+    assert pair_sum(entry_pairs(row), k, 2, "B", "A") \
+        == _scan_pair_sum(row, k, 2, "B", "A")
 
 
 def test_fold_state_even_and_odd():

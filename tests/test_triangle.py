@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hptsums.triangle import (TriangleParams, capped_depth, entry_rows,
                               next_pairs, next_row, pair_rows, row_counts,
                               validate_row)
-from reference import row_pairs
+from reference import entry_pairs, row_pairs
 
 
 def row_of(spec):
@@ -115,38 +115,67 @@ def test_rows_0_and_1():
         == [[(1, "B")], [(1, "B"), (1, "B")]]
 
 
-def test_row_pairs_tag_the_wingers():
-    t = row_pairs(row_of("1B 3A 2B 2B 3A 1B"))
-    assert t == {(1, "W", 3, "A"): 1, (3, "A", 2, "B"): 1,
-                 (2, "B", 2, "B"): 1, (2, "B", 3, "A"): 1,
-                 (3, "A", 1, "W"): 1}
-    assert row_pairs([(1, "B"), (1, "B")]) == {(1, "W", 1, "W"): 1}
-    assert row_pairs([(1, "B")]) == {}
+def test_row_pairs_read_the_half_form():
+    e = row_of("1B 3A 2B 2B 3A 1B")
+    assert entry_pairs(e) == {(1, "B", 3, "A"): 1, (3, "A", 2, "B"): 1,
+                              (2, "B", 2, "B"): 1, (2, "B", 3, "A"): 1,
+                              (3, "A", 1, "B"): 1}
+    assert row_pairs(e) == ({(3, 2): 1, (3, 1): 1}, {2: 1})
+    assert row_pairs([(1, "B"), (1, "B")]) == ({}, {1: 1})
+    assert row_pairs([(1, "B")]) == ({}, {})
+    for spec in ("1B 2A 3A 1B", "1B 3A 2B 4B 3A 1B"):
+        with pytest.raises(ValueError, match="no half form"):
+            row_pairs(row_of(spec))
+
+
+def entries_of(pairs):
+    """The number of entries of a row held as the pair multiset (ab, bb)."""
+    ab, bb = pairs
+    return 1 + 2 * sum(ab.values()) + sum(bb.values())
+
+
+@pytest.mark.parametrize("q", [5, 6, 7, 9])
+def test_half_form_invariants_hold_on_generated_rows(q):
+    """What the half form builds in, checked on the literal pairs of the
+    materialised rows, rows 0..12 or as far as a row fits in 10**6 entries:
+    the B-then-A pairs are the A-then-B pairs mirrored, no two A entries
+    are adjacent, two adjacent B entries are equal, value 1 occurs only at
+    the two ends, and the row holds 1 + 2 sum(ab) + sum(bb) entries."""
+    params = TriangleParams(q)
+    for e in rows_upto(params, capped_depth(params, 12, 10**6)):
+        literal = entry_pairs(e)
+        ab = {(x, y): m for (x, tx, y, ty), m in literal.items()
+              if (tx, ty) == ("A", "B")}
+        ba = {(y, x): m for (x, tx, y, ty), m in literal.items()
+              if (tx, ty) == ("B", "A")}
+        assert ba == ab
+        assert not [key for key in literal if key[1] == key[3] == "A"]
+        assert all(x == y for x, tx, y, ty in literal if tx == ty == "B")
+        assert [i for i, (v, _) in enumerate(e) if v == 1] \
+            == sorted({0, len(e) - 1})
+        assert entries_of(row_pairs(e)) == len(e)
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
 def test_pair_step_matches_generated_rows(q):
-    """The pair step against the adjacent pairs of the materialised rows,
-    rows 0..12 or as far as a row fits in 10**6 entries (q=7: 10, q=9: 9;
-    row 12 holds 6.7e6 entries at q=7 and 2.3e8 at q=9)."""
+    """The pair step against the half form of the materialised rows, rows
+    0..12 or as far as a row fits in 10**6 entries (q=7: 10, q=9: 9; row 12
+    holds 6.7e6 entries at q=7 and 2.3e8 at q=9)."""
     params = TriangleParams(q)
     depth = capped_depth(params, 12, 10**6)
     rows = rows_upto(params, depth)
     pairs = list(islice(pair_rows(params), depth + 1))
     assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
     assert [row_pairs(r) for r in rows] == pairs
-    for n, t in enumerate(pairs[1:], 1):
+    for n, (ab, bb) in enumerate(pairs[1:], 1):
         # The step must write no key it does not use: no zero count.
-        assert all(m > 0 for m in t.values())
-        # The two wingers are the only W entries: one pair starts and one
-        # ends with a W, each once (the same pair in row 1).  The step tells
-        # them apart by their tag, not by their value 1, which no interior
-        # entry has either.
-        assert [m for (_, tx, _, _), m in t.items() if tx == "W"] == [1]
-        assert [m for (_, _, _, ty), m in t.items() if ty == "W"] == [1]
-        assert all(v > 1 for x, tx, y, ty in t
-                   for v, tag in ((x, tx), (y, ty)) if tag != "W")
-        assert sum(t.values()) + 1 == row_counts(params, n).s
+        assert all(m > 0 for m in [*ab.values(), *bb.values()])
+        # Value 1 marks the wingers: no A entry is 1, and the right winger
+        # ends one pair, of ab from row 2 on, of bb (both wingers) in row 1.
+        assert all(s > 1 for s, _ in ab)
+        assert sum(m for (_, y), m in ab.items() if y == 1) \
+            + bb.get(1, 0) == 1
+        assert entries_of((ab, bb)) == row_counts(params, n).s
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -154,13 +183,13 @@ def test_pair_step_matches_generated_rows(q):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 64])
 def test_capped_depth_matches_the_pair_step(q, cap, n_max):
     """The depth decided from the type-count step against the sizes read
-    off the pair step, one more than the sum of the multiplicities: rows 0
-    and 1 always, then each row while it holds at most cap entries.  The
-    rows are read lazily and no further than the first one past the cap."""
+    off the pair step, 1 + 2 sum(ab) + sum(bb): rows 0 and 1 always, then
+    each row while it holds at most cap entries.  The rows are read lazily
+    and no further than the first one past the cap."""
     params = TriangleParams(q)
     depth = 0
     for n, row in enumerate(islice(pair_rows(params), n_max + 1)):
-        if n >= 2 and sum(row.values()) + 1 > cap:
+        if n >= 2 and entries_of(row) > cap:
             break
         depth = n
     assert capped_depth(params, n_max, cap) == depth

@@ -132,19 +132,20 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     # Row 10 at q=9 holds 4,976,786 entries: past what a 2e5-entry cap on
     # materialised rows reaches (row 8) and past the 1e5-entry cap of the
     # grid checks (row 7), so only the counting check reads it, from the one
-    # stream of q=9.  One A entry of that row turned into a B entry must show
-    # there, from row 10 on, while the grid check of rows <= 7 stays exact.
+    # stream of q=9.  One count of that row moved from an A-then-B pair
+    # (s, y) to the B copy pairs of value s turns an A entry into a B entry
+    # (and drops the mirrored pair).  It must show there, from row 10 on,
+    # while the grid check of rows <= 7 stays exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
     real = triangle.next_pairs
 
     def perturbed(pairs, params):
-        out = real(pairs, params)
-        if sum(out.values()) + 1 == row10:
-            x, tx, y, _ = key = next(key for key in out if key[3] == "A")
-            moved = (x, tx, y, "B")
-            out[key] -= 1
-            out[moved] = out.get(moved, 0) + 1
+        ab, bb = out = real(pairs, params)
+        if 1 + 2 * sum(ab.values()) + sum(bb.values()) == row10:
+            key = next(iter(ab))
+            ab[key] -= 1
+            bb[key[0]] = bb.get(key[0], 0) + 1
         return out
 
     monkeypatch.setattr(triangle, "next_pairs", perturbed)
