@@ -21,6 +21,8 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from operator import mul
 
+from . import triangle
+
 
 def _power_sums(values: list, weights: list, ks) -> list:
     """The sum of w v^k over the values v and their weights w, for each k
@@ -38,21 +40,16 @@ def _power_sums(values: list, weights: list, ks) -> list:
 
 def tag_power_sums(pairs: tuple, ks) -> tuple:
     """(A, B), dicts from each k of ks to the sum of value^k over the tag-A
-    and the tag-B entries of a row's pair multiset (ab, bb).  The A entries
-    are the left ends of ab; the B entries are the left winger and the right
-    ends of ab and bb.  Their multiplicities are summed per value, in one
-    dict per tag, and each value's power is raised from one k of ks to the
+    and the tag-B entries of a row's pair multiset (ab, bb).  The interior
+    entries are counted per value by triangle.entry_counts, and the wingers
+    are added as B; each value's power is raised from one k of ks to the
     next."""
     ks = sorted(set(ks))
     if min(ks, default=0) < 0:
         raise ValueError("k must be >= 0")
+    a_ends, b_ends = triangle.entry_counts(pairs)  # value -> multiplicity
     ab, bb = pairs
-    a_ends, b_ends = {}, dict(bb)  # value -> multiplicity
-    b_ends[1] = b_ends.get(1, 0) + 1  # the left winger
-    a_get, b_get = a_ends.get, b_ends.get
-    for (s, y), m in ab.items():
-        a_ends[s] = a_get(s, 0) + m
-        b_ends[y] = b_get(y, 0) + m
+    b_ends[1] = 2 if ab or bb else 1  # row 0 is a single winger
     return tuple(dict(zip(ks, _power_sums(list(ends), list(ends.values()),
                                           ks)))
                  for ends in (a_ends, b_ends))

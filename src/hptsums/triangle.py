@@ -92,6 +92,22 @@ def entry_rows(params: TriangleParams):
         row = next_row(row, params)
 
 
+def entry_counts(pairs: tuple) -> tuple:
+    """(A, B), dicts from each value to the number of interior A and of
+    interior B entries of that value in the row of pair multiset (ab, bb).
+    The A entries are the left ends of ab, and the B entries the right ends
+    of ab and bb but the right winger; the wingers, the value 1, are left
+    out."""
+    ab, bb = pairs
+    n_a, n_b = {}, dict(bb)
+    get_a, get_b = n_a.get, n_b.get
+    for (s, y), m in ab.items():
+        n_a[s] = get_a(s, 0) + m
+        n_b[y] = get_b(y, 0) + m
+    n_b.pop(1, None)  # the right winger, the only B end of value 1
+    return n_a, n_b
+
+
 def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
     """The pair multiset (ab, bb) of row n+1 from that of row n, n >= 1.
 
@@ -103,28 +119,25 @@ def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
     and a bb pair y gives (2y, y).  The copies(v) - 1 copy pairs of each
     block are the whole bb of row n+1: (q-4) #B(v) + (q-5) #A(v) of value v,
     where #A(v) and #B(v) count the interior A and B entries of value v in
-    row n, the left ends of ab and the right ends of ab and bb.  A key is
-    written only with a count > 0.
+    row n (entry_counts).  A key is written only with a count > 0.
     """
     ab, bb = pairs
     if not ab and not bb:
         raise ValueError("row 0 has no pair step; start at row 1")
     q = params.q
-    out, n_a, n_b = {}, {}, {}  # next ab; value -> A, B entries of row n
-    get, get_a, get_b = out.get, n_a.get, n_b.get
+    out = {}
+    get = out.get
     for (s, y), m in ab.items():
         t = s + y
         key = (t, y)
         out[key] = get(key, 0) + m
         key = (t, s)
         out[key] = get(key, 0) + m
-        n_a[s] = get_a(s, 0) + m
-        n_b[y] = get_b(y, 0) + m
     for y, m in bb.items():
         key = (y + y, y)
         out[key] = get(key, 0) + m
-        n_b[y] = get_b(y, 0) + m
-    n_b.pop(1, None)  # the right winger, the only B end of value 1
+    n_a, n_b = entry_counts(pairs)
+    get_a, get_b = n_a.get, n_b.get
     copy_pairs = {}
     for v in n_a.keys() | n_b.keys():
         c = (q - 4) * get_b(v, 0) + (q - 5) * get_a(v, 0)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hptsums.triangle import (TriangleParams, capped_depth, entry_rows,
-                              next_pairs, next_row, pair_rows, row_counts,
-                              validate_row)
+from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
+                              entry_rows, next_pairs, next_row, pair_rows,
+                              row_counts, validate_row)
 from reference import entry_pairs, row_pairs
 
 
@@ -176,6 +176,20 @@ def test_pair_step_matches_generated_rows(q):
         assert sum(m for (_, y), m in ab.items() if y == 1) \
             + bb.get(1, 0) == 1
         assert entries_of((ab, bb)) == row_counts(params, n).s
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_entry_counts_match_generated_rows(q):
+    """The per-value counts of the interior A and B entries, read off the
+    half form, against the materialised rows, rows 0..12 or as far as a
+    row fits in 10**6 entries."""
+    params = TriangleParams(q)
+    depth = capped_depth(params, 12, 10**6)
+    for e, pairs in zip(rows_upto(params, depth), pair_rows(params)):
+        counts = {"A": {}, "B": {}}
+        for v, t in e[1:-1]:
+            counts[t][v] = counts[t].get(v, 0) + 1
+        assert entry_counts(pairs) == (counts["A"], counts["B"])
 
 
 @pytest.mark.parametrize("q", [5, 9])

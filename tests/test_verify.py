@@ -133,9 +133,10 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     # materialised rows reaches (row 8) and past the 1e5-entry cap of the
     # grid checks (row 7), so only the counting check reads it, from the one
     # stream of q=9.  One count of that row moved from an A-then-B pair
-    # (s, y) to the B copy pairs of value s turns an A entry into a B entry
-    # (and drops the mirrored pair).  It must show there, from row 10 on,
-    # while the grid check of rows <= 7 stays exact.
+    # (s, y) to the B copy pairs of values s and y turns an A entry into a
+    # B entry and keeps the row's size, so only the per-tag counts can show
+    # it.  It must show there, from row 10 on, while the grid check of
+    # rows <= 7 stays exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
     real = triangle.next_pairs
@@ -143,9 +144,11 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     def perturbed(pairs, params):
         ab, bb = out = real(pairs, params)
         if 1 + 2 * sum(ab.values()) + sum(bb.values()) == row10:
-            key = next(iter(ab))
+            s, y = key = next(key for key in ab if key[1] != 1)
             ab[key] -= 1
-            bb[key[0]] = bb.get(key[0], 0) + 1
+            bb[s] = bb.get(s, 0) + 1
+            bb[y] = bb.get(y, 0) + 1
+            assert 1 + 2 * sum(ab.values()) + sum(bb.values()) == row10
         return out
 
     monkeypatch.setattr(triangle, "next_pairs", perturbed)
