@@ -54,10 +54,6 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(int(c) for c in cs)
 
-    @classmethod
-    def const(cls, c: int) -> "QPoly":
-        return cls((c,))
-
     def coeff(self, d: int) -> int:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
@@ -66,7 +62,7 @@ class QPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = QPoly.const(other)
+            other = QPoly((other,))
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -115,7 +111,7 @@ def _as_qpoly(v) -> QPoly:
     if isinstance(v, QPoly):
         return v
     if isinstance(v, int):
-        return QPoly.const(v)
+        return QPoly((v,))
     raise TypeError(f"cannot coerce {v!r} to QPoly")
 
 

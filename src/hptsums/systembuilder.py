@@ -10,10 +10,12 @@ exactalg.charpoly_q reads it off the Schur complement on the two q-rows:
 one integer characteristic polynomial of the q-free block on the other
 coordinates, two dimensions smaller, and a 2x2 determinant lemma.
 
-One route derives every recurrence and its initial values: the folded
-reduced system of dimension r = floor(k/2)+3.  The fold P maps the full
-coordinates [a^k, mixed pairs, b^k, u] onto [a^k, b^k, c_1.., u] by summing
-each fold class of sums.fold_classes,
+One route derives every recurrence and its initial values, k = 0 and 1
+included: the folded reduced system of dimension r = floor(k/2)+3.  The
+full system has dimension n = k+2, except at k = 0, which takes k = 1's
+three coordinates [#A, #B, #bb]; at k = 0 and 1 the fold is the identity.
+The fold P maps the full coordinates [a^k, mixed pairs, b^k, u] onto
+[a^k, b^k, c_1.., u] by summing each fold class of sums.fold_classes,
 
   (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
 
@@ -25,7 +27,7 @@ is fold-symmetric (equal at both columns of each pair), so P M = M_red P
 and P h = h_red.  Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2,
 is M-invariant; M maps it to zero, because rows 0..k-1 of M are symmetric
 under j <-> k-j and rows k, k+1 touch only columns 0, k and k+1.  So
-det(xI - M) = x^(k+2-r) det(xI - M_red), and the full characteristic
+det(xI - M) = x^(n-r) det(xI - M_red), and the full characteristic
 polynomial is read off the reduced one exactly.
 
 Recurrences come out of the characteristic polynomial, an ascending list
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
-                       charpoly_q, format_qpoly)
+from .exactalg import (QONE, QZERO, ExactAlgError, QPoly, binom, charpoly_q,
+                       format_qpoly)
 from .sums import fold_classes, fold_state
 
 __all__ = [
@@ -66,16 +68,19 @@ class LinearSystem:
 class Recurrence:
     """(s^k)_n = sum_j c_j(q) (s^k)_{n-j}, with maximal x-stripping.
 
-    order is the order after maximal x-stripping; not always minimal (at
-    k = 10 a valid order-7 recurrence exists where order is 8).  It falls
-    short of conjectured_order(k) for some k, such as 9 and 11.
+    Every k, 0 and 1 included, is derived from its full system, which
+    the printed field variant names.  order is the order after maximal
+    x-stripping; not always minimal (at k = 10 a valid order-7 recurrence
+    exists where order is 8).  It falls short of conjectured_order(k) for
+    some k, such as 9 and 11.
     """
 
+    variant = "full"
+
     def __init__(self, k: int, order: int, coefficients: list,
-                 x_strip_count: int, variant: str = "full"):
+                 x_strip_count: int):
         self.k, self.order, self.x_strip_count = k, order, x_strip_count
         self.coefficients = coefficients  # QPoly c_1..c_order
-        self.variant = variant  # "full" | "closed" (k = 0, 1)
         self.initial_values = []  # QPoly per n
 
     def coefficients_padded(self, width: int) -> list:
@@ -92,30 +97,38 @@ def conjectured_order(k: int) -> int:
 
 
 def build_full_matrix(k: int) -> LinearSystem:
-    """The (k+2)-dimensional system advancing [a^k, mixed pairs, b^k, u].
+    """The system advancing [a^k, mixed pairs, b^k, u], of dimension k+2 for
+    k >= 1; k = 0 takes k = 1's layout [#A, #B, #bb], since a^0 and b^0
+    cannot share one coordinate.
 
     Upper k x (k+1) block: a_{i,j} = C(k-i, j) + C(k-i, k-j); last column
     2^k - 2 then 2^{k-i} - 1; the two q-rows close the system.  Their
     q-part, q (a^k + b^k) in both, is written once as u = e_{b^k} + e_u,
     v = e_{a^k} + e_{b^k}, and their constant -2(q-4) as 8 - 2q.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2 (k = 0, 1 have known closed "
-                         "recurrences; see recurrence_for_k)")
-    n = k + 2
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    m = max(k, 1)  # the b^k coordinate
+    n = m + 2
     a = [[0] * n for _ in range(n)]
-    for i in range(k):
-        for j in range(k + 1):
+    for i in range(m):
+        for j in range(m + 1):
             a[i][j] = binom(k - i, j) + binom(k - i, k - j)
-    a[0][k + 1] = 2**k - 2
-    for i in range(1, k):
-        a[i][k + 1] = 2**(k - i) - 1
-    a[k][0], a[k][k] = -4, -3
-    a[k + 1][0], a[k + 1][k] = -5, -4
+    a[0][m + 1] = 2**k - 2
+    for i in range(1, m):
+        a[i][m + 1] = 2**(k - i) - 1
+    a[m][0], a[m][m] = -4, -3
+    a[m + 1][0], a[m + 1][m] = -5, -4
     u, v = [0] * n, [0] * n
-    u[k] = u[k + 1] = v[0] = v[k] = 1
-    h0 = [-2] + [-1] * (k - 1) + [8, 8]
-    h1 = [0] * k + [-2, -2]
+    u[m] = u[m + 1] = v[0] = v[m] = 1
+    h0 = [-2] + [-1] * (m - 1) + [8, 8]
+    h1 = [0] * m + [-2, -2]
+    if k == 0:
+        # A pair (x, y) yields the A vertex x + y, and the A row sums
+        # (x + y)^k by its binomial terms.  At k = 0 the i = 0 and i = k
+        # terms coincide, so the general row counts each adjacent pair
+        # twice; a_{n+1} = a_n + b_n - 1 counts it once.
+        a[0], h0[0] = [1, 1, 0], -1
     return LinearSystem(k, a, u, v, h0, h1)
 
 
@@ -130,10 +143,8 @@ def build_reduced_matrix(k: int) -> LinearSystem:
     the c_j rows is encoded once, as the step oracle's
     verify._reduced_printed_rhs.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
     full = build_full_matrix(k)
-    classes = fold_classes(k)
+    classes = fold_classes(len(full.a) - 2)
 
     def read(vec):
         for c in classes:
@@ -191,7 +202,7 @@ def initial_values_symbolic(k: int, d: int) -> list:
     if d < 1:
         raise ValueError("d must be >= 1")
     s = build_reduced_matrix(k)
-    gs = [fold_state([0] * k + [2, 1])]  # [G_0] of g_1
+    gs = [[0, 2] + [0] * (len(s.a) - 3) + [1]]  # [G_0] of g_1
     out = [QPoly(g[0] + g[1] for g in gs)]
     while len(out) < d:
         vg = [0] + [sum(map(mul, s.v, g)) for g in gs]  # v . G_{d-1}
@@ -206,27 +217,15 @@ def initial_values_symbolic(k: int, d: int) -> list:
 def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     """The scalar recurrence for (s^k)_n.
 
-    k = 0 and k = 1 are the known ternary recurrences for vertex counts and
-    plain row sums; k >= 2 runs the characteristic-polynomial pipeline on
-    the reduced system matrix, first multiplied by x^(k+2-r), which gives
-    the full system's characteristic polynomial, so x_strip_count is the
-    full system's.
+    Runs the characteristic-polynomial pipeline on the reduced system
+    matrix, first multiplied by x^(n-r), n and r the full and the reduced
+    dimension, which gives the full system's characteristic polynomial, so
+    x_strip_count is the full system's.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        rec = Recurrence(0, 3, [Q - 1, -Q + 1, QONE], 0, variant="closed")
-        if with_initial_values:
-            rec.initial_values = [QPoly.const(2), QPoly.const(3), Q]
-        return rec
-    if k == 1:
-        rec = Recurrence(1, 3, [Q, -Q - 1, QPoly.const(2)], 0, variant="closed")
-        if with_initial_values:
-            rec.initial_values = [QPoly.const(2), QPoly.const(4), 2 * Q]
-        return rec
     s = build_reduced_matrix(k)
-    # det(xI - M) = x^(k+2-r) det(xI - M_red): see the module docstring.
-    cp = [QZERO] * (k + 2 - len(s.a)) + charpoly_q(s.a, s.u, s.v)
+    # det(xI - M) = x^(n-r) det(xI - M_red): see the module docstring.
+    nullity = len(build_full_matrix(k).a) - len(s.a)
+    cp = [QZERO] * nullity + charpoly_q(s.a, s.u, s.v)
     rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:
         rec.initial_values = initial_values_symbolic(k, rec.order)

@@ -167,10 +167,10 @@ def structured_addends(k: int) -> tuple:
     for u in range(k + 1):
         for j in range(u, k + 1):
             c = (-1)**(j - u + 1) * binom(k - u, j - u)
-            x1[u][j] = [QZERO, QPoly.const(c)]
+            x1[u][j] = [QZERO, QPoly((c,))]
         if u <= k - 1:
-            x1[u][k + 1] = [QZERO, QPoly.const((-1)**(k - u))]
-    x1[k][k] = [QZERO, QPoly.const(-1)]
+            x1[u][k + 1] = [QZERO, QPoly(((-1)**(k - u),))]
+    x1[k][k] = [QZERO, QPoly((-1,))]
     x1[k][k + 1] = [QZERO, QONE]
     x1[k + 1][k] = [QZERO, Q - 5]
     x1[k + 1][k + 1] = [QZERO, -(Q - 4)]

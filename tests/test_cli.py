@@ -423,6 +423,24 @@ def test_table_reports_a_wrong_reference_cell(capsys, monkeypatch):
         {"k": 3, "j": 2, "expected": "2q-19", "computed": "q-19"}]
 
 
+def test_table_derives_row_0(capsys, monkeypatch):
+    # A k = 0 A row that counts each adjacent pair twice, as the general A
+    # row would, shows in the table: its row 0 is derived, not copied.
+    build = systembuilder.build_full_matrix
+
+    def double_counting(k):
+        s = build(k)
+        if k == 0:
+            s.a[0], s.h0[0] = [2, 2, 0], -2
+        return s
+
+    monkeypatch.setattr(systembuilder, "build_full_matrix", double_counting)
+    code, out, err = run(capsys, "table", "--k-max", "1")
+    assert (code, err) == (1, "")
+    diff = out.splitlines()[out.splitlines().index("diff:") + 1:]
+    assert diff and all(line.startswith("  k=0 c") for line in diff)
+
+
 def test_table_exploratory_marker(capsys):
     code, out, _ = run(capsys, "table", "--k-max", "12")
     assert code == 0

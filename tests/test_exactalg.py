@@ -29,10 +29,10 @@ def test_qpoly_examples():
 def test_qpoly_hash_agrees_with_int_equality():
     # A constant polynomial equals its integer, so it must hash like it.
     for c in range(-50, 51):
-        assert QPoly.const(c) == c and hash(QPoly.const(c)) == hash(c)
-    assert 5 in {QPoly.const(5)} and QPoly.const(-3) in {-3}
+        assert QPoly((c,)) == c and hash(QPoly((c,))) == hash(c)
+    assert 5 in {QPoly((5,))} and QPoly((-3,)) in {-3}
     assert QPoly() == 0 and 0 in {QPoly()}
-    assert len({QPoly.const(7), 7, QPoly((7, 0))}) == 1
+    assert len({QPoly((7,)), 7, QPoly((7, 0))}) == 1
 
 
 def test_qpoly_formatting():
@@ -164,7 +164,7 @@ def test_charpoly_rank_one_is_the_determinant_lemma():
 
 def test_charpoly_rank_one_diagonal():
     cp = charpoly_rank_one([[0, 0], [0, 1]], [1, 0], [1, 0])
-    assert cp == [Q, -Q - 1, QPoly.const(1)]  # (x-q)(x-1)
+    assert cp == [Q, -Q - 1, QPoly((1,))]  # (x-q)(x-1)
 
 
 SYSTEMS = {
@@ -217,7 +217,7 @@ def test_charpoly_q_checks_its_precondition(case):
 
 def test_lagrange_examples():
     assert lagrange_interpolate([(5, 24), (6, 28), (7, 32)], 1) == 4 * Q + 4
-    assert lagrange_interpolate([(5, 7)], 0) == QPoly.const(7)
+    assert lagrange_interpolate([(5, 7)], 0) == QPoly((7,))
 
 
 def test_lagrange_rejects_wrong_bound():
@@ -264,6 +264,6 @@ def test_matrix_from_orbit_recovers_action():
 
 
 def test_xq_eval_x():
-    x_minus_1_squared = [QPoly.const(1), QPoly.const(-2), QPoly.const(1)]
+    x_minus_1_squared = [QPoly((1,)), QPoly((-2,)), QPoly((1,))]
     assert xq_eval_x(x_minus_1_squared, 3).coeffs == (4,)
-    assert xq_eval_x([Q, -Q - 1, QPoly.const(1)], 2) == -Q + 2  # (2-q)(2-1)
+    assert xq_eval_x([Q, -Q - 1, QPoly((1,))], 2) == -Q + 2  # (2-q)(2-1)

@@ -1,5 +1,6 @@
 import random
 from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -7,7 +8,7 @@ from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
 from hptsums.sums import fold_state, state_vectors, tag_power_sums
-from hptsums.triangle import TriangleParams, entry_rows
+from hptsums.triangle import TriangleParams, _type_counts, entry_rows
 from hptsums.verify import _full_rhs
 from reference import (build_structured_charpoly, row_pairs,
                        structured_addends, system_at)
@@ -44,7 +45,21 @@ def test_full_matrix_entry_formulas():
 
 def test_full_matrix_rejects_small_k():
     with pytest.raises(ValueError):
-        sb.build_full_matrix(1)
+        sb.build_full_matrix(-1)
+
+
+def test_k0_system_steps_the_type_counts_and_bb_pairs():
+    # The k = 0 system advances [#A, #B, #bb]; #A and #B against the
+    # type-count step of triangle, #bb against the B-then-B pairs of the
+    # materialised rows.
+    for q in (5, 6, 7, 9):
+        m, h = system_at(sb.build_full_matrix(0), q)
+        rows = islice(entry_rows(TriangleParams(q)), 1, 11)
+        g = [0, 2, 1]  # row 1: two B wingers, one bb pair
+        for n, (counts, row) in enumerate(zip(_type_counts(q), rows), 1):
+            assert (g[0], g[1]) == counts, (q, n)
+            assert g[2] == sum(row_pairs(row)[1].values()), (q, n)
+            g = [sum(map(mul, r, g)) + c for r, c in zip(m, h)]
 
 
 def test_full_matrix_agrees_with_step_oracle():
@@ -65,7 +80,7 @@ def test_full_system_is_the_step_oracle_map():
     # The step oracle's equations are affine in the state vector: column j
     # of M is the oracle at e_j minus the oracle at 0, and h is the oracle
     # at 0.  Every column of the full system, at two q, for each k.
-    for k in range(2, 21):
+    for k in range(1, 21):
         n = k + 2
         for q in (5, 9):
             at_zero = _full_rhs([0] * n, q)
@@ -161,13 +176,15 @@ def test_recurrence_from_polynomial_rejects_non_monic():
         sb.recurrence_from_polynomial([qp(), qp()], 2)
 
 
-def test_recurrence_for_k_closed_forms():
+def test_recurrence_for_k_derives_k0_and_k1():
     rec0 = sb.recurrence_for_k(0)
     assert rec0.coefficients == [Q - 1, -Q + 1, qp(1)]
     assert rec0.initial_values == [qp(2), qp(3), Q]
     rec1 = sb.recurrence_for_k(1)
     assert rec1.coefficients == [Q, -Q - 1, qp(2)]
     assert rec1.initial_values == [qp(2), qp(4), 2 * Q]
+    # the u column is read by no row at k = 0 and 1
+    assert rec0.x_strip_count == rec1.x_strip_count == 1
 
 
 def test_recurrence_for_k_examples():
@@ -204,8 +221,9 @@ def test_initial_values_match_row_sums():
 def test_initial_values_symbolic():
     vals = sb.initial_values_symbolic(2, 4)
     assert vals == [qp(2), qp(6), 4 * Q + 4, qp(-20, 6, 4)]
+    assert sb.initial_values_symbolic(1, 3) == [qp(2), qp(4), 2 * Q]
     with pytest.raises(ValueError):
-        sb.initial_values_symbolic(1, 3)
+        sb.initial_values_symbolic(2, 0)
 
 
 def test_reduced_matrix_dimensions():
@@ -215,9 +233,9 @@ def test_reduced_matrix_dimensions():
 
 
 def test_reduced_path_matches_full_path():
-    # the product path (reduced charpoly times x^(k+2-r)) against the
+    # the product path (reduced charpoly times x^(n-r)) against the
     # direct route through the full matrix's own characteristic polynomial
-    for k in range(2, 17):
+    for k in range(17):
         derived = sb.recurrence_for_k(k, with_initial_values=False)
         direct = sb.recurrence_from_polynomial(
             sb.lift_inhomogeneous(full_charpoly(k)), k)
@@ -255,22 +273,23 @@ def test_full_matrix_annihilates_fold_kernel():
 
 
 def test_full_charpoly_is_x_power_times_reduced():
-    for k in range(2, 21):
+    for k in range(21):
         reduced = sb.build_reduced_matrix(k)
-        nullity = k + 2 - len(reduced.a)
+        nullity = len(sb.build_full_matrix(k).a) - len(reduced.a)
         assert full_charpoly(k) == [QZERO] * nullity + charpoly_q(
             reduced.a, reduced.u, reduced.v), k
 
 
 def test_initial_values_match_full_orbit():
-    for k in list(range(2, 13)) + [32]:
+    for k in list(range(13)) + [32]:
         m, h = system_at(sb.build_full_matrix(k), Q)
-        g = [QZERO] * k + [qp(2), qp(1)]
-        orbit = [g[0] + g[k]]
+        bk = len(m) - 2  # the b^k coordinate
+        g = [QZERO] * bk + [qp(2), qp(1)]
+        orbit = [g[0] + g[bk]]
         while len(orbit) < sb.conjectured_order(k) + 1:
             g = [sum((a * b for a, b in zip(row, g)), c)
                  for row, c in zip(m, h)]
-            orbit.append(g[0] + g[k])
+            orbit.append(g[0] + g[bk])
         assert sb.initial_values_symbolic(k, len(orbit)) == orbit, k
 
 

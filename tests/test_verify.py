@@ -1,10 +1,12 @@
 from collections import Counter
 from itertools import islice
+from operator import mul
 
 import pytest
 
 from hptsums import sums, systembuilder, triangle, verify
 from hptsums.exactalg import QPoly
+from reference import system_at
 
 
 def test_verify_recurrence_k2_q6():
@@ -42,6 +44,29 @@ def test_verify_system_steps():
                                  reduced=True)["system_checks"]
     assert printed["failing_equations"]
     assert {f["equation"] for f in printed["failing_equations"]} == {"c1"}
+
+
+def test_printed_reduced_equations_differ_by_the_erratum():
+    # Printed minus folded, at every state vector: each paired c_j equation
+    # (1 <= j < k/2) carries the a^k, b^k, u and constant terms of full row
+    # j alone, where the fold sums rows j and k - j; every other equation
+    # agrees.  Both sides are affine, so the zero vector and the unit
+    # vectors decide it.
+    for k in range(3, 65):
+        reduced = systembuilder.build_reduced_matrix(k)
+        r = len(reduced.a)
+        for q in (5, 7):
+            m, h = system_at(reduced, q)
+            for g in [[0] * r] + [[int(i == j) for i in range(r)]
+                                  for j in range(r)]:
+                a, b, u = g[0], g[1], g[-1]
+                folded = [sum(map(mul, row, g)) + c for row, c in zip(m, h)]
+                erratum = [0] * r
+                for j in range(1, (k + 1) // 2):
+                    erratum[j + 1] = -a - b + (1 - 2**j) * u + 1
+                assert [p - f for p, f in zip(
+                    verify._reduced_printed_rhs(g, k, q), folded)] \
+                    == erratum, (k, q, g)
 
 
 def test_verify_system_steps_rejects_an_unknown_system():
@@ -118,7 +143,7 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
     def wrong_c3(k, *args, **kwargs):
         rec = real(k, *args, **kwargs)
         if k == 1:
-            rec.coefficients[2] = rec.coefficients[2] + QPoly.const(1)
+            rec.coefficients[2] = rec.coefficients[2] + QPoly((1,))
         return rec
 
     monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
