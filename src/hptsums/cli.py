@@ -119,8 +119,8 @@ def cmd_sums(args) -> int:
         return EXIT_MISMATCH
     records = []
     rows = itertools.islice(triangle.pair_rows(params), 1, args.n_max + 1)
-    for n, row in enumerate(rows, 1):
-        a, b = sums.tag_power_sums(row, (args.k,))
+    for n, (row, counts) in enumerate(rows, 1):
+        a, b = sums.tag_power_sums(counts, (args.k,))
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
         if args.state_vectors:
             (rec["state_vector"],) = sums.state_vectors(row, (args.k,), (a, b))

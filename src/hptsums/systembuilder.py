@@ -223,8 +223,9 @@ def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     x_strip_count is the full system's.
     """
     s = build_reduced_matrix(k)
-    # det(xI - M) = x^(n-r) det(xI - M_red): see the module docstring.
-    nullity = len(build_full_matrix(k).a) - len(s.a)
+    # det(xI - M) = x^(n-r) det(xI - M_red): see the module docstring.  n
+    # is build_full_matrix's dimension, read from k, not from a second build.
+    nullity = max(k, 1) + 2 - len(s.a)
     cp = [QZERO] * nullity + charpoly_q(s.a, s.u, s.v)
     rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:

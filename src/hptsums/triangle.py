@@ -17,7 +17,10 @@ entry sums two entries and a B entry copies an interior one, so no interior
 entry is 1.  A row holds 1 + 2 sum(ab) + sum(bb) entries.  The children of
 a pair depend only on the pair, so the multiset of row n determines that of
 row n+1 in one step, q entering only the count of the copy pairs; its size
-is the number of distinct pairs, not of entries.
+is the number of distinct pairs, not of entries.  The copy pairs read the
+row's entries counted per value and tag (entry_counts), and so do the tag
+power sums of sums; pair_rows yields each row with those counts, decoded
+once, for the statistics and the step to the next row alike.
 
 The size of every row follows from the type-count step alone (row_counts),
 so the entry cap is decided before any row is built (capped_depth).
@@ -93,23 +96,24 @@ def entry_rows(params: TriangleParams):
 
 
 def entry_counts(pairs: tuple) -> tuple:
-    """(A, B), dicts from each value to the number of interior A and of
-    interior B entries of that value in the row of pair multiset (ab, bb).
-    The A entries are the left ends of ab, and the B entries the right ends
-    of ab and bb but the right winger; the wingers, the value 1, are left
-    out."""
+    """(A, B), dicts from each value to the number of A and of B entries of
+    that value in the row of pair multiset (ab, bb), the wingers counted as
+    B entries of value 1.  The A entries are the left ends of ab, and the B
+    entries the right ends of ab and bb and the left winger, which ends no
+    pair."""
     ab, bb = pairs
     n_a, n_b = {}, dict(bb)
     get_a, get_b = n_a.get, n_b.get
     for (s, y), m in ab.items():
         n_a[s] = get_a(s, 0) + m
         n_b[y] = get_b(y, 0) + m
-    n_b.pop(1, None)  # the right winger, the only B end of value 1
+    n_b[1] = get_b(1, 0) + 1  # the left winger
     return n_a, n_b
 
 
-def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
-    """The pair multiset (ab, bb) of row n+1 from that of row n, n >= 1.
+def next_pairs(pairs: tuple, counts: tuple, params: TriangleParams) -> tuple:
+    """The pair multiset (ab, bb) of row n+1 from that of row n, n >= 1, and
+    from the entry counts of row n (entry_counts).
 
     Row n+1 holds one block per entry v of row n: copies(v) copies of v,
     q-4 for tag A, q-3 for B and 1 for a winger, tagged B; then, unless v
@@ -117,9 +121,10 @@ def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
     So each pair (x, y) of row n gives the pair (x+y, y) of row n+1: an ab
     pair (s, y) gives (s+y, y) and, through its mirror (y, s), (s+y, s),
     and a bb pair y gives (2y, y).  The copies(v) - 1 copy pairs of each
-    block are the whole bb of row n+1: (q-4) #B(v) + (q-5) #A(v) of value v,
-    where #A(v) and #B(v) count the interior A and B entries of value v in
-    row n (entry_counts).  A key is written only with a count > 0.
+    block are the whole bb of row n+1: (q-4) #B(v) + (q-5) #A(v) of each
+    interior value v, where #A(v) and #B(v) count the A and B entries of
+    value v in row n, and none of the winger value 1.  A key is written
+    only with a count > 0.
     """
     ab, bb = pairs
     if not ab and not bb:
@@ -136,24 +141,29 @@ def next_pairs(pairs: tuple, params: TriangleParams) -> tuple:
     for y, m in bb.items():
         key = (y + y, y)
         out[key] = get(key, 0) + m
-    n_a, n_b = entry_counts(pairs)
+    n_a, n_b = counts
     get_a, get_b = n_a.get, n_b.get
     copy_pairs = {}
     for v in n_a.keys() | n_b.keys():
         c = (q - 4) * get_b(v, 0) + (q - 5) * get_a(v, 0)
-        if c:  # zero only for A entries at q = 5, which have one copy
+        # No copy pair of a winger, nor of an A entry at q = 5: one copy.
+        if c and v != 1:
             copy_pairs[v] = c
     return out, copy_pairs
 
 
 def pair_rows(params: TriangleParams):
-    """The pair multisets of rows 0, 1, 2, ... without end: row 0, a single
-    vertex, has no pair, and row 1 is its two wingers, one bb pair."""
-    yield {}, {}
+    """The pair multisets of rows 0, 1, 2, ... without end, each with its
+    entry counts, as (pairs, counts): row 0, a single vertex, has no pair,
+    and row 1 is its two wingers, one bb pair.  Each row is decoded once,
+    by entry_counts, for its caller and for the step to the next row."""
+    row = {}, {}
+    yield row, entry_counts(row)
     row = {}, {1: 1}
     while True:
-        yield row
-        row = next_pairs(row, params)
+        counts = entry_counts(row)
+        yield row, counts
+        row = next_pairs(row, counts, params)
 
 
 def _type_counts(q: int):

@@ -223,11 +223,12 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     Each recurrence is derived once.  The rows of each q are streamed once,
     to the entry cap or COUNTING_DEPTH, whichever is deeper; of each row
     only its statistics are kept, for every k at once, and the row itself
-    is dropped.  Its tag power sums are computed once and passed to
-    state_vectors.  With reduced=True the printed reduced equations are swept
-    by the oracle too, on the same state vectors; their failures are
-    recorded in the report (they do not flip all_exact, which judges the
-    verified systems only)."""
+    is dropped.  The stream decodes each row once, into the entry counts
+    that its tag power sums and its step to the next row both read; the
+    tag power sums are computed once and passed to state_vectors.  With
+    reduced=True the printed reduced equations are swept by the oracle too,
+    on the same state vectors; their failures are recorded in the report
+    (they do not flip all_exact, which judges the verified systems only)."""
     k_lo, k_hi = k_range
     ks = range(k_lo, k_hi + 1)
     vector_ks = range(max(k_lo, 2), k_hi + 1)
@@ -245,11 +246,11 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
         tag_sums = []  # of rows 1..COUNTING_DEPTH, read at k = 0 and 1
         rows = islice(triangle.pair_rows(params),
                       max(depth, COUNTING_DEPTH) + 1)
-        for n, row in enumerate(rows):
+        for n, (row, counts) in enumerate(rows):
             if n > depth:
-                a, b = sums.tag_power_sums(row, range(2))
+                a, b = sums.tag_power_sums(counts, range(2))
             else:
-                a, b = sums.tag_power_sums(row, range(max(k_hi, 1) + 1))
+                a, b = sums.tag_power_sums(counts, range(max(k_hi, 1) + 1))
                 for seq, k in zip(seqs, ks):
                     seq.append(a[k] + b[k])
                 if n >= 1 and vector_ks:

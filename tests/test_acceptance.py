@@ -15,7 +15,8 @@ from hptsums.cli import main
 from hptsums.exactalg import (ExactAlgError, Q, QPoly, binom, charpoly_int,
                               charpoly_q)
 from hptsums.sums import fold_state, state_vectors, tag_power_sums
-from hptsums.triangle import TriangleParams, capped_depth, entry_rows
+from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
+                              entry_rows)
 from reference import (build_structured_charpoly, matrix_from_orbit,
                        row_pairs, system_at)
 
@@ -176,8 +177,8 @@ def test_criterion_9_reduced_system(capsys):
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(g) for t in map(row_pairs, rows[1:])
-                      for g in state_vectors(t, (k,),
-                                             tag_power_sums(t, (k,)))]
+                      for g in state_vectors(t, (k,), tag_power_sums(
+                          entry_counts(t), (k,)))]
             for n, (g, g_next) in enumerate(zip(folded, folded[1:]), 1):
                 stepped = [sum(a * b for a, b in zip(row, g)) + c
                            for row, c in zip(m, h)]

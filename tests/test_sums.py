@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from hptsums import verify
 from hptsums.sums import fold_state, state_vectors, tag_power_sums
-from hptsums.triangle import TriangleParams, entry_rows, pair_rows
+from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
+                              entry_rows, pair_rows)
 from reference import entry_pairs, pair_sum, row_pairs
 
 
@@ -22,41 +23,46 @@ def literal_pairs_for(q, n):
     return [entry_pairs(r) for r in rows_for(q, n)]
 
 
+def tag_sums(pairs, ks):
+    """The tag power sums of a pair multiset, read from its entry counts."""
+    return tag_power_sums(entry_counts(pairs), ks)
+
+
 def state_vector(pairs, k):
-    (g,) = state_vectors(pairs, (k,), tag_power_sums(pairs, (k,)))
+    (g,) = state_vectors(pairs, (k,), tag_sums(pairs, (k,)))
     return g
 
 
 def test_power_sum_examples():
     rows = rows_for(6, 4)
-    a, b = tag_power_sums(row_pairs(rows[3]), range(3))
+    a, b = tag_sums(row_pairs(rows[3]), range(3))
     assert a[2] + b[2] == 28  # 4q+4 at q=6
     assert a[0] + b[0] == len(rows[3])
-    a, b = tag_power_sums(row_pairs(rows[4]), range(3))
+    a, b = tag_sums(row_pairs(rows[4]), range(3))
     assert a[2] + b[2] == 160  # 4q^2+6q-20 at q=6
 
 
 def test_tag_power_sums_examples():
     rows = pairs_for(6, 4)
-    assert tag_power_sums(rows[3], range(2)) == ({0: 2, 1: 6}, {0: 4, 1: 6})
-    assert tag_power_sums(rows[4], range(3)) \
+    assert tag_sums(rows[3], range(2)) == ({0: 2, 1: 6}, {0: 4, 1: 6})
+    assert tag_sums(rows[4], range(3)) \
         == ({0: 5, 1: 22, 2: 98}, {0: 12, 1: 26, 2: 62})
-    assert tag_power_sums(rows[1], range(6)) \
+    assert tag_sums(rows[1], range(6)) \
         == (dict.fromkeys(range(6), 0), dict.fromkeys(range(6), 2))
-    assert tag_power_sums(rows[0], range(1)) == ({0: 0}, {0: 1})
+    assert tag_sums(rows[0], range(1)) == ({0: 0}, {0: 1})
 
 
 def test_tag_power_sums_needs_k_max_0():
     with pytest.raises(ValueError, match="k must be >= 0"):
-        tag_power_sums(pairs_for(6, 2)[2], (-1,))
+        tag_sums(pairs_for(6, 2)[2], (-1,))
 
 
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
 def test_tag_power_sums_match_entry_sums(q):
     """Every k = 0..11 at once from the pair step, against brute-force
     sums over the materialised entries of rows 0..8."""
-    for row, pairs in zip(rows_for(q, 8), pair_rows(TriangleParams(q))):
-        assert tag_power_sums(pairs, range(12)) == tuple(
+    for row, (_, counts) in zip(rows_for(q, 8), pair_rows(TriangleParams(q))):
+        assert tag_power_sums(counts, range(12)) == tuple(
             {k: sum(v**k for v, t in row if t == tag) for k in range(12)}
             for tag in "AB")
 
@@ -64,20 +70,25 @@ def test_tag_power_sums_match_entry_sums(q):
 @pytest.mark.parametrize("q", [5, 6, 7, 9])
 def test_state_vectors_match_pair_sums(q):
     """The state vectors of many k from one pass over the pair step,
-    against the reference pair sums on the materialised rows 1..8, for a
-    k range, a single k and a tuple with gaps."""
+    against the reference pair sums on the materialised rows 1.. as deep as
+    the default entry cap of verify reaches, for a k range, single ks and
+    tuples with gaps.  A gap wider than one k, as in (3, 17, 18, 30),
+    steps the y-power lists by division; a run of ks never divides."""
     params = TriangleParams(q)
-    rows = zip(rows_for(q, 8)[1:], islice(pair_rows(params), 1, None))
-    for row, pairs in rows:
+    depth = capped_depth(params, 64, verify.DEFAULT_ENTRY_CAP)
+    rows = zip(rows_for(q, depth)[1:], islice(pair_rows(params), 1, None))
+    k_sets = (range(2, 12), (3, 17, 18, 30), (2,), (40,), (5,), (3, 7),
+              (11, 2))
+    for row, (pairs, counts) in rows:
         ref = entry_pairs(row)
         want = {k: ([sum(v**k for v, t in row if t == "A")]
                     + [pair_sum(ref, k - j, j, "A", "B") for j in range(1, k)]
                     + [sum(v**k for v, t in row if t == "B"),
                        pair_sum(ref, 1, k - 1, "B", "B")])
-                for k in range(2, 12)}
-        for ks in (range(2, 12), (5,), (3, 7), (11, 2)):
+                for k in {k for ks in k_sets for k in ks}}
+        for ks in k_sets:
             assert state_vectors(pairs, ks,
-                                 tag_power_sums(pairs, range(max(ks) + 1))) \
+                                 tag_power_sums(counts, range(max(ks) + 1))) \
                 == [want[k] for k in ks], ks
 
 
@@ -99,7 +110,7 @@ def test_state_vectors_examples():
     assert state_vector(rows[3], 2) == [18, 9, 10, 4]
     assert state_vector(rows[4], 2) == [98, 49, 62, 34]
     assert state_vectors(rows[1], (4, 2),
-                         tag_power_sums(rows[1], range(5))) \
+                         tag_sums(rows[1], range(5))) \
         == [[0, 0, 0, 0, 2, 1], [0, 0, 2, 1]]
 
 
@@ -107,7 +118,7 @@ def test_state_vectors_need_k2():
     row = pairs_for(6, 3)[3]
     for ks in ((0,), (1,), (3, 1), range(1, 5)):
         with pytest.raises(ValueError, match="k must be >= 2"):
-            state_vectors(row, ks, tag_power_sums(row, range(5)))
+            state_vectors(row, ks, tag_sums(row, range(5)))
 
 
 def test_state_vectors_need_tag_sums_to_max_k():
@@ -116,8 +127,8 @@ def test_state_vectors_need_tag_sums_to_max_k():
     row = pairs_for(6, 3)[3]
     for ks, k_max in (((2,), 1), ((3, 5), 4), (range(2, 12), 10)):
         with pytest.raises(ValueError, match=f"must reach k = {max(ks)}"):
-            state_vectors(row, ks, tag_power_sums(row, range(k_max + 1)))
-    a, b = tag_power_sums(row, range(6))
+            state_vectors(row, ks, tag_sums(row, range(k_max + 1)))
+    a, b = tag_sums(row, range(6))
     with pytest.raises(ValueError):
         state_vectors(row, (5,), (a, {k: b[k] for k in range(5)}))
     assert state_vectors(row, (3, 5), (a, b)) \
@@ -203,7 +214,7 @@ def test_statistics_match_entry_scans(q, n, k):
                 + [b, _scan_pair_sum(row, 1, k - 1, "B", "B")])
     t = row_pairs(row)
     assert state_vector(t, k) == expected
-    tag_a, tag_b = tag_power_sums(t, (k,))
+    tag_a, tag_b = tag_sums(t, (k,))
     assert (tag_a[k], tag_b[k]) == (a, b)
     assert pair_sum(entry_pairs(row), k, 2, "B", "A") \
         == _scan_pair_sum(row, k, 2, "B", "A")

@@ -8,7 +8,8 @@ from hptsums import systembuilder as sb
 from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
                               charpoly_int, charpoly_q)
 from hptsums.sums import fold_state, state_vectors, tag_power_sums
-from hptsums.triangle import TriangleParams, _type_counts, entry_rows
+from hptsums.triangle import (TriangleParams, _type_counts, entry_counts,
+                              entry_rows)
 from hptsums.verify import _full_rhs
 from reference import (build_structured_charpoly, row_pairs,
                        structured_addends, system_at)
@@ -68,8 +69,8 @@ def test_full_matrix_agrees_with_step_oracle():
         m, h = system_at(sb.build_full_matrix(k), q)
         rows = list(islice(entry_rows(TriangleParams(q)), 6))
         for n in range(1, 4):
-            (g,), (g_next,) = [state_vectors(t, (k,),
-                                             tag_power_sums(t, (k,)))
+            (g,), (g_next,) = [state_vectors(t, (k,), tag_power_sums(
+                                   entry_counts(t), (k,)))
                                for t in map(row_pairs, rows[n:n + 2])]
             stepped = [sum(m[i][j] * g[j] for j in range(len(g))) + h[i]
                        for i in range(len(g))]
@@ -241,6 +242,32 @@ def test_reduced_path_matches_full_path():
             sb.lift_inhomogeneous(full_charpoly(k)), k)
         for attr in ("coefficients", "order", "x_strip_count"):
             assert getattr(derived, attr) == getattr(direct, attr), (k, attr)
+
+
+def test_recurrence_for_k_builds_the_full_matrix_once(monkeypatch):
+    # The derivation builds the full matrix once, inside
+    # build_reduced_matrix, and reads its dimension max(k, 1) + 2 from k
+    # rather than from a second build.  The initial values come from
+    # initial_values_symbolic(k, d), which builds its own reduced system.
+    builds = []
+    real = sb.build_full_matrix
+
+    def counted(k):
+        builds.append(k)
+        return real(k)
+
+    monkeypatch.setattr(sb, "build_full_matrix", counted)
+    for k in range(13):
+        builds.clear()
+        sb.recurrence_for_k(k, with_initial_values=False)
+        assert builds == [k]
+        assert len(real(k).a) == max(k, 1) + 2
+        builds.clear()
+        rec = sb.recurrence_for_k(k)
+        assert builds == [k, k]
+        builds.clear()
+        assert sb.initial_values_symbolic(k, rec.order) == rec.initial_values
+        assert builds == [k]
 
 
 def test_reduced_matrix_commutes_with_fold():

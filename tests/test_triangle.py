@@ -164,7 +164,7 @@ def test_pair_step_matches_generated_rows(q):
     params = TriangleParams(q)
     depth = capped_depth(params, 12, 10**6)
     rows = rows_upto(params, depth)
-    pairs = list(islice(pair_rows(params), depth + 1))
+    pairs = [p for p, _ in islice(pair_rows(params), depth + 1)]
     assert len(rows) == {5: 13, 6: 13, 7: 11, 9: 10}[q]
     assert [row_pairs(r) for r in rows] == pairs
     for n, (ab, bb) in enumerate(pairs[1:], 1):
@@ -180,16 +180,18 @@ def test_pair_step_matches_generated_rows(q):
 
 @pytest.mark.parametrize("q", [5, 9])
 def test_entry_counts_match_generated_rows(q):
-    """The per-value counts of the interior A and B entries, read off the
-    half form, against the materialised rows, rows 0..12 or as far as a
-    row fits in 10**6 entries."""
+    """The per-value counts of the A and B entries, wingers included,
+    read off the half form and streamed with it, against the materialised
+    rows, rows 0..12 or as far as a row fits in 10**6 entries."""
     params = TriangleParams(q)
     depth = capped_depth(params, 12, 10**6)
-    for e, pairs in zip(rows_upto(params, depth), pair_rows(params)):
+    for e, (pairs, streamed) in zip(rows_upto(params, depth),
+                                    pair_rows(params)):
         counts = {"A": {}, "B": {}}
-        for v, t in e[1:-1]:
+        for v, t in e:
             counts[t][v] = counts[t].get(v, 0) + 1
-        assert entry_counts(pairs) == (counts["A"], counts["B"])
+        assert entry_counts(pairs) == streamed \
+            == (counts["A"], counts["B"])
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -202,7 +204,7 @@ def test_capped_depth_matches_the_pair_step(q, cap, n_max):
     and no further than the first one past the cap."""
     params = TriangleParams(q)
     depth = 0
-    for n, row in enumerate(islice(pair_rows(params), n_max + 1)):
+    for n, (row, _) in enumerate(islice(pair_rows(params), n_max + 1)):
         if n >= 2 and entries_of(row) > cap:
             break
         depth = n
@@ -215,4 +217,5 @@ def test_capped_depth_rejects_bad_limits():
     with pytest.raises(ValueError, match="entry_cap must be > 0"):
         capped_depth(TriangleParams(6), 3, 0)
     with pytest.raises(ValueError):
-        next_pairs(row_pairs([(1, "B")]), TriangleParams(6))
+        row = row_pairs([(1, "B")])
+        next_pairs(row, entry_counts(row), TriangleParams(6))

@@ -20,8 +20,8 @@ def test_verify_recurrence_hand_value():
     # (s^2)_5 at q=6 from the derived coefficients (8, -13, 8, -2) and the
     # power sums of rows 1..4, read from the pair step
     rows = islice(triangle.pair_rows(triangle.TriangleParams(6)), 1, 6)
-    seq = [sum(x[2] for x in sums.tag_power_sums(r, range(3)))
-           for r in rows]  # seq[n - 1] = (s^2)_n
+    seq = [sum(x[2] for x in sums.tag_power_sums(counts, range(3)))
+           for _, counts in rows]  # seq[n - 1] = (s^2)_n
     assert seq == [2, 6, 28, 160, 960]
     rec = systembuilder.recurrence_for_k(2, with_initial_values=False)
     cs = rec.evaluated_at(6)
@@ -160,14 +160,15 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     # stream of q=9.  One count of that row moved from an A-then-B pair
     # (s, y) to the B copy pairs of values s and y turns an A entry into a
     # B entry and keeps the row's size, so only the per-tag counts can show
-    # it.  It must show there, from row 10 on, while the grid check of
-    # rows <= 7 stays exact.
+    # it, and they do, since the stream decodes the perturbed row itself.
+    # It must show there, from row 10 on, while the grid check of rows <= 7
+    # stays exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
     real = triangle.next_pairs
 
-    def perturbed(pairs, params):
-        ab, bb = out = real(pairs, params)
+    def perturbed(pairs, counts, params):
+        ab, bb = out = real(pairs, counts, params)
         if 1 + 2 * sum(ab.values()) + sum(bb.values()) == row10:
             s, y = key = next(key for key in ab if key[1] != 1)
             ab[key] -= 1
@@ -226,17 +227,50 @@ def test_run_grid_builds_each_input_once(monkeypatch):
 
 
 def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
-    # Each streamed row's tag power sums are computed once and passed to
-    # state_vectors, never computed again there: on the default grid the
-    # streams reach row 13 at q=5 and row 12 at q=6, 7 and 9, so 14 + 3 * 13
-    # rows.
+    # Each streamed row's tag power sums are computed once, from the row's
+    # entry counts, and passed to state_vectors, never computed again there:
+    # on the default grid the streams reach row 13 at q=5 and row 12 at
+    # q=6, 7 and 9, so 14 + 3 * 13 rows.
     calls = []
     real = sums.tag_power_sums
 
-    def counted(pairs, ks):
+    def counted(counts, ks):
         calls.append(ks)
-        return real(pairs, ks)
+        return real(counts, ks)
 
     monkeypatch.setattr(sums, "tag_power_sums", counted)
     verify.run_grid((2, 11))
     assert len(calls) == 14 + 3 * 13 == 53
+
+
+def test_run_grid_decodes_each_row_once(monkeypatch):
+    # entry_counts decodes each streamed row once, 14 + 3 * 13 times on the
+    # default grid, and the counts it returns, the very objects, feed both
+    # the row's tag power sums and the step to the next row.  Rows 0 and
+    # the last of each stream take no step, so 4 streams step 53 - 2 * 4
+    # rows.
+    decoded, tagged, stepped = [], [], []
+    real_counts, real_tags = triangle.entry_counts, sums.tag_power_sums
+    real_step = triangle.next_pairs
+
+    def counts(pairs):
+        decoded.append(real_counts(pairs))
+        return decoded[-1]
+
+    def tags(counts, ks):
+        tagged.append(counts)
+        return real_tags(counts, ks)
+
+    def step(pairs, counts, params):
+        stepped.append(counts)
+        return real_step(pairs, counts, params)
+
+    monkeypatch.setattr(triangle, "entry_counts", counts)
+    monkeypatch.setattr(sums, "tag_power_sums", tags)
+    monkeypatch.setattr(triangle, "next_pairs", step)
+    verify.run_grid((2, 11))
+    assert len(decoded) == 14 + 3 * 13 == 53
+    assert len(tagged) == 53
+    assert all(t is d for t, d in zip(tagged, decoded))
+    assert len(stepped) == 53 - 2 * 4
+    assert {id(c) for c in stepped} < {id(c) for c in decoded}
