@@ -3,18 +3,17 @@
 Exit codes: 0 success, 1 verification mismatch or truncation, 2 usage or
 validation error, out of memory, or output that cannot be written.  All
 numeric output is exact decimal text.
+
+Every command is its own process, so this module imports at its top only
+what the parser needs.  Each cmd_* function imports the package modules it
+runs, and _render the json or csv module it writes with.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import os
 import sys
-
-from . import sums, systembuilder, tables, triangle, verify
-from .exactalg import format_qpoly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -31,11 +30,14 @@ def _render(args, record, plain, table=None, indent=None) -> None:
     """
     def write(out):
         if args.format == "json":
+            import json
             print(json.dumps(record, indent=indent), file=out)
-        elif args.format == "csv" and table is not None:
-            csv.writer(out, lineterminator="\n").writerows(table)
+            return
+        import csv
+        rows = csv.writer(out, lineterminator="\n")
+        if args.format == "csv" and table is not None:
+            rows.writerows(table)
         else:
-            rows = csv.writer(out, lineterminator="\n")
             lines = iter(plain)
             # An empty result is one blank line.
             for line in itertools.chain([next(lines, "")], lines):
@@ -85,6 +87,7 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def cmd_row(args) -> int:
+    from . import triangle
     if args.n < 0:
         print("error: n must be >= 0", file=sys.stderr)
         return EXIT_USAGE
@@ -105,6 +108,7 @@ def cmd_row(args) -> int:
 
 
 def cmd_sums(args) -> int:
+    from . import sums, triangle
     if args.k < 0:
         print("error: k must be >= 0", file=sys.stderr)
         return EXIT_USAGE
@@ -140,6 +144,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
+    from . import systembuilder
+    from .exactalg import format_qpoly
     rec = systembuilder.recurrence_for_k(args.k)
     coeffs = [format_qpoly(c) for c in rec.coefficients]
     ivs = [format_qpoly(v) for v in rec.initial_values]
@@ -171,15 +177,19 @@ def _check_line(label: str, c: dict, failures: list, what: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    if any(q < 5 for q in args.q_list):
+    from . import verify
+    q_list = verify.DEFAULT_Q_LIST if args.q_list is None else args.q_list
+    if any(q < 5 for q in q_list):
         print("error: q must be >= 5", file=sys.stderr)
         return EXIT_USAGE
-    repeated = [q for i, q in enumerate(args.q_list) if q in args.q_list[:i]]
+    repeated = [q for i, q in enumerate(q_list) if q in q_list[:i]]
     if repeated:
         print(f"error: q listed twice: {repeated[0]}", file=sys.stderr)
         return EXIT_USAGE
-    record = verify.run_grid(args.k_range, args.q_list, args.cap,
-                             reduced=args.reduced)
+    record = verify.run_grid(
+        verify.DEFAULT_K_RANGE if args.k_range is None else args.k_range,
+        q_list, verify.DEFAULT_ENTRY_CAP if args.cap is None else args.cap,
+        reduced=args.reduced)
     plain = [_check_line("recurrence", c, c["mismatches"], "mismatches")
              for c in record["recurrence_checks"]]
     plain += [_check_line("system   ", c, c["failing_equations"],
@@ -195,10 +205,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.k_max < 0:
+    from . import tables, verify
+    from .exactalg import format_qpoly
+    k_max = tables.MAX_TABLED_K if args.k_max is None else args.k_max
+    if k_max < 0:
         print("error: k-max must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    rows, diffs = verify.reproduce_tables(args.k_max)
+    rows, diffs = verify.reproduce_tables(k_max)
     width = max(len(coeffs) for _, coeffs, _ in rows)
     plain = [["k"] + [f"c{j}" for j in range(1, width + 1)] + ["note"]]
     plain += [[k] + [format_qpoly(c) for c in coeffs]
@@ -219,6 +232,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from . import verify
     if args.k_min < 2:
         print("error: k-min must be >= 2", file=sys.stderr)
         return EXIT_USAGE
@@ -280,18 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("verify", help="verify recurrences over a (k, q) grid")
-    p.add_argument("--k-range", type=_parse_range,
-                   default=verify.DEFAULT_K_RANGE, metavar="LO..HI")
-    p.add_argument("--q-list", type=_parse_int_list,
-                   default=verify.DEFAULT_Q_LIST, metavar="Q1,Q2,...")
-    p.add_argument("--cap", type=int, default=verify.DEFAULT_ENTRY_CAP)
+    p.add_argument("--k-range", type=_parse_range, metavar="LO..HI")
+    p.add_argument("--q-list", type=_parse_int_list, metavar="Q1,Q2,...")
+    p.add_argument("--cap", type=int)
     p.add_argument("--reduced", action="store_true",
                    help="also sweep the printed reduced equations")
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="reproduce the coefficient table")
-    p.add_argument("--k-max", type=int, default=tables.MAX_TABLED_K)
+    p.add_argument("--k-max", type=int)
     common(p)
     p.set_defaults(func=cmd_table)
 

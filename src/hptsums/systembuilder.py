@@ -186,10 +186,11 @@ def recurrence_from_polynomial(p: list, k: int) -> Recurrence:
     return Recurrence(k, d, cs, strip)
 
 
-def initial_values_symbolic(k: int, d: int) -> list:
-    """(s^k)_n for n = 1..d as polynomials in q.
+def initial_values_symbolic(s: LinearSystem, d: int) -> list:
+    """(s^k)_n for n = 1..d as polynomials in q, s the reduced system
+    build_reduced_matrix(k).
 
-    Iterates g_{n+1} = M g_n + h with the reduced system, starting from the
+    Iterates g_{n+1} = M g_n + h with that system, starting from the
     folded row-1 state vector (row 1 is two B-wingers: (b^k) = 2, u = 1,
     every other sum 0), and reads (s^k)_n = g[0] + g[1].  The fold maps
     every full-system state and constant onto its reduced one, so this is
@@ -201,7 +202,6 @@ def initial_values_symbolic(k: int, d: int) -> list:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = build_reduced_matrix(k)
     gs = [[0, 2] + [0] * (len(s.a) - 3) + [1]]  # [G_0] of g_1
     out = [QPoly(g[0] + g[1] for g in gs)]
     while len(out) < d:
@@ -229,5 +229,5 @@ def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     cp = [QZERO] * nullity + charpoly_q(s.a, s.u, s.v)
     rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:
-        rec.initial_values = initial_values_symbolic(k, rec.order)
+        rec.initial_values = initial_values_symbolic(s, rec.order)
     return rec

@@ -57,7 +57,7 @@ def test_criterion_2_k2_golden_path(capsys):
     rec = sb.recurrence_from_polynomial(lifted, 2)
     assert rec.order == 4
     assert rec.coefficients == [Q + 2, -Q - 7, QPoly((8,)), QPoly((-2,))]
-    assert sb.initial_values_symbolic(2, 4) == [
+    assert sb.initial_values_symbolic(sb.build_reduced_matrix(2), 4) == [
         QPoly((2,)), QPoly((6,)), 4 * Q + 4, QPoly((-20, 6, 4))]
     with capsys.disabled():
         _report(2, "k=2 characteristic polynomial, lift, recurrence and "

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hptsums
-from hptsums import cli, systembuilder, tables, triangle, verify
+from hptsums import cli, sums, systembuilder, tables, triangle, verify
 from hptsums.cli import main
 from hptsums.systembuilder import recurrence_for_k
 
@@ -162,7 +162,7 @@ class CountedInt(int):
 def test_sums_renders_only_the_printed_format(capsys, monkeypatch, fmt):
     # json dumps the numbers itself; the plain lines and the csv table turn
     # them into text only when they are the format printed.
-    real_tags, real_vectors = cli.sums.tag_power_sums, cli.sums.state_vectors
+    real_tags, real_vectors = sums.tag_power_sums, sums.state_vectors
 
     def tags(pairs, ks):
         return tuple({k: CountedInt(v) for k, v in d.items()}
@@ -172,8 +172,8 @@ def test_sums_renders_only_the_printed_format(capsys, monkeypatch, fmt):
         return [list(map(CountedInt, g))
                 for g in real_vectors(pairs, ks, tag_sums)]
 
-    monkeypatch.setattr(cli.sums, "tag_power_sums", tags)
-    monkeypatch.setattr(cli.sums, "state_vectors", vectors)
+    monkeypatch.setattr(sums, "tag_power_sums", tags)
+    monkeypatch.setattr(sums, "state_vectors", vectors)
     monkeypatch.setattr(CountedInt, "conversions", 0)
     code, out, _ = run(capsys, "sums", "--q", "6", "--k", "3", "--n-max", "4",
                        "--state-vectors", "--format", fmt)

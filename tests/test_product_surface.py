@@ -119,18 +119,43 @@ def test_every_function_is_entered_by_a_command(tmp_path):
     assert not missed, "functions no command enters: " + ", ".join(missed)
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports the package from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+
+
 def test_importing_the_cli_loads_no_code_generation_modules():
     # Every command is its own process and pays this import.  dataclasses
     # (with inspect, ast, dis and tokenize) took 13-17 ms of it; typing is
     # not needed for annotations under `from __future__ import annotations`.
     # The set difference keeps this right where site preloads some of them.
-    code = ("import sys; before = set(sys.modules); import hptsums.cli; "
-            "print(*sorted(set(sys.modules) - before))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = _fresh_python("import sys; before = set(sys.modules); "
+                         "import hptsums.cli; "
+                         "print(*sorted(set(sys.modules) - before))")
     loaded = set(proc.stdout.split())
     assert "hptsums.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize",
                          "typing"}
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # Importing the CLI loads no package module; each command loads its own.
+    # recurrence, the product and the derive workload, runs no check (verify,
+    # tables), builds no row (triangle) and writes no csv.
+    proc = _fresh_python(
+        "import sys; before = set(sys.modules); import hptsums.cli; "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr); "
+        "before = set(sys.modules); "
+        "hptsums.cli.main(['recurrence', '--k', '2', '--format', 'json']); "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)")
+    on_import, on_run = (set(line.split())
+                         for line in proc.stderr.splitlines())
+    assert {m for m in on_import if m.startswith("hptsums")} == {
+        "hptsums", "hptsums.cli"}
+    assert "hptsums.systembuilder" in on_run
+    assert not on_run & {"hptsums.verify", "hptsums.triangle",
+                         "hptsums.tables", "csv"}
+    assert proc.stdout.startswith('{"k": 2, "order": 4')

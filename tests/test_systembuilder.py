@@ -220,11 +220,12 @@ def test_initial_values_match_row_sums():
 
 
 def test_initial_values_symbolic():
-    vals = sb.initial_values_symbolic(2, 4)
+    vals = sb.initial_values_symbolic(sb.build_reduced_matrix(2), 4)
     assert vals == [qp(2), qp(6), 4 * Q + 4, qp(-20, 6, 4)]
-    assert sb.initial_values_symbolic(1, 3) == [qp(2), qp(4), 2 * Q]
+    assert sb.initial_values_symbolic(sb.build_reduced_matrix(1), 3) == [
+        qp(2), qp(4), 2 * Q]
     with pytest.raises(ValueError):
-        sb.initial_values_symbolic(2, 0)
+        sb.initial_values_symbolic(sb.build_reduced_matrix(2), 0)
 
 
 def test_reduced_matrix_dimensions():
@@ -247,8 +248,8 @@ def test_reduced_path_matches_full_path():
 def test_recurrence_for_k_builds_the_full_matrix_once(monkeypatch):
     # The derivation builds the full matrix once, inside
     # build_reduced_matrix, and reads its dimension max(k, 1) + 2 from k
-    # rather than from a second build.  The initial values come from
-    # initial_values_symbolic(k, d), which builds its own reduced system.
+    # rather than from a second build.  The initial values are iterated on
+    # that same reduced system.
     builds = []
     real = sb.build_full_matrix
 
@@ -264,9 +265,10 @@ def test_recurrence_for_k_builds_the_full_matrix_once(monkeypatch):
         assert len(real(k).a) == max(k, 1) + 2
         builds.clear()
         rec = sb.recurrence_for_k(k)
-        assert builds == [k, k]
+        assert builds == [k]
         builds.clear()
-        assert sb.initial_values_symbolic(k, rec.order) == rec.initial_values
+        assert sb.initial_values_symbolic(
+            sb.build_reduced_matrix(k), rec.order) == rec.initial_values
         assert builds == [k]
 
 
@@ -317,7 +319,8 @@ def test_initial_values_match_full_orbit():
             g = [sum((a * b for a, b in zip(row, g)), c)
                  for row, c in zip(m, h)]
             orbit.append(g[0] + g[bk])
-        assert sb.initial_values_symbolic(k, len(orbit)) == orbit, k
+        assert sb.initial_values_symbolic(
+            sb.build_reduced_matrix(k), len(orbit)) == orbit, k
 
 
 def test_trailing_zero_anomalies():
