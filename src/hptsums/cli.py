@@ -232,14 +232,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    from . import verify
+    from . import systembuilder
     if args.k_min < 2:
         print("error: k-min must be >= 2", file=sys.stderr)
         return EXIT_USAGE
     if args.k_max < args.k_min:
         print("error: k-max must be >= k-min", file=sys.stderr)
         return EXIT_USAGE
-    record = verify.probe_conjecture(args.k_min, args.k_max)
+    record = systembuilder.probe_conjecture(args.k_min, args.k_max)
     plain = []
     for f in record:
         flags = []

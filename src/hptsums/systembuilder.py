@@ -36,6 +36,11 @@ winger-correction vector) followed by maximal x-stripping.  Initial values
 come from iterating the same reduced system, split by powers of q into
 integer vectors, starting from the folded row-1 state vector.
 
+The order/linearity conjecture probe lives here, next to the conjectured
+order it compares with: it derives recurrences and reads no rows.  Every
+entry point that derives recurrences checks its largest k against MAX_K
+before it builds any matrix.
+
 verify checks the system against real rows with the definition-level
 step oracle verify.verify_system_steps.  The second routes to the
 characteristic polynomial live in the tests: the full matrix's own, and
@@ -53,8 +58,13 @@ from .sums import fold_classes, fold_state
 __all__ = [
     "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
     "lift_inhomogeneous", "recurrence_from_polynomial", "recurrence_for_k",
-    "initial_values_symbolic", "conjectured_order",
+    "initial_values_symbolic", "conjectured_order", "probe_conjecture",
+    "MAX_K", "check_k",
 ]
+
+# The largest k derived: the largest with a recorded cost, 307 s and 69 MB
+# peak RSS for recurrence_for_k(256), against 44 s at k = 192.
+MAX_K = 256
 
 
 class LinearSystem:
@@ -92,8 +102,38 @@ class Recurrence:
         return [c(q0) for c in self.coefficients]
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError for a k past MAX_K.  Every entry point that derives
+    recurrences calls it on its largest k before it builds any matrix."""
+    if k > MAX_K:
+        raise ValueError(f"k must be <= {MAX_K}, not {k}")
+
+
 def conjectured_order(k: int) -> int:
     return k // 2 + 3
+
+
+def probe_conjecture(k_min: int, k_max: int) -> list:
+    """Order and q-degree evidence for each k, one finding dict per k; rows
+    beyond the reference table are exploratory output."""
+    from .tables import MAX_TABLED_K  # only here: recurrence needs no table
+    if k_min < 2:
+        raise ValueError("k_min must be >= 2")
+    check_k(k_max)
+    findings = []
+    for k in range(k_min, k_max + 1):
+        rec = recurrence_for_k(k, with_initial_values=False)
+        conj = conjectured_order(k)
+        trailing = conj - rec.order if rec.order <= conj else 0
+        max_deg = max((len(c.coeffs) - 1 for c in rec.coefficients
+                       if c), default=0)
+        findings.append({
+            "k": k, "stripped_order": rec.order, "conjectured_order": conj,
+            "trailing_zero_count": trailing, "max_q_degree": max_deg,
+            "order_matches": rec.order + trailing == conj,
+            "coefficients_linear": max_deg <= 1, "anomaly": trailing > 0,
+            "tabled": k <= MAX_TABLED_K})
+    return findings
 
 
 def build_full_matrix(k: int) -> LinearSystem:
@@ -222,6 +262,7 @@ def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     dimension, which gives the full system's characteristic polynomial, so
     x_strip_count is the full system's.
     """
+    check_k(k)
     s = build_reduced_matrix(k)
     # det(xI - M) = x^(n-r) det(xI - M_red): see the module docstring.  n
     # is build_full_matrix's dimension, read from k, not from a second build.

@@ -1,6 +1,7 @@
 """End-to-end validation: derived recurrences against brute-force row sums,
-reference-table reproduction, counting recurrences, step-oracle sweeps, and
-the order/linearity conjecture probe.
+reference-table reproduction, counting recurrences and step-oracle sweeps.
+The order/linearity conjecture probe reads no rows and lives in
+systembuilder, next to the conjectured order it compares with.
 
 The checks take their inputs as arguments, numbers read from rows, never
 the rows; nothing is cached.  run_grid derives each recurrence once and
@@ -174,6 +175,7 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
     k <= 11, as (k, j, expected, computed) for each cell c_j that differs.
     A tabled k is padded with zeros to its reference width; an empty diff
     means exact reproduction."""
+    systembuilder.check_k(k_max)
     rows, diffs = [], []
     for k in range(k_max + 1):
         rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
@@ -187,27 +189,6 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
         diffs += [(k, j, e, c) for j, (e, c)
                   in enumerate(zip(expected, computed), 1) if e != c]
     return rows, diffs
-
-
-def probe_conjecture(k_min: int, k_max: int) -> list:
-    """Order and q-degree evidence for each k, one finding dict per k; rows
-    beyond the reference table are exploratory output."""
-    if k_min < 2:
-        raise ValueError("k_min must be >= 2")
-    findings = []
-    for k in range(k_min, k_max + 1):
-        rec = systembuilder.recurrence_for_k(k, with_initial_values=False)
-        conj = systembuilder.conjectured_order(k)
-        trailing = conj - rec.order if rec.order <= conj else 0
-        max_deg = max((len(c.coeffs) - 1 for c in rec.coefficients
-                       if c), default=0)
-        findings.append({
-            "k": k, "stripped_order": rec.order, "conjectured_order": conj,
-            "trailing_zero_count": trailing, "max_q_degree": max_deg,
-            "order_matches": rec.order + trailing == conj,
-            "coefficients_linear": max_deg <= 1, "anomaly": trailing > 0,
-            "tabled": k <= tables.MAX_TABLED_K})
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +211,7 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     on the same state vectors; their failures are recorded in the report
     (they do not flip all_exact, which judges the verified systems only)."""
     k_lo, k_hi = k_range
+    systembuilder.check_k(k_hi)
     ks = range(k_lo, k_hi + 1)
     vector_ks = range(max(k_lo, 2), k_hi + 1)
     systems = ("full", "reduced-as-printed") if reduced else ("full",)

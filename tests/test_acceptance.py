@@ -207,11 +207,11 @@ def test_criterion_9_reduced_system(capsys):
 
 
 def test_criterion_10_conjecture_probe(capsys):
-    findings = verify.probe_conjecture(2, 11)
+    findings = sb.probe_conjecture(2, 11)
     for f in findings:
         assert f["order_matches"], f
         assert f["max_q_degree"] <= 1, f
-    exploratory = verify.probe_conjecture(12, 13)
+    exploratory = sb.probe_conjecture(12, 13)
     assert [f["k"] for f in exploratory] == [12, 13]
     for f in exploratory:
         assert f["stripped_order"] >= 1 and not f["tabled"]

@@ -233,6 +233,34 @@ def run_under_1gib(*argv):
         preexec_fn=cap_address_space, capture_output=True, text=True)
 
 
+def test_recurrence_past_the_k_bound_exits_2_under_1gib():
+    # k is checked before any matrix is built: a 100002-dimensional system
+    # would not fit in the address space, and its derivation would not end.
+    proc = run_under_1gib("recurrence", "--k", "100000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: k must be <= 256, not 100000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["recurrence", "--k", "257"],
+    ["conjecture", "--k-min", "2", "--k-max", "257"],
+    ["table", "--k-max", "257"],
+    ["verify", "--k-range", "2..257"],
+])
+def test_every_derivation_checks_the_k_bound_first(capsys, monkeypatch, argv):
+    # One bound, systembuilder.MAX_K, checked on the largest k before any
+    # matrix is built: a build here would fail the test.
+    def no_build(k):
+        raise AssertionError(f"built the matrix of k = {k}")
+
+    monkeypatch.setattr(systembuilder, "build_full_matrix", no_build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: k must be <= 256, not 257\n"
+    assert systembuilder.MAX_K == 256
+    systembuilder.check_k(256)
+
+
 def test_recurrence_k32_k64_under_1gib_address_space():
     # Initial values come from the system's orbit, not from rows, so a large
     # k stays small.
@@ -304,11 +332,12 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     (["verify", "--k-range", "0..5", "--q-list", "6,5", "--cap", "500",
       "--reduced"], lambda: verify.run_grid((0, 5), (6, 5), 500, True)),
     (["conjecture", "--k-min", "2", "--k-max", "12"],
-     lambda: verify.probe_conjecture(2, 12)),
+     lambda: systembuilder.probe_conjecture(2, 12)),
 ])
 def test_json_output_is_what_verify_returns(capsys, argv, result):
-    # verify and conjecture render the records that verify returns as they
-    # are: the json form is the same data, key for key.
+    # verify and conjecture render the records that verify.run_grid and
+    # systembuilder.probe_conjecture return as they are: the json form is
+    # the same data, key for key.
     _, out, _ = run(capsys, *argv, "--format", "json")
     assert json.loads(out) == result()
 

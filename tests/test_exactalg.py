@@ -126,6 +126,68 @@ def test_charpoly_int_matches_bareiss_at_n_plus_1_points():
     assert charpoly_int(singular)[0] == 0 == det_int(singular)
 
 
+def _agrees_with_bareiss(m, cp) -> bool:
+    """cp is det(xI - m): monic of degree n and equal to the Bareiss
+    determinant at n+1 integer points."""
+    n = len(m)
+    return len(cp) == n + 1 and cp[n] == 1 and all(
+        det_int([[(x0 if i == j else 0) - m[i][j] for j in range(n)]
+                 for i in range(n)]) == QPoly(cp)(x0)
+        for x0 in range(-(n // 2), n - n // 2 + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_products_match_bareiss(data):
+    # Entries up to 2^70 of either sign: the packed slots of m^a span
+    # several hundred bits and hold negative entries.
+    n = data.draw(st.integers(1, 8))
+    entry = st.integers(-2**70, 2**70) | st.sampled_from(
+        [0, 1, -1, 2**70, -2**70])
+    m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assert _agrees_with_bareiss(m, charpoly_int(m))
+
+
+def test_packed_products_at_the_slot_bound():
+    # Each product m p is packed from the bound ||m|| max|p|, which these
+    # powers reach exactly, at both signs.
+    c = 2**64 - 1
+    for n in range(3, 9):
+        alternating = [[(-1)**i * c if i == j else 0 for j in range(n)]
+                       for i in range(n)]
+        expected = [1]  # the product of (x - d) over the diagonal
+        for i in range(n):
+            expected = [0] + expected
+            for j in range(len(expected) - 1):
+                expected[j] -= (-1)**i * c * expected[j + 1]
+        assert charpoly_int(alternating) == expected
+        for sign in (1, -1):  # sign c J: m^a = (sign c)^a n^(a-1) J
+            m = [[sign * c] * n for _ in range(n)]
+            assert charpoly_int(m) == [0] * (n - 1) + [-sign * n * c, 1]
+    # m = w v^T with w = (1, 1, -1) and v = (x, y, -z), y, z <= x: ||m|| =
+    # x + y + z = v.w and max|m| = x, and m^2 = (v.w) m holds +-x (v.w) =
+    # +-bound in its first column, which the trace of m^3 reads.  2^15 - 1
+    # and 2^63 - 1 fill a slot of 2 and 8 bytes to its first and last value.
+    for x, bound in ((151, 2**15 - 1), (2323823089, 2**63 - 1)):
+        rest = bound // x - x
+        y, z = rest // 2, rest - rest // 2
+        assert x * (x + y + z) == bound and 0 < y <= z <= x
+        m = [[x, y, -z], [x, y, -z], [-x, -y, z]]
+        assert charpoly_int(m) == [0, 0, -(x + y + z), 1]
+        assert _agrees_with_bareiss(m, charpoly_int(m))
+
+
+def test_charpoly_int_where_no_product_runs():
+    # n <= 2 runs no product, and the zero matrix has bound 0.
+    c = 2**64 - 1
+    assert charpoly_int([]) == [1]
+    assert charpoly_int([[-c]]) == [c, 1]
+    assert charpoly_int([[c, 0], [0, -c]]) == [-c * c, 0, 1]
+    for n in range(1, 9):
+        assert charpoly_int([[0] * n for _ in range(n)]) == [0] * n + [1]
+
+
 def _counting_charpoly_q(monkeypatch, a, u, v):
     """charpoly_q(a, u, v) and the matrices it passed to charpoly_int."""
     calls = []

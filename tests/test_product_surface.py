@@ -159,3 +159,15 @@ def test_each_command_loads_only_the_modules_it_runs():
     assert not on_run & {"hptsums.verify", "hptsums.triangle",
                          "hptsums.tables", "csv"}
     assert proc.stdout.startswith('{"k": 2, "order": 4')
+
+    # conjecture derives recurrences and reads no rows: it loads
+    # systembuilder, and tables only for MAX_TABLED_K.
+    proc = _fresh_python(
+        "import sys; import hptsums.cli; before = set(sys.modules); "
+        "hptsums.cli.main(['conjecture', '--k-min', '2', '--k-max', '3', "
+        "'--format', 'json']); "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)")
+    on_run = set(proc.stderr.split())
+    assert "hptsums.systembuilder" in on_run
+    assert not on_run & {"hptsums.verify", "hptsums.triangle", "csv"}
+    assert proc.stdout.startswith('[\n  {\n    "k": 2,\n    "stripped_order": 4')

@@ -108,7 +108,7 @@ def test_reproduce_tables_subrange():
 
 
 def test_probe_conjecture():
-    findings = verify.probe_conjecture(2, 11)
+    findings = systembuilder.probe_conjecture(2, 11)
     assert all(f["order_matches"] for f in findings)
     assert all(f["coefficients_linear"] for f in findings)
     anomalies = {f["k"] for f in findings if f["anomaly"]}
