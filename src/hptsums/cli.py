@@ -147,23 +147,32 @@ def cmd_recurrence(args) -> int:
     from . import systembuilder
     from .exactalg import format_qpoly
     rec = systembuilder.recurrence_for_k(args.k)
-    coeffs = [format_qpoly(c) for c in rec.coefficients]
-    ivs = [format_qpoly(v) for v in rec.initial_values]
-    plain = [f"k={rec.k} order={rec.order} "
-             f"x_strip_count={rec.x_strip_count} variant={rec.variant}"]
-    plain += [f"  c{j} = {c}" for j, c in enumerate(coeffs, 1)]
-    if ivs:
-        plain.append(f"  initial values (n=1..{len(ivs)}): {', '.join(ivs)}")
-    table = [["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
-             + ["x_strip_count", "variant"]
-             + [f"iv{n}" for n in range(1, len(ivs) + 1)],
-             [rec.k] + coeffs + [rec.x_strip_count, rec.variant] + ivs]
+    ivs = rec.initial_values
+
+    # Generators, so that only the printed form formats the coefficients.
+    def plain():
+        yield (f"k={rec.k} order={rec.order} "
+               f"x_strip_count={rec.x_strip_count} variant={rec.variant}")
+        for j, c in enumerate(rec.coefficients, 1):
+            yield f"  c{j} = {format_qpoly(c)}"
+        if ivs:
+            yield (f"  initial values (n=1..{len(ivs)}): "
+                   f"{', '.join(map(format_qpoly, ivs))}")
+
+    def table():
+        yield (["k"] + [f"c{j}" for j in range(1, rec.order + 1)]
+               + ["x_strip_count", "variant"]
+               + [f"iv{n}" for n in range(1, len(ivs) + 1)])
+        yield ([rec.k] + list(map(format_qpoly, rec.coefficients))
+               + [rec.x_strip_count, rec.variant]
+               + list(map(format_qpoly, ivs)))
+
     record = {"k": rec.k, "order": rec.order,
               "coefficients": [list(c.coeffs) for c in rec.coefficients],
               "x_strip_count": rec.x_strip_count,
-              "initial_values": [list(v.coeffs) for v in rec.initial_values],
+              "initial_values": [list(v.coeffs) for v in ivs],
               "variant": rec.variant}
-    _render(args, record, plain, table)
+    _render(args, record, plain(), table())
     return EXIT_OK
 
 
@@ -240,22 +249,23 @@ def cmd_conjecture(args) -> int:
         print("error: k-max must be >= k-min", file=sys.stderr)
         return EXIT_USAGE
     record = systembuilder.probe_conjecture(args.k_min, args.k_max)
-    plain = []
-    for f in record:
-        flags = []
-        if f["anomaly"]:
-            flags.append(f"{f['trailing_zero_count']} trailing zero "
-                         "coefficient(s)")
-        if not f["tabled"]:
-            flags.append("exploratory")
-        plain.append(
-            f"k={f['k']}: order {f['stripped_order']}"
-            f"{'+' + str(f['trailing_zero_count']) if f['anomaly'] else ''}"
-            f" vs conjectured {f['conjectured_order']} "
-            f"({'match' if f['order_matches'] else 'MISMATCH'}), "
-            f"max q-degree {f['max_q_degree']}"
-            + (f"  [{'; '.join(flags)}]" if flags else ""))
-    _render(args, record, plain, indent=2)
+
+    def plain():  # a generator: json builds no line
+        for f in record:
+            flags = []
+            if f["anomaly"]:
+                flags.append(f"{f['trailing_zero_count']} trailing zero "
+                             "coefficient(s)")
+            if not f["tabled"]:
+                flags.append("exploratory")
+            extra = f"+{f['trailing_zero_count']}" if f["anomaly"] else ""
+            yield (f"k={f['k']}: order {f['stripped_order']}{extra}"
+                   f" vs conjectured {f['conjectured_order']} "
+                   f"({'match' if f['order_matches'] else 'MISMATCH'}), "
+                   f"max q-degree {f['max_q_degree']}"
+                   + (f"  [{'; '.join(flags)}]" if flags else ""))
+
+    _render(args, record, plain(), indent=2)
     return EXIT_OK
 
 

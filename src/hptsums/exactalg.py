@@ -1,9 +1,10 @@
 """Exact arithmetic substrate.
 
 Everything here is integer-exact: polynomials in ``q`` over the integers
-(QPoly) and characteristic polynomials of integer matrices and of their
-rank-1 q-updates.  No rational number appears here or anywhere else in the
-package; a division that would not be exact raises instead of rounding.
+(QPoly, a value built once from its coefficients) and characteristic
+polynomials of integer matrices and of their rank-1 q-updates.  No
+rational number appears here or anywhere else in the package; a division
+that would not be exact raises instead of rounding.
 
 Integer characteristic polynomials come from Newton's identities on power
 traces, read off half-powers of the matrix; each matrix product packs the
@@ -12,9 +13,11 @@ one sum of small-by-packed integer products.  Every system matrix is
 A + q u v^T with integer A, u and v, where u is nonzero on two rows only
 and those rows, with v, read one column outside them.  The Schur
 complement on those two rows and the matrix determinant lemma give its
-characteristic polynomial, a list of q-linear coefficients, from the
-integer one of the q-free block on the other n-2 coordinates and its left
-Krylov rows; an input of any other form raises ExactAlgError.
+characteristic polynomial, a list of q-linear coefficients as integer
+pairs, from one run of the Newton loop on the q-free block on the other
+n-2 coordinates: its characteristic polynomial, and the moments of the
+lemma read off the powers that the loop forms.  An input of any other form
+raises ExactAlgError.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from operator import mul
 
 class ExactAlgError(Exception):
     """Raised when an exactness contract is violated: a non-exact division
-    in charpoly_int, a system whose q-part charpoly_q cannot split off, or
-    a system row that cannot be folded."""
+    in the characteristic polynomial, or a system whose q-part charpoly_q
+    cannot split off."""
 
 
 def binom(n: int, r: int) -> int:
@@ -42,10 +45,12 @@ def binom(n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 class QPoly:
-    """Polynomial in the symbol q with integer coefficients.
+    """Polynomial in the symbol q with integer coefficients: a value that
+    compares, hashes, evaluates and prints.
 
     Coefficients are stored ascending by degree; the canonical form has no
-    trailing zeros, so the zero polynomial is the empty tuple.
+    trailing zeros, so the zero polynomial is the empty tuple.  The package
+    builds each one once, from integers, and does no arithmetic on it.
     """
 
     __slots__ = ("coeffs",)
@@ -73,26 +78,6 @@ class QPoly:
             return hash(self.coeffs)
         return hash(self.coeff(0))
 
-    def __add__(self, other) -> "QPoly":
-        other = _as_qpoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(d) + other.coeff(d) for d in range(n))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QPoly":
-        other = _as_qpoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(d) - other.coeff(d) for d in range(n))
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other) -> "QPoly":
-        return QPoly(_polymul(self.coeffs, _as_qpoly(other).coeffs))
-
-    __rmul__ = __mul__
-
     def __call__(self, q0: int) -> int:
         """Evaluate at an integer, exactly (Horner)."""
         acc = 0
@@ -104,17 +89,7 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
 
-Q = QPoly((0, 1))
 QZERO = QPoly()
-QONE = QPoly((1,))
-
-
-def _as_qpoly(v) -> QPoly:
-    if isinstance(v, QPoly):
-        return v
-    if isinstance(v, int):
-        return QPoly((v,))
-    raise TypeError(f"cannot coerce {v!r} to QPoly")
 
 
 def format_qpoly(p: QPoly) -> str:
@@ -162,13 +137,27 @@ def charpoly_int(m: Sequence[Sequence[int]]) -> list:
     lies in [0, B), so the bytes of the offset row read back every entry
     exactly.
     """
+    return _newton(m, 0, ())[0]
+
+
+def _newton(m, d0: int, vecs) -> tuple:
+    """(det(xI - m), moments), the loop of charpoly_int, where moments
+    holds for each vector w of vecs its moments e_d0^T m^j w for j < n.
+
+    They are read off the powers the loop forms: it ends at m^H,
+    H = ceil(n/2), and on its way holds row d0 of m^j for every j < H.  So
+    e_d0^T m^j w is that row times w for j < H, and row d0 of m^(j-H) times
+    the one product m^H w for H <= j < n, since j - H < n - H <= H.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     norm = max((sum(map(abs, row)) for row in m), default=0)
     traces = [0, sum(m[i][i] for i in range(n))]  # traces[i] = tr(m^i)
+    tops = [[int(j == d0) for j in range(n)]]  # row d0 of m^0, m^1, ...
     cur = m  # m^a
     for a in range(1, n // 2 + 1):
+        tops.append(cur[d0])
         traces.append(_trace_of_product(cur, cur))  # tr(m^(2a))
         if 2 * a < n:
             nxt = _packed_product(m, norm, cur)
@@ -181,7 +170,13 @@ def charpoly_int(m: Sequence[Sequence[int]]) -> list:
         if s % i != 0:
             raise ExactAlgError("non-exact division in characteristic polynomial")
         c[n - i] = -s // i
-    return c
+    high = n - (n + 1) // 2  # the moments read from m^H w
+    moments = []
+    for w in vecs:
+        lifted = [sum(map(mul, row, w)) for row in cur]  # m^H w
+        moments.append([sum(map(mul, t, w)) for t in tops[:n - high]]
+                       + [sum(map(mul, t, lifted)) for t in tops[:high]])
+    return c, moments
 
 
 def _trace_of_product(a, b) -> int:
@@ -213,7 +208,7 @@ def _packed_product(m, norm: int, p) -> list:
 def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
                v: Sequence[int]) -> list:
     """det(xI - a - q u v^T) for integer a, u and v, as an ascending list
-    of its x-coefficients, each a QPoly of degree <= 1 in q.
+    of its x-coefficients, each the integer pair (c0, c1) of c0 + c1 q.
 
     The q-part must sit on two rows: u has exactly two nonzero entries, S,
     and the rows S of a, with v, touch exactly one column d0 outside S;
@@ -227,10 +222,12 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
     with X = xI - M_SS (2x2), c_D = det(xI - a_DD) = sum_e c_e x^e and
     rho_s = e_d0^T adj(xI - a_DD) a_{D,s}.  By Cayley-Hamilton
     adj(xI - a_DD) = sum_d x^d sum_{e>d} c_e a_DD^(e-d-1), so the x^d
-    coefficient of rho_s is sum_{e>d} c_e t_(e-d-1) a_{D,s} with the left
-    Krylov rows t_j = e_d0^T a_DD^j: one integer charpoly of the
-    (n-2)-dimensional block and n-3 vector-matrix products.  The q^2 part
-    vanishes by the rank-1 form and is checked.
+    coefficient of rho_s is sum_{e>d} c_e sigma_(e-d-1) with the moments
+    sigma_j = e_d0^T a_DD^j a_{D,s}, j < n-2.  One run of the Newton loop
+    of charpoly_int on the (n-2)-dimensional block gives c_D and the
+    moments, read off the powers it forms.  The 2x2 tail works on integer
+    coefficient tuples in q; its q^2 part vanishes by the rank-1 form and
+    is checked.
     """
     n = len(a)
     qrows = [i for i in range(n) if u[i]]
@@ -243,36 +240,41 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
         raise ExactAlgError("q-rows and v must touch exactly one column "
                             f"outside them, not {len(outside)}")
     d0 = outside[0]
-    a_dd = [[a[i][j] for j in rest] for i in rest]
-    c = charpoly_int(a_dd)
-    cols = list(zip(*a_dd))
-    krylov = [[int(i == d0) for i in rest]]  # krylov[j] = e_d0^T a_DD^j
-    for _ in range(len(rest) - 1):
-        krylov.append([sum(map(mul, krylov[-1], col)) for col in cols])
-    rho = []
-    for s in qrows:
-        a_ds = [a[i][s] for i in rest]
-        sigma = [sum(map(mul, t, a_ds)) for t in krylov]
-        rho.append([sum(map(mul, c[d + 1:], sigma)) for d in range(len(rest))])
+    c, moments = _newton([[a[i][j] for j in rest] for i in rest],
+                         rest.index(d0), [[a[i][s] for i in rest]
+                                          for s in qrows])
+    rho = [[sum(map(mul, c[d + 1:], sigma)) for d in range(len(rest))]
+           for sigma in moments]
 
-    def entry(i, j):  # M_ij
-        return QPoly((a[i][j], u[i] * v[j]))
+    def entry(i, j):  # M_ij as its (constant, q) pair
+        return a[i][j], u[i] * v[j]
 
     (m00, m01), (m10, m11) = [[entry(i, j) for j in qrows] for i in qrows]
     p0, p1 = entry(qrows[0], d0), entry(qrows[1], d0)
-    # x-coefficients of det(X) and of the two entries of adj(X) p
-    det_x = [m00 * m11 - m01 * m10, -(m00 + m11), QONE]
-    adj_p = [[m01 * p1 - m11 * p0, p0], [m10 * p0 - m00 * p1, p1]]
+    # x-coefficients of det(X) and of the two entries of adj(X) p, each
+    # as its (q^0, q^1, q^2) parts
+    det_x = [_cross(m00, m11, m01, m10),
+             (-m00[0] - m11[0], -m00[1] - m11[1], 0), (1, 0, 0)]
+    adj_p = [[_cross(m01, p1, m11, p0), (*p0, 0)],
+             [_cross(m10, p0, m00, p1), (*p1, 0)]]
     out = []
     for g in range(3):  # the q^g part
-        acc = _polymul([e.coeff(g) for e in det_x], c)
+        acc = _polymul([e[g] for e in det_x], c)
         for w, r in zip(adj_p, rho):
-            for d, x in enumerate(_polymul([e.coeff(g) for e in w], r)):
+            for d, x in enumerate(_polymul([e[g] for e in w], r)):
                 acc[d] -= x
         out.append(acc)
     if any(out[2]):
         raise ExactAlgError("q^2 term in a rank-1 characteristic polynomial")
-    return [QPoly(pair) for pair in zip(out[0], out[1])]
+    return list(zip(out[0], out[1]))
+
+
+def _cross(x: tuple, y: tuple, z: tuple, w: tuple) -> tuple:
+    """x y - z w for the (constant, q) pairs x, y, z and w, as its
+    (q^0, q^1, q^2) parts."""
+    return (x[0] * y[0] - z[0] * w[0],
+            x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0],
+            x[1] * y[1] - z[1] * w[1])
 
 
 def _polymul(x: list, y: list) -> list:

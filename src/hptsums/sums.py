@@ -1,7 +1,7 @@
 """Power sums by tag and state vectors of a row, read from its entry counts
 and its pair multiset (see triangle: (ab, bb), the A-then-B pairs and the B
 copy pairs, the B-then-A pairs being the ab pairs mirrored) for every k at
-once, and the fold of a state vector into the reduced coordinates.
+once.
 
 tag_power_sums gives the power sums and state_vectors the state vectors of
 every k its caller asks for, so a caller that checks many k reads each row
@@ -15,9 +15,8 @@ the value 1, as B, and neither reads the mirror.  A state vector is a plain
 list of k+2 integers, [(a^k), the k-1 mixed pair sums, (b^k), u]; k is its
 length minus 2.  Its pair sums are a pure adjacency scan: the winger
 corrections (-2, -1, -2(q-4)) live in the step equations (systembuilder,
-and the step oracle in verify), never here.  fold_classes is the one list
-of the fold classes, which fold_state and the reduced system of
-systembuilder read.
+and the step oracle in verify), never here.  Their fold into the reduced
+coordinates is systembuilder.fold_state, next to the reduced system.
 """
 from __future__ import annotations
 
@@ -109,20 +108,3 @@ def state_vectors(pairs: tuple, ks, tag_sums: tuple) -> list:
                   for d, p in powers.items() if d > 1}
     return [[a[k]] + mixed[k][::-1] + [b[k], u[k]] for k in ks]
 
-
-def fold_classes(k: int) -> list:
-    """The fold classes of the full state-vector coordinates, in the reduced
-    order [a^k, b^k, c_1..c_m, u]: (0,), (k,), (j, k-j) for 1 <= j < k/2,
-    (k/2,) for even k, and (k+1,).  c_j pairs the mixed sums with
-    b-exponents j and k-j."""
-    classes = [(0,), (k,)] + [(j, k - j) for j in range(1, (k + 1) // 2)]
-    if k % 2 == 0:
-        classes.append((k // 2,))
-    classes.append((k + 1,))
-    return classes
-
-
-def fold_state(g: list) -> list:
-    """Fold the full state vector g (k = len(g) - 2) into the reduced
-    coordinates, summing each fold class."""
-    return [sum(g[i] for i in c) for c in fold_classes(len(g) - 2)]

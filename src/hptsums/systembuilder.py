@@ -11,30 +11,36 @@ one integer characteristic polynomial of the q-free block on the other
 coordinates, two dimensions smaller, and a 2x2 determinant lemma.
 
 One route derives every recurrence and its initial values, k = 0 and 1
-included: the folded reduced system of dimension r = floor(k/2)+3.  The
-full system has dimension n = k+2, except at k = 0, which takes k = 1's
-three coordinates [#A, #B, #bb]; at k = 0 and 1 the fold is the identity.
-The fold P maps the full coordinates [a^k, mixed pairs, b^k, u] onto
-[a^k, b^k, c_1.., u] by summing each fold class of sums.fold_classes,
+included: the folded reduced system of dimension r = floor(k/2)+3, written
+directly by build_reduced_matrix from one Pascal table.  The full system,
+of dimension n = k+2 (at k = 0, k = 1's three coordinates [#A, #B, #bb]),
+is never built; it is the entry-by-entry cross-check of the tests
+(tests/reference.py).  The fold P maps the full coordinates
+[a^k, mixed pairs, b^k, u] onto [a^k, b^k, c_1.., u] by summing each fold
+class of fold_classes, the one statement of the reduced coordinate order,
 
   (0,), (k,), (1, k-1), (2, k-2), ..., [(k/2,) for even k], (k+1,),
 
-where c_j = (a^{k-j} b^j) + (a^j b^{k-j}) is the class (j, k-j).  The
-reduced A has as row of a class the sum of its full rows, read at the first
-column of every class; u, h0 and h1 are summed the same way, and v is read
-at the first columns.  This is exact because every summed row of A, and v,
-is fold-symmetric (equal at both columns of each pair), so P M = M_red P
-and P h = h_red.  Hence ker P, spanned by e_j - e_{k-j} for 1 <= j < k/2,
-is M-invariant; M maps it to zero, because rows 0..k-1 of M are symmetric
-under j <-> k-j and rows k, k+1 touch only columns 0, k and k+1.  So
-det(xI - M) = x^(n-r) det(xI - M_red), and the full characteristic
-polynomial is read off the reduced one exactly.
+where c_j = (a^{k-j} b^j) + (a^j b^{k-j}) is the class (j, k-j); at k = 0
+and 1 it is the identity.  The reduced A has as row of a class the sum of
+its full rows, read at the first column of every class; u, h0 and h1 are
+summed the same way, and v is read at the first columns.  This is exact
+because every summed row of A, and v, is fold-symmetric (equal at both
+columns of each pair), so P M = M_red P and P h = h_red.  Hence ker P,
+spanned by e_j - e_{k-j} for 1 <= j < k/2, is M-invariant; M maps it to
+zero, because rows 0..k-1 of M are symmetric under j <-> k-j and rows k,
+k+1 touch only columns 0, k and k+1.  So det(xI - M) = x^(n-r)
+det(xI - M_red), and the full characteristic polynomial is read off the
+reduced one exactly.  fold_state folds a state vector the same way, for
+the step oracle of verify.
 
 Recurrences come out of the characteristic polynomial, an ascending list
-of QPoly coefficients, by the (x-1) lift (absorbing the constant
-winger-correction vector) followed by maximal x-stripping.  Initial values
-come from iterating the same reduced system, split by powers of q into
-integer vectors, starting from the folded row-1 state vector.
+of its x-coefficients as the integer pairs (c0, c1) of c0 + c1 q, by the
+(x-1) lift (absorbing the constant winger-correction vector) followed by
+maximal x-stripping; each recurrence coefficient becomes a QPoly once, at
+the end.  Initial values come from iterating the same reduced system,
+split by powers of q into integer vectors, starting from the folded row-1
+state vector.
 
 The order/linearity conjecture probe lives here, next to the conjectured
 order it compares with: it derives recurrences and reads no rows.  Every
@@ -51,15 +57,13 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exactalg import (QONE, QZERO, ExactAlgError, QPoly, binom, charpoly_q,
-                       format_qpoly)
-from .sums import fold_classes, fold_state
+from .exactalg import QZERO, QPoly, charpoly_q, format_qpoly
 
 __all__ = [
-    "LinearSystem", "Recurrence", "build_full_matrix", "build_reduced_matrix",
-    "lift_inhomogeneous", "recurrence_from_polynomial", "recurrence_for_k",
-    "initial_values_symbolic", "conjectured_order", "probe_conjecture",
-    "MAX_K", "check_k",
+    "LinearSystem", "Recurrence", "fold_classes", "fold_state",
+    "build_reduced_matrix", "lift_inhomogeneous",
+    "recurrence_from_polynomial", "recurrence_for_k",
+    "initial_values_symbolic", "conjectured_order", "probe_conjecture", "MAX_K", "check_k",
 ]
 
 # The largest k derived: the largest with a recorded cost, 307 s and 69 MB
@@ -136,94 +140,89 @@ def probe_conjecture(k_min: int, k_max: int) -> list:
     return findings
 
 
-def build_full_matrix(k: int) -> LinearSystem:
-    """The system advancing [a^k, mixed pairs, b^k, u], of dimension k+2 for
-    k >= 1; k = 0 takes k = 1's layout [#A, #B, #bb], since a^0 and b^0
-    cannot share one coordinate.
+def fold_classes(k: int) -> list:
+    """The fold classes of the full state-vector coordinates, in the reduced
+    order [a^k, b^k, c_1..c_m, u]: (0,), (k,), (j, k-j) for 1 <= j < k/2,
+    (k/2,) for even k, and (k+1,).  c_j pairs the mixed sums with
+    b-exponents j and k-j."""
+    classes = [(0,), (k,)] + [(j, k - j) for j in range(1, (k + 1) // 2)]
+    if k % 2 == 0:
+        classes.append((k // 2,))
+    classes.append((k + 1,))
+    return classes
 
-    Upper k x (k+1) block: a_{i,j} = C(k-i, j) + C(k-i, k-j); last column
-    2^k - 2 then 2^{k-i} - 1; the two q-rows close the system.  Their
-    q-part, q (a^k + b^k) in both, is written once as u = e_{b^k} + e_u,
-    v = e_{a^k} + e_{b^k}, and their constant -2(q-4) as 8 - 2q.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    m = max(k, 1)  # the b^k coordinate
-    n = m + 2
-    a = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m + 1):
-            a[i][j] = binom(k - i, j) + binom(k - i, k - j)
-    a[0][m + 1] = 2**k - 2
-    for i in range(1, m):
-        a[i][m + 1] = 2**(k - i) - 1
-    a[m][0], a[m][m] = -4, -3
-    a[m + 1][0], a[m + 1][m] = -5, -4
-    u, v = [0] * n, [0] * n
-    u[m] = u[m + 1] = v[0] = v[m] = 1
-    h0 = [-2] + [-1] * (m - 1) + [8, 8]
-    h1 = [0] * m + [-2, -2]
-    if k == 0:
-        # A pair (x, y) yields the A vertex x + y, and the A row sums
-        # (x + y)^k by its binomial terms.  At k = 0 the i = 0 and i = k
-        # terms coincide, so the general row counts each adjacent pair
-        # twice; a_{n+1} = a_n + b_n - 1 counts it once.
-        a[0], h0[0] = [1, 1, 0], -1
-    return LinearSystem(k, a, u, v, h0, h1)
+
+def fold_state(g: list) -> list:
+    """Fold the full state vector g (k = len(g) - 2) into the reduced
+    coordinates, summing each fold class."""
+    return [sum(g[i] for i in c) for c in fold_classes(len(g) - 2)]
 
 
 def build_reduced_matrix(k: int) -> LinearSystem:
     """The folded system of dimension floor(k/2)+3 over
-    [a^k, b^k, c_1..c_m, u], where c_j = (a^{k-j}b^j) + (a^j b^{k-j}).
+    [a^k, b^k, c_1..c_m, u], where c_j = (a^{k-j}b^j) + (a^j b^{k-j}),
+    written directly from one Pascal table.
 
-    Each row of a and each entry of u, h0 and h1 is the sum of the full
-    ones in its fold class; the columns of a and v are read at each class's
-    first column.  A row of a, or v, that differs at the two columns of a
-    pair cannot be folded and raises ExactAlgError.  The published form of
-    the c_j rows is encoded once, as the step oracle's
-    verify._reduced_printed_rhs.
+    Full row i < k, the equation of (a^{k-i} b^i), reads
+    C(k-i, j) + C(k-i, k-j) at column j <= k and 2^(k-i) - 1 at u, less 1
+    at i = 0, with constant -1, less 1 at i = 0; the row of a class is the
+    sum of those of its members, read at each class's first column.  The
+    b^k and u rows, [-4, -3] and [-5, -4] at [a^k, b^k] with constant
+    8 - 2q, carry the q-part q (a^k + b^k).  k = 0 takes k = 1's three
+    coordinates [#A, #B, #bb] and its own A row [1, 1, 0], constant -1:
+    there a^0 and b^0 cannot share one coordinate, and the general row
+    counts each adjacent pair twice.  The published form of the c_j rows is
+    encoded once, as the step oracle's verify._reduced_printed_rhs.
     """
-    full = build_full_matrix(k)
-    classes = fold_classes(len(full.a) - 2)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    classes = fold_classes(max(k, 1))
+    cols = [c[0] for c in classes[:-1]]  # the columns read, but u
+    pascal = [[1] + [0] * k]  # pascal[i][j] = C(i, j) for j <= k
+    for _ in range(k):
+        pascal.append(list(map(add, [0] + pascal[-1][:-1], pascal[-1])))
 
-    def read(vec):
-        for c in classes:
-            if vec[c[0]] != vec[c[-1]]:
-                raise ExactAlgError(
-                    f"not fold-symmetric at columns {c[0]}/{c[-1]}")
-        return [vec[c[0]] for c in classes]
+    def row(i):  # full row i < k at the columns read
+        p = pascal[k - i]
+        return [p[j] + p[k - j] for j in cols] + [2**(k - i) - 1 - (i == 0)]
 
-    # the rows of a summed within each class, then read class by class
-    a = [read(list(map(sum, zip(*(full.a[i] for i in c))))) for c in classes]
-    return LinearSystem(k, a, fold_state(full.u), read(full.v),
-                        fold_state(full.h0), fold_state(full.h1))
+    mixed = classes[2:-1]
+    zeros = [0] * len(mixed)
+    a = [row(0) if k else [1, 1, 0], [-4, -3, *zeros, 0],
+         *[list(map(sum, zip(*map(row, c)))) for c in mixed],
+         [-5, -4, *zeros, 0]]
+    h0 = [-2 if k else -1, 8, *[-len(c) for c in mixed], 8]
+    return LinearSystem(k, a, [0, 1, *zeros, 1], [1, 1, *zeros, 0], h0,
+                        [0, -2, *zeros, -2])
 
 
 def lift_inhomogeneous(p: list) -> list:
-    """(x-1) * p(x), for p an ascending list of QPoly coefficients: the
+    """(x-1) * p(x), for p an ascending list of x-coefficients, each the
+    integer pair (c0, c1) of c0 + c1 q, as charpoly_q gives them: the
     characteristic polynomial governing the orbit once the constant
     correction vector is absorbed by differencing."""
-    if not any(p):
+    if not any(map(any, p)):
         raise ValueError("polynomial must be nonzero")
-    return [lo - hi for lo, hi in zip([QZERO] + p, p + [QZERO])]
+    return [(lo0 - hi0, lo1 - hi1) for (lo0, lo1), (hi0, hi1)
+            in zip([(0, 0)] + p, p + [(0, 0)])]
 
 
 def recurrence_from_polynomial(p: list, k: int) -> Recurrence:
     """Strip the maximal power of x from a monic polynomial, an ascending
-    list of QPoly coefficients, and read off the recurrence coefficients as
-    the negated lower coefficients."""
-    if not any(p):
+    list of x-coefficients, each the integer pair (c0, c1) of c0 + c1 q,
+    and read off the recurrence coefficients, one QPoly each, as the
+    negated lower coefficients."""
+    if not any(map(any, p)):
         raise ValueError("polynomial must be zero-free")
-    strip = next(d for d, c in enumerate(p) if c)
+    strip = next(d for d, c in enumerate(p) if any(c))
     coeffs = p[strip:]
-    if coeffs[-1] != QONE:
+    if tuple(coeffs[-1]) != (1, 0):
         raise ValueError("polynomial is not monic "
-                         f"(leading {format_qpoly(coeffs[-1])})")
-    d = len(coeffs) - 1
-    cs = [-coeffs[d - j] for j in range(1, d + 1)]
+                         f"(leading {format_qpoly(QPoly(coeffs[-1]))})")
+    cs = [QPoly((-c0, -c1)) for c0, c1 in reversed(coeffs[:-1])]
     if cs and not cs[-1]:
         raise AssertionError("stripping was not maximal")
-    return Recurrence(k, d, cs, strip)
+    return Recurrence(k, len(cs), cs, strip)
 
 
 def initial_values_symbolic(s: LinearSystem, d: int) -> list:
@@ -264,10 +263,10 @@ def recurrence_for_k(k: int, with_initial_values: bool = True) -> Recurrence:
     """
     check_k(k)
     s = build_reduced_matrix(k)
-    # det(xI - M) = x^(n-r) det(xI - M_red): see the module docstring.  n
-    # is build_full_matrix's dimension, read from k, not from a second build.
+    # det(xI - M) = x^(n-r) det(xI - M_red), n = max(k, 1) + 2 the full
+    # dimension: see the module docstring.
     nullity = max(k, 1) + 2 - len(s.a)
-    cp = [QZERO] * nullity + charpoly_q(s.a, s.u, s.v)
+    cp = [(0, 0)] * nullity + charpoly_q(s.a, s.u, s.v)
     rec = recurrence_from_polynomial(lift_inhomogeneous(cp), k)
     if with_initial_values:
         rec.initial_values = initial_values_symbolic(s, rec.order)

@@ -16,7 +16,8 @@ numbers as decimal strings.
 verify_system_steps is the step oracle: it evaluates the equations that
 advance a state vector from one row to the next from their defining
 formulas, so it stays independent of the matrices of systembuilder that it
-checks.  verify_recurrence and verify_counting share one recurrence loop.
+checks; it takes from there only fold_state, the reduced coordinate order.
+verify_recurrence and verify_counting share one recurrence loop.
 
 Everything is exact integer equality; there are no tolerances anywhere.
 """
@@ -26,6 +27,7 @@ from itertools import islice
 
 from . import sums, systembuilder, tables, triangle
 from .exactalg import QPoly, binom
+from .systembuilder import fold_state
 
 DEFAULT_ENTRY_CAP = 10**5
 DEFAULT_K_RANGE = (2, 8)
@@ -113,7 +115,7 @@ def verify_system_steps(k: int, q: int, vectors: list,
     elif system == "reduced-as-printed":
         labels = (["a^k", "b^k"]
                   + [f"c{j}" for j in range(1, k // 2 + 1)] + ["u"])
-        states = [sums.fold_state(g) for g in vectors]
+        states = [fold_state(g) for g in vectors]
         rhs = [_reduced_printed_rhs(c, k, q) for c in states[:-1]]
     else:
         raise ValueError(f"unknown system {system!r}")

@@ -1,6 +1,9 @@
 """Second routes to facts the package derives one way, kept as references
 that tests compare the product path against.  No command runs them.
 
+  * RingPoly, a QPoly with the ring operations, and the symbol Q, QZERO
+    and QONE as ring values: the package builds each QPoly once and does
+    no arithmetic on it, and the references and expected values here do;
   * lagrange_interpolate, the integer polynomial through sample points
     over exact rationals, with extra points that verify its degree bound;
   * charpoly_rank_one, the characteristic polynomial of a + q u v^T for
@@ -15,6 +18,12 @@ that tests compare the product path against.  No command runs them.
   * structured_addends and build_structured_charpoly, the characteristic
     polynomial as the determinant of the row-reduced form of M - xI, with
     polynomials in x as ascending lists of QPoly (xq_add, xq_eval_x);
+  * build_full_matrix, the full system of dimension k+2 written entry by
+    entry from its defining binomials, and fold_system, its fold into the
+    reduced coordinates, read at the first column of each fold class only
+    where every row of a, and v, agrees at both columns of a class; the
+    tests compare systembuilder.build_reduced_matrix, which writes the
+    folded system directly, against the two;
   * matrix_from_orbit, a system matrix recovered from its orbit;
   * entry_pairs and pair_sum, the literal multiset of a materialised
     row's adjacent pairs, a plain dict from flat (x, tx, y, ty) keys to
@@ -28,8 +37,55 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 
-from hptsums.exactalg import (Q, QONE, QZERO, ExactAlgError, QPoly, binom,
-                              charpoly_int)
+from hptsums.exactalg import ExactAlgError, QPoly, binom, charpoly_int
+from hptsums.systembuilder import LinearSystem, fold_classes, fold_state
+
+
+class RingPoly(QPoly):
+    """A QPoly with +, - and *, with ints and any QPoly; every result is a
+    RingPoly.  Equality and hashing are QPoly's, so a RingPoly equals the
+    QPoly of the same coefficients."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "RingPoly":
+        other = _as_ring(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RingPoly(self.coeff(d) + other.coeff(d) for d in range(n))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "RingPoly":
+        return self + -_as_ring(other)
+
+    def __rsub__(self, other) -> "RingPoly":
+        return _as_ring(other) + -self
+
+    def __neg__(self) -> "RingPoly":
+        return RingPoly(-c for c in self.coeffs)
+
+    def __mul__(self, other) -> "RingPoly":
+        other = _as_ring(other)
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return RingPoly(out)
+
+    __rmul__ = __mul__
+
+
+def _as_ring(v) -> RingPoly:
+    if isinstance(v, QPoly):
+        return RingPoly(v.coeffs)
+    if isinstance(v, int):
+        return RingPoly((v,))
+    raise TypeError(f"cannot coerce {v!r} to RingPoly")
+
+
+Q = RingPoly((0, 1))
+QZERO = RingPoly()
+QONE = RingPoly((1,))
 
 
 def lagrange_interpolate(points, deg_bound: int) -> QPoly:
@@ -66,7 +122,7 @@ def lagrange_interpolate(points, deg_bound: int) -> QPoly:
                 acc[d] -= x_i * acc[d + 1]
     if any(c.denominator != 1 for c in coeffs):
         raise ExactAlgError(f"non-integer interpolation result: {coeffs}")
-    poly = QPoly(int(c) for c in coeffs)
+    poly = RingPoly(int(c) for c in coeffs)
     for x0, y0 in points[deg_bound + 1:]:
         if poly(x0) != y0:
             raise ExactAlgError(
@@ -130,7 +186,64 @@ def charpoly_rank_one(a, u, v) -> list:
     for _ in range(n):
         s.append(sum(map(mul, v, w)))
         w = [sum(map(mul, row, w)) for row in a]
-    return [QPoly((c[d], -sum(map(mul, c[d + 1:], s)))) for d in range(n + 1)]
+    return [RingPoly((c[d], -sum(map(mul, c[d + 1:], s))))
+            for d in range(n + 1)]
+
+
+def build_full_matrix(k: int) -> LinearSystem:
+    """The system advancing [a^k, mixed pairs, b^k, u], of dimension k+2 for
+    k >= 1; k = 0 takes k = 1's layout [#A, #B, #bb], since a^0 and b^0
+    cannot share one coordinate.
+
+    Upper k x (k+1) block: a_{i,j} = C(k-i, j) + C(k-i, k-j); last column
+    2^k - 2 then 2^{k-i} - 1; the two q-rows close the system.  Their
+    q-part, q (a^k + b^k) in both, is written once as u = e_{b^k} + e_u,
+    v = e_{a^k} + e_{b^k}, and their constant -2(q-4) as 8 - 2q.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    m = max(k, 1)  # the b^k coordinate
+    n = m + 2
+    a = [[0] * n for _ in range(n)]
+    for i in range(m):
+        for j in range(m + 1):
+            a[i][j] = binom(k - i, j) + binom(k - i, k - j)
+    a[0][m + 1] = 2**k - 2
+    for i in range(1, m):
+        a[i][m + 1] = 2**(k - i) - 1
+    a[m][0], a[m][m] = -4, -3
+    a[m + 1][0], a[m + 1][m] = -5, -4
+    u, v = [0] * n, [0] * n
+    u[m] = u[m + 1] = v[0] = v[m] = 1
+    h0 = [-2] + [-1] * (m - 1) + [8, 8]
+    h1 = [0] * m + [-2, -2]
+    if k == 0:
+        # A pair (x, y) yields the A vertex x + y, and the A row sums
+        # (x + y)^k by its binomial terms.  At k = 0 the i = 0 and i = k
+        # terms coincide, so the general row counts each adjacent pair
+        # twice; a_{n+1} = a_n + b_n - 1 counts it once.
+        a[0], h0[0] = [1, 1, 0], -1
+    return LinearSystem(k, a, u, v, h0, h1)
+
+
+def fold_system(full: LinearSystem) -> LinearSystem:
+    """The full system folded into the reduced coordinates: each row of a
+    and each entry of u, h0 and h1 summed over its fold class, the columns
+    of a and v read at each class's first column.  A row of a, or v, that
+    differs at the two columns of a class has no folded form and raises
+    ExactAlgError."""
+    classes = fold_classes(len(full.a) - 2)
+
+    def read(vec):
+        for c in classes:
+            if vec[c[0]] != vec[c[-1]]:
+                raise ExactAlgError(
+                    f"not fold-symmetric at columns {c[0]}/{c[-1]}")
+        return [vec[c[0]] for c in classes]
+
+    a = [read(list(map(sum, zip(*(full.a[i] for i in c))))) for c in classes]
+    return LinearSystem(full.k, a, fold_state(full.u), read(full.v),
+                        fold_state(full.h0), fold_state(full.h1))
 
 
 def rank_one_update(a, u, v, q):
@@ -167,10 +280,10 @@ def structured_addends(k: int) -> tuple:
     for u in range(k + 1):
         for j in range(u, k + 1):
             c = (-1)**(j - u + 1) * binom(k - u, j - u)
-            x1[u][j] = [QZERO, QPoly((c,))]
+            x1[u][j] = [QZERO, RingPoly((c,))]
         if u <= k - 1:
-            x1[u][k + 1] = [QZERO, QPoly(((-1)**(k - u),))]
-    x1[k][k] = [QZERO, QPoly((-1,))]
+            x1[u][k + 1] = [QZERO, RingPoly(((-1)**(k - u),))]
+    x1[k][k] = [QZERO, RingPoly((-1,))]
     x1[k][k + 1] = [QZERO, QONE]
     x1[k + 1][k] = [QZERO, Q - 5]
     x1[k + 1][k + 1] = [QZERO, -(Q - 4)]
@@ -213,7 +326,8 @@ def build_structured_charpoly(k: int) -> list:
     # coefficients of x^0, x^1, ...
     max_xdeg = max((len(p.coeffs) for p in coeffs_by_qdeg), default=0)
     sign = (-1)**k
-    return [QPoly(sign * coeffs_by_qdeg[d].coeff(e) for d in range(max_qdeg))
+    return [RingPoly(sign * coeffs_by_qdeg[d].coeff(e)
+                     for d in range(max_qdeg))
             for e in range(max_xdeg)]
 
 

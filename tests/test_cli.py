@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import hptsums
-from hptsums import cli, sums, systembuilder, tables, triangle, verify
+from hptsums import (cli, exactalg, sums, systembuilder, tables, triangle,
+                     verify)
 from hptsums.cli import main
 from hptsums.systembuilder import recurrence_for_k
+from reference import QONE
 
 
 def run(capsys, *argv):
@@ -189,6 +191,49 @@ def test_sums_renders_only_the_printed_format(capsys, monkeypatch, fmt):
         assert out.splitlines()[-1] == last[fmt]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_recurrence_formats_only_the_printed_output(capsys, monkeypatch,
+                                                    fmt):
+    # json dumps the coefficient lists; the plain lines and the csv table
+    # format each coefficient and initial value only when they are printed.
+    calls = []
+    real = exactalg.format_qpoly
+    monkeypatch.setattr(exactalg, "format_qpoly",
+                        lambda p: calls.append(p) or real(p))
+    code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", fmt)
+    assert code == 0
+    # k = 2: four coefficients and four initial values
+    assert len(calls) == (0 if fmt == "json" else 8)
+    last = {"plain": "  initial values (n=1..4): 2, 6, 4q+4, 4q^2+6q-20",
+            "csv": "2,q+2,-q-7,8,-2,1,full,2,6,4q+4,4q^2+6q-20",
+            "json": '"variant": "full"}'}
+    assert out.splitlines()[-1].endswith(last[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_conjecture_builds_only_the_printed_lines(capsys, monkeypatch, fmt):
+    # json dumps the findings; the plain lines, which csv prints too, turn
+    # them into text only when they are printed.
+    real = systembuilder.probe_conjecture
+
+    def counted(k_min, k_max):
+        findings = real(k_min, k_max)
+        for f in findings:
+            f["k"] = CountedInt(f["k"])
+        return findings
+
+    monkeypatch.setattr(systembuilder, "probe_conjecture", counted)
+    monkeypatch.setattr(CountedInt, "conversions", 0)
+    code, out, _ = run(capsys, "conjecture", "--k-min", "2", "--k-max", "5",
+                       "--format", fmt)
+    assert code == 0
+    assert CountedInt.conversions == (0 if fmt == "json" else 4)
+    if fmt == "json":
+        assert [f["k"] for f in json.loads(out)] == [2, 3, 4, 5]
+    else:
+        assert out.splitlines()[-1].startswith("k=5: order 5 vs")
+
+
 def test_recurrence_json_schema(capsys):
     code, out, _ = run(capsys, "recurrence", "--k", "2", "--format", "json")
     payload = json.loads(out)
@@ -253,7 +298,7 @@ def test_every_derivation_checks_the_k_bound_first(capsys, monkeypatch, argv):
     def no_build(k):
         raise AssertionError(f"built the matrix of k = {k}")
 
-    monkeypatch.setattr(systembuilder, "build_full_matrix", no_build)
+    monkeypatch.setattr(systembuilder, "build_reduced_matrix", no_build)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: k must be <= 256, not 257\n"
@@ -365,7 +410,7 @@ def wrong_c1(monkeypatch, wrong_k=2):
     def wrong(k, *args, **kwargs):
         rec = real(k, *args, **kwargs)
         if k == wrong_k:
-            rec.coefficients[0] = rec.coefficients[0] + 1
+            rec.coefficients[0] = QONE + rec.coefficients[0]
         return rec
 
     monkeypatch.setattr(systembuilder, "recurrence_for_k", wrong)
@@ -455,7 +500,7 @@ def test_table_reports_a_wrong_reference_cell(capsys, monkeypatch):
 def test_table_derives_row_0(capsys, monkeypatch):
     # A k = 0 A row that counts each adjacent pair twice, as the general A
     # row would, shows in the table: its row 0 is derived, not copied.
-    build = systembuilder.build_full_matrix
+    build = systembuilder.build_reduced_matrix
 
     def double_counting(k):
         s = build(k)
@@ -463,7 +508,7 @@ def test_table_derives_row_0(capsys, monkeypatch):
             s.a[0], s.h0[0] = [2, 2, 0], -2
         return s
 
-    monkeypatch.setattr(systembuilder, "build_full_matrix", double_counting)
+    monkeypatch.setattr(systembuilder, "build_reduced_matrix", double_counting)
     code, out, err = run(capsys, "table", "--k-max", "1")
     assert (code, err) == (1, "")
     diff = out.splitlines()[out.splitlines().index("diff:") + 1:]

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from hptsums import exactalg
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (Q, ExactAlgError, QPoly, binom, charpoly_int,
+from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_int,
                               charpoly_q, format_qpoly)
-from reference import (charpoly_rank_one, det_int, lagrange_interpolate,
-                       matrix_from_orbit, rank_one_update, xq_eval_x)
+from reference import (Q, RingPoly, build_full_matrix, charpoly_rank_one,
+                       det_int, lagrange_interpolate, matrix_from_orbit,
+                       rank_one_update, xq_eval_x)
 
 small_ints = st.integers(-50, 50)
-qpolys = st.lists(small_ints, max_size=5).map(QPoly)
+qpolys = st.lists(small_ints, max_size=5).map(RingPoly)
 
 
 def test_qpoly_canonical_form():
@@ -189,13 +190,20 @@ def test_charpoly_int_where_no_product_runs():
 
 
 def _counting_charpoly_q(monkeypatch, a, u, v):
-    """charpoly_q(a, u, v) and the matrices it passed to charpoly_int."""
+    """charpoly_q(a, u, v) and the matrices it passed to the Newton loop
+    of charpoly_int."""
     calls = []
+    newton = exactalg._newton
     with monkeypatch.context() as patch:
-        patch.setattr(exactalg, "charpoly_int",
-                      lambda mat: calls.append(mat) or charpoly_int(mat))
+        patch.setattr(exactalg, "_newton", lambda mat, *rest: calls.append(
+            mat) or newton(mat, *rest))
         cp = charpoly_q(a, u, v)
     return cp, calls
+
+
+def _at(cp, q0):
+    """The x-coefficients of charpoly_q's (c0, c1) pairs at q = q0."""
+    return [c0 + c1 * q0 for c0, c1 in cp]
 
 
 def _random_rank_one_cases():
@@ -233,25 +241,67 @@ SYSTEMS = {
     "reduced k=2..64": lambda: [(s.a, s.u, s.v) for s in map(
         sb.build_reduced_matrix, range(2, 65))],
     "full k=2..20": lambda: [(s.a, s.u, s.v) for s in map(
-        sb.build_full_matrix, range(2, 21))],
+        build_full_matrix, range(2, 21))],
 }
 
 
 @pytest.mark.parametrize("family", SYSTEMS)
 def test_charpoly_q_is_the_determinant_lemma(monkeypatch, family):
-    # One charpoly_int call per system, on the (n-2)-dim block off the two
-    # q-rows; the result is the lemma's on all n dimensions, and its
-    # coefficients at held-out q are the integer charpoly of a + q u v^T.
+    # One run of the Newton loop per system, on the (n-2)-dim block off
+    # the two q-rows; the result is the lemma's on all n dimensions, and
+    # its coefficients at held-out q are the integer charpoly of
+    # a + q u v^T.
     for a, u, v in SYSTEMS[family]():
         n = len(a)
         cp, calls = _counting_charpoly_q(monkeypatch, a, u, v)
         assert len(calls) == 1, n
         assert len(calls[0]) == n - 2, n
         assert all(len(row) == n - 2 for row in calls[0]), n
-        assert cp == charpoly_rank_one(a, u, v), n
+        assert [QPoly(c) for c in cp] == charpoly_rank_one(a, u, v), n
         for q0 in (11, 23, 40):
-            assert [c(q0) for c in cp] \
+            assert _at(cp, q0) \
                 == charpoly_int(rank_one_update(a, u, v, q0)), (a, u, v, q0)
+
+
+@st.composite
+def _two_row_systems(draw):
+    """An integer a, u and v of the form charpoly_q accepts: u nonzero on
+    two rows S, which with v read one column d0 outside S, and a q-free
+    block on the other coordinates of dimension 1..10, entries up to
+    2^40 of either sign."""
+    big = st.integers(-2**40, 2**40)
+    nonzero = big.filter(bool)
+    dim = draw(st.integers(1, 10))
+    n = dim + 2
+    order = draw(st.permutations(range(n)))
+    qrows, rest = sorted(order[:2]), order[2:]
+    d0 = rest[0]
+    a = [[draw(big) for _ in range(n)] for _ in range(n)]
+    u, v = [0] * n, [0] * n
+    for s in qrows:
+        u[s] = draw(nonzero)
+        a[s] = [draw(big) if j in qrows else 0 for j in range(n)]
+    for j in qrows:
+        v[j] = draw(big)
+    # at least one of v and the q-rows reads d0
+    where = draw(st.sampled_from(["v", "a0", "a1"]))
+    v[d0] = draw(nonzero if where == "v" else big)
+    for s, name in zip(qrows, ("a0", "a1")):
+        a[s][d0] = draw(nonzero if where == name else big)
+    return a, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_two_row_systems())
+def test_charpoly_q_moments_match_held_out_q(system):
+    # The moments e_d0^T a_DD^j a_{D,s} come off the powers of the Newton
+    # loop, the last ones through m^H a_{D,s}; a moment read one power off,
+    # or from the wrong power, changes a coefficient at some q0.
+    a, u, v = system
+    cp = charpoly_q(a, u, v)
+    assert len(cp) == len(a) + 1
+    for q0 in (3, -17, 2**20 + 1):
+        assert _at(cp, q0) == charpoly_int(rank_one_update(a, u, v, q0)), q0
 
 
 def _broken_q_parts():

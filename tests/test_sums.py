@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptsums import verify
-from hptsums.sums import fold_state, state_vectors, tag_power_sums
+from hptsums.sums import state_vectors, tag_power_sums
+from hptsums.systembuilder import fold_state
 from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
                               entry_rows, pair_rows)
 from reference import entry_pairs, pair_sum, row_pairs

@@ -5,14 +5,15 @@ from operator import mul
 import pytest
 
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (Q, QZERO, ExactAlgError, QPoly, binom,
-                              charpoly_int, charpoly_q)
-from hptsums.sums import fold_state, state_vectors, tag_power_sums
+from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_int,
+                              charpoly_q)
+from hptsums.sums import state_vectors, tag_power_sums
+from hptsums.systembuilder import fold_state
 from hptsums.triangle import (TriangleParams, _type_counts, entry_counts,
                               entry_rows)
 from hptsums.verify import _full_rhs
-from reference import (build_structured_charpoly, row_pairs,
-                       structured_addends, system_at)
+from reference import (Q, QZERO, build_full_matrix, build_structured_charpoly,
+                       fold_system, row_pairs, structured_addends, system_at)
 
 
 def qp(*coeffs):
@@ -20,7 +21,7 @@ def qp(*coeffs):
 
 
 def test_full_matrix_k2():
-    sys2 = sb.build_full_matrix(2)
+    sys2 = build_full_matrix(2)
     assert (sys2.a, sys2.u, sys2.v, sys2.h0, sys2.h1) == (
         [[2, 4, 2, 2], [1, 2, 1, 1], [-4, 0, -3, 0], [-5, 0, -4, 0]],
         [0, 0, 1, 1], [1, 0, 1, 0], [-2, -1, 8, 8], [0, 0, -2, -2])
@@ -33,11 +34,11 @@ def test_full_matrix_k2():
 
 
 def test_full_matrix_entry_formulas():
-    m3, _ = system_at(sb.build_full_matrix(3), 5)
+    m3, _ = system_at(build_full_matrix(3), 5)
     assert m3[0][2] == binom(3, 2) + binom(3, 1)  # = 6
     for k in (2, 4, 7):
         for q in (5, 9):
-            m, h = system_at(sb.build_full_matrix(k), q)
+            m, h = system_at(build_full_matrix(k), q)
             assert (m[k][0], m[k][k]) == (q - 4, q - 3)
             assert (m[k + 1][0], m[k + 1][k]) == (q - 5, q - 4)
             assert m[0][k + 1] == 2**k - 2
@@ -46,7 +47,7 @@ def test_full_matrix_entry_formulas():
 
 def test_full_matrix_rejects_small_k():
     with pytest.raises(ValueError):
-        sb.build_full_matrix(-1)
+        build_full_matrix(-1)
 
 
 def test_k0_system_steps_the_type_counts_and_bb_pairs():
@@ -54,7 +55,7 @@ def test_k0_system_steps_the_type_counts_and_bb_pairs():
     # type-count step of triangle, #bb against the B-then-B pairs of the
     # materialised rows.
     for q in (5, 6, 7, 9):
-        m, h = system_at(sb.build_full_matrix(0), q)
+        m, h = system_at(build_full_matrix(0), q)
         rows = islice(entry_rows(TriangleParams(q)), 1, 11)
         g = [0, 2, 1]  # row 1: two B wingers, one bb pair
         for n, (counts, row) in enumerate(zip(_type_counts(q), rows), 1):
@@ -66,7 +67,7 @@ def test_k0_system_steps_the_type_counts_and_bb_pairs():
 def test_full_matrix_agrees_with_step_oracle():
     # M g_n + h must equal g_{n+1} computed from actual rows
     for q, k in ((5, 3), (6, 4), (7, 2)):
-        m, h = system_at(sb.build_full_matrix(k), q)
+        m, h = system_at(build_full_matrix(k), q)
         rows = list(islice(entry_rows(TriangleParams(q)), 6))
         for n in range(1, 4):
             (g,), (g_next,) = [state_vectors(t, (k,), tag_power_sums(
@@ -88,24 +89,32 @@ def test_full_system_is_the_step_oracle_map():
             columns = [[x - z for x, z in zip(
                 _full_rhs([int(i == j) for i in range(n)], q), at_zero)]
                 for j in range(n)]
-            m, h = system_at(sb.build_full_matrix(k), q)
+            m, h = system_at(build_full_matrix(k), q)
             assert (m, h) == ([list(r) for r in zip(*columns)], at_zero), \
                 (k, q)
 
 
 def full_charpoly(k):
-    s = sb.build_full_matrix(k)
+    """The full system's characteristic polynomial, as the (c0, c1) pairs
+    of charpoly_q."""
+    s = build_full_matrix(k)
     return charpoly_q(s.a, s.u, s.v)
 
 
+def qpolys(pairs):
+    return [QPoly(p) for p in pairs]
+
+
 def test_charpoly_k2_golden():
-    assert full_charpoly(2) == [qp(), qp(-2), qp(6), -Q - 1, qp(1)]
+    assert full_charpoly(2) == [(0, 0), (-2, 0), (6, 0), (-1, -1), (1, 0)]
+    assert qpolys(full_charpoly(2)) == [qp(), qp(-2), qp(6), -Q - 1, qp(1)]
 
 
 def test_charpoly_k2_at_q6():
     cp = full_charpoly(2)
-    assert [c(6) for c in cp] == [0, -2, 6, -7, 1]  # x^4-7x^3+6x^2-2x
-    assert charpoly_int(system_at(sb.build_full_matrix(2), 6)[0]) \
+    assert [c0 + 6 * c1 for c0, c1 in cp] \
+        == [0, -2, 6, -7, 1]  # x^4-7x^3+6x^2-2x
+    assert charpoly_int(system_at(build_full_matrix(2), 6)[0]) \
         == [0, -2, 6, -7, 1]
 
 
@@ -129,30 +138,42 @@ def test_structured_addends_k2_display():
 
 def test_structured_path_equivalence():
     for k in range(2, 12):
-        assert build_structured_charpoly(k) == full_charpoly(k)
+        assert build_structured_charpoly(k) == qpolys(full_charpoly(k))
 
 
-def test_reduced_matrix_rejects_a_system_it_cannot_fold(monkeypatch):
+def _fields(s):
+    return s.k, s.a, s.u, s.v, s.h0, s.h1
+
+
+def test_reduced_matrix_is_the_fold_of_the_full_system():
+    # The closed form against the full system, entry by entry, folded, for
+    # every k that the product derives.
+    for k in range(sb.MAX_K + 1):
+        assert _fields(sb.build_reduced_matrix(k)) \
+            == _fields(fold_system(build_full_matrix(k))), k
+    with pytest.raises(ValueError, match=">= 0"):
+        sb.build_reduced_matrix(-1)
+
+
+def test_fold_system_rejects_a_system_it_cannot_fold():
     # c_1 pairs full columns 1 and k-1; a row of a, or v, that differs
     # there has no folded column.
     for field, mutate in (("a", lambda s: s.a[0].__setitem__(1, 99)),
                           ("v", lambda s: s.v.__setitem__(1, 1))):
-        broken = sb.build_full_matrix(6)
+        broken = build_full_matrix(6)
         mutate(broken)
-        with monkeypatch.context() as patch:
-            patch.setattr(sb, "build_full_matrix", lambda k: broken)
-            with pytest.raises(ExactAlgError, match="columns 1/5"):
-                sb.build_reduced_matrix(6)
+        with pytest.raises(ExactAlgError, match="columns 1/5"):
+            fold_system(broken)
 
 
 def test_lift_examples():
     lifted = sb.lift_inhomogeneous(full_charpoly(2))
-    assert lifted == [qp(), qp(2), qp(-8), Q + 7, -Q - 2, qp(1)]
-    x_minus_1 = [qp(-1), qp(1)]
-    assert sb.lift_inhomogeneous(x_minus_1) == [qp(1), qp(-2), qp(1)]
-    assert sb.lift_inhomogeneous([qp(1)]) == x_minus_1
+    assert qpolys(lifted) == [qp(), qp(2), qp(-8), Q + 7, -Q - 2, qp(1)]
+    x_minus_1 = [(-1, 0), (1, 0)]
+    assert sb.lift_inhomogeneous(x_minus_1) == [(1, 0), (-2, 0), (1, 0)]
+    assert sb.lift_inhomogeneous([(1, 0)]) == x_minus_1
     with pytest.raises(ValueError, match="nonzero"):
-        sb.lift_inhomogeneous([qp(), qp()])
+        sb.lift_inhomogeneous([(0, 0), (0, 0)])
 
 
 def test_recurrence_from_polynomial_k2():
@@ -164,17 +185,18 @@ def test_recurrence_from_polynomial_k2():
 
 
 def test_recurrence_from_polynomial_strips_geometric():
-    rec = sb.recurrence_from_polynomial([qp(), qp(), -Q, qp(1)], 2)
+    rec = sb.recurrence_from_polynomial([(0, 0), (0, 0), (0, -1), (1, 0)], 2)
     assert rec.order == 1 and rec.coefficients == [Q] \
         and rec.x_strip_count == 2
 
 
 def test_recurrence_from_polynomial_rejects_non_monic():
-    for lead in (qp(-1), qp(2), Q):
-        with pytest.raises(ValueError, match="not monic"):
-            sb.recurrence_from_polynomial([qp(), -Q, lead], 2)
+    for lead, shown in (((-1, 0), "-1"), ((2, 0), "2"), ((0, 1), "q")):
+        with pytest.raises(ValueError,
+                           match=rf"not monic \(leading {shown}\)"):
+            sb.recurrence_from_polynomial([(0, 0), (0, -1), lead], 2)
     with pytest.raises(ValueError, match="zero-free"):
-        sb.recurrence_from_polynomial([qp(), qp()], 2)
+        sb.recurrence_from_polynomial([(0, 0), (0, 0)], 2)
 
 
 def test_recurrence_for_k_derives_k0_and_k1():
@@ -245,24 +267,23 @@ def test_reduced_path_matches_full_path():
             assert getattr(derived, attr) == getattr(direct, attr), (k, attr)
 
 
-def test_recurrence_for_k_builds_the_full_matrix_once(monkeypatch):
-    # The derivation builds the full matrix once, inside
-    # build_reduced_matrix, and reads its dimension max(k, 1) + 2 from k
-    # rather than from a second build.  The initial values are iterated on
-    # that same reduced system.
+def test_recurrence_for_k_builds_the_reduced_matrix_once(monkeypatch):
+    # The derivation builds the reduced matrix once, and no full matrix:
+    # it reads the full dimension max(k, 1) + 2 from k.  The initial values
+    # are iterated on that same reduced system.
     builds = []
-    real = sb.build_full_matrix
+    real = sb.build_reduced_matrix
 
     def counted(k):
         builds.append(k)
         return real(k)
 
-    monkeypatch.setattr(sb, "build_full_matrix", counted)
+    monkeypatch.setattr(sb, "build_reduced_matrix", counted)
     for k in range(13):
         builds.clear()
         sb.recurrence_for_k(k, with_initial_values=False)
         assert builds == [k]
-        assert len(real(k).a) == max(k, 1) + 2
+        assert len(build_full_matrix(k).a) == max(k, 1) + 2
         builds.clear()
         rec = sb.recurrence_for_k(k)
         assert builds == [k]
@@ -276,7 +297,7 @@ def test_reduced_matrix_commutes_with_fold():
     # fold(M g + h) == M_red fold(g) + h_red for arbitrary full vectors g
     rng = random.Random(4242)
     for k in range(2, 41):
-        full, reduced = sb.build_full_matrix(k), sb.build_reduced_matrix(k)
+        full, reduced = build_full_matrix(k), sb.build_reduced_matrix(k)
         for q in (5, 9):
             m, h = system_at(full, q)
             m_red, h_red = system_at(reduced, q)
@@ -292,7 +313,7 @@ def test_reduced_matrix_commutes_with_fold():
 
 def test_full_matrix_annihilates_fold_kernel():
     for k in range(2, 65):
-        full = sb.build_full_matrix(k)
+        full = build_full_matrix(k)
         kernel = [(j, k - j) for j in range(1, k) if 2 * j < k]
         assert len(kernel) == k + 2 - len(sb.build_reduced_matrix(k).a)
         for j, jj in kernel:
@@ -304,14 +325,14 @@ def test_full_matrix_annihilates_fold_kernel():
 def test_full_charpoly_is_x_power_times_reduced():
     for k in range(21):
         reduced = sb.build_reduced_matrix(k)
-        nullity = len(sb.build_full_matrix(k).a) - len(reduced.a)
-        assert full_charpoly(k) == [QZERO] * nullity + charpoly_q(
+        nullity = len(build_full_matrix(k).a) - len(reduced.a)
+        assert full_charpoly(k) == [(0, 0)] * nullity + charpoly_q(
             reduced.a, reduced.u, reduced.v), k
 
 
 def test_initial_values_match_full_orbit():
     for k in list(range(13)) + [32]:
-        m, h = system_at(sb.build_full_matrix(k), Q)
+        m, h = system_at(build_full_matrix(k), Q)
         bk = len(m) - 2  # the b^k coordinate
         g = [QZERO] * bk + [qp(2), qp(1)]
         orbit = [g[0] + g[bk]]

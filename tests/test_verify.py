@@ -6,7 +6,7 @@ import pytest
 
 from hptsums import sums, systembuilder, triangle, verify
 from hptsums.exactalg import QPoly
-from reference import system_at
+from reference import QONE, system_at
 
 
 def test_verify_recurrence_k2_q6():
@@ -77,16 +77,23 @@ def test_verify_system_steps_rejects_an_unknown_system():
 
 def test_the_step_oracle_reads_no_system_matrix():
     # The oracle checks the matrices of systembuilder, so no code of it,
-    # nested code included, names that module.
+    # nested code included, names that module or any name of it but
+    # fold_state, the fold of a state vector into the reduced coordinates,
+    # which the reduced system and the oracle share as their coordinate
+    # order.
     def names(code):
         yield from code.co_names
         for const in code.co_consts:
             if hasattr(const, "co_names"):
                 yield from names(const)
 
+    system_names = ({"systembuilder", "fold_classes"}
+                    | set(systembuilder.__all__)) - {"fold_state"}
     for fn in (verify._full_rhs, verify._reduced_printed_rhs,
                verify.verify_system_steps):
-        assert "systembuilder" not in set(names(fn.__code__)), fn.__name__
+        used = set(names(fn.__code__))
+        assert "systembuilder" not in used, fn.__name__
+        assert not used & system_names, (fn.__name__, used & system_names)
     assert not hasattr(sums, "check_system_step")
 
 
@@ -143,7 +150,7 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
     def wrong_c3(k, *args, **kwargs):
         rec = real(k, *args, **kwargs)
         if k == 1:
-            rec.coefficients[2] = rec.coefficients[2] + QPoly((1,))
+            rec.coefficients[2] = QONE + rec.coefficients[2]
         return rec
 
     monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", wrong_c3)
