@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch or truncation, 2 usage or
-validation error, out of memory, or output that cannot be written.  All
-numeric output is exact decimal text.
+Exit codes: 0 success, 1 verification mismatch, uncovered check or
+truncation, 2 usage or validation error, out of memory, or output that
+cannot be written.  All numeric output is exact decimal text.
 
 Every command is its own process, so this module imports at its top only
 what the parser needs.  Each cmd_* function imports the package modules it
@@ -116,19 +116,22 @@ def cmd_sums(args) -> int:
         print("error: state vectors need k >= 2", file=sys.stderr)
         return EXIT_USAGE
     params = triangle.TriangleParams(args.q)
-    depth = triangle.capped_depth(params, args.n_max, args.entry_cap)
-    if depth < args.n_max:
-        print(f"error: rows beyond {depth} exceed the entry cap "
-              f"of {args.entry_cap}", file=sys.stderr)
-        return EXIT_MISMATCH
+    if args.n_max < 0:
+        print("error: n_max must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     records = []
-    rows = itertools.islice(triangle.pair_rows(params), 1, args.n_max + 1)
+    rows = itertools.islice(triangle.pair_rows(params, args.entry_cap),
+                            1, args.n_max + 1)
     for n, (row, counts) in enumerate(rows, 1):
         a, b = sums.tag_power_sums(counts, (args.k,))
         rec = {"n": n, "power_sum": a[args.k] + b[args.k]}
         if args.state_vectors:
             (rec["state_vector"],) = sums.state_vectors(row, (args.k,), (a, b))
         records.append(rec)
+    if len(records) < args.n_max:
+        print(f"error: rows beyond {len(records)} may exceed the key cap "
+              f"of {args.entry_cap}", file=sys.stderr)
+        return EXIT_MISMATCH
     # Generators, so that only the printed form turns numbers into text.
     vectors = args.state_vectors
     plain = (f"n={r['n']}: {r['power_sum']}"
@@ -197,7 +200,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     record = verify.run_grid(
         verify.DEFAULT_K_RANGE if args.k_range is None else args.k_range,
-        q_list, verify.DEFAULT_ENTRY_CAP if args.cap is None else args.cap,
+        q_list, verify.DEFAULT_KEY_CAP if args.cap is None else args.cap,
         reduced=args.reduced)
     plain = [_check_line("recurrence", c, c["mismatches"], "mismatches")
              for c in record["recurrence_checks"]]
@@ -208,7 +211,9 @@ def cmd_verify(args) -> int:
         n = len(c["mismatches"])
         status = f"FAIL ({n} mismatches)" if n else "ok"
         plain.append(f"counting  q={c['q']} depth={c['depth']}: {status}")
-    plain.append("all-exact" if record["all_exact"] else "MISMATCHES FOUND")
+    plain.append("all-exact" if record["all_exact"] else
+                 "MISMATCHES FOUND" if verify.mismatches_found(record) else
+                 "UNCOVERED CHECKS FOUND")
     _render(args, record, plain, indent=2)
     return EXIT_OK if record["all_exact"] else EXIT_MISMATCH
 
@@ -294,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--state-vectors", action="store_true")
-    p.add_argument("--entry-cap", type=int, default=10**6)
+    p.add_argument("--entry-cap", type=int, default=10**6,
+                   help="most pair keys per streamed row")
     common(p)
     p.set_defaults(func=cmd_sums)
 
@@ -306,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify recurrences over a (k, q) grid")
     p.add_argument("--k-range", type=_parse_range, metavar="LO..HI")
     p.add_argument("--q-list", type=_parse_int_list, metavar="Q1,Q2,...")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, help="most pair keys per streamed row")
     p.add_argument("--reduced", action="store_true",
                    help="also sweep the printed reduced equations")
     common(p)

@@ -112,8 +112,9 @@ def format_qpoly(p: QPoly) -> str:
     return "".join(parts)
 
 
-def charpoly_int(m: Sequence[Sequence[int]]) -> list:
-    """det(xI - m) for an integer matrix, as an ascending coefficient list.
+def _newton(m, d0: int, vecs) -> tuple:
+    """(det(xI - m), moments) for an integer matrix m, as an ascending
+    coefficient list and, for each vector w of vecs, e_d0^T m^j w, j < n.
 
     Newton's identities on the power traces p_i = tr(m^i) (Preparata and
     Sarwate, Inf. Process. Lett. 7, 1978): with c_n = 1,
@@ -121,30 +122,10 @@ def charpoly_int(m: Sequence[Sequence[int]]) -> list:
     division by i is exact over Z.  Traces are read off half-powers as flat
     dot products, tr(m^(2a)) = <m^a, (m^a)^T> and
     tr(m^(2a+1)) = <m^(a+1), (m^a)^T>, so ceil(n/2)-1 matrix products
-    suffice; only the current and the previous power are kept.
+    (_packed_product) suffice; only the current and the previous power are
+    kept.
 
-    Each product m m^a is taken on the rows of m^a packed into one integer
-    each (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): with
-    B = 2^(8 nb), row j of m^a packs to sum_c (m^a)_jc B^c, and row i of
-    m m^a is sum_j m_ij (packed row j), one sum of small-by-packed
-    products, read back by one to_bytes and n int.from_bytes slices.  The
-    slots are signed and byte-aligned, sized from the proven bound
-    |(m m^a)_ij| <= sum_l |m_il| |(m^a)_lj| <= ||m|| max|m^a| = bound, with
-    ||m|| the largest row sum of absolute values; bound <= ||m||^(a+1), and
-    at the q-free blocks of large k it is some 40% narrower.  With
-    nb = (bound.bit_length() + 8) // 8 bytes and the offset
-    2^(8 nb - 1) > bound added to every slot, each entry plus the offset
-    lies in [0, B), so the bytes of the offset row read back every entry
-    exactly.
-    """
-    return _newton(m, 0, ())[0]
-
-
-def _newton(m, d0: int, vecs) -> tuple:
-    """(det(xI - m), moments), the loop of charpoly_int, where moments
-    holds for each vector w of vecs its moments e_d0^T m^j w for j < n.
-
-    They are read off the powers the loop forms: it ends at m^H,
+    The moments are read off the powers the loop forms: it ends at m^H,
     H = ceil(n/2), and on its way holds row d0 of m^j for every j < H.  So
     e_d0^T m^j w is that row times w for j < H, and row d0 of m^(j-H) times
     the one product m^H w for H <= j < n, since j - H < n - H <= H.
@@ -185,9 +166,20 @@ def _trace_of_product(a, b) -> int:
 
 
 def _packed_product(m, norm: int, p) -> list:
-    """The square product m p from the rows of p packed into one integer
-    each, norm being ||m||, the largest row sum of absolute values of m;
-    see charpoly_int."""
+    """The square product m p, norm being ||m||, the largest row sum of
+    absolute values of m, from the rows of p packed into one integer each
+    (Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): with
+    B = 2^(8 nb), row j of p packs to sum_c p_jc B^c, and row i of m p is
+    sum_j m_ij (packed row j), one sum of small-by-packed products, read
+    back by one to_bytes and n int.from_bytes slices.  The slots are signed
+    and byte-aligned, sized from the proven bound
+    |(m p)_ij| <= sum_l |m_il| |p_lj| <= ||m|| max|p| = bound; for p = m^a,
+    bound <= ||m||^(a+1), and at the q-free blocks of large k it is some
+    40% narrower.  With nb = (bound.bit_length() + 8) // 8 bytes and the
+    offset 2^(8 nb - 1) > bound added to every slot, each entry plus the
+    offset lies in [0, B), so the bytes of the offset row read back every
+    entry exactly.
+    """
     bound = norm * max(map(abs, chain.from_iterable(p)))
     nb = (bound.bit_length() + 8) // 8
     off = 1 << (8 * nb - 1)
@@ -224,7 +216,7 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
     adj(xI - a_DD) = sum_d x^d sum_{e>d} c_e a_DD^(e-d-1), so the x^d
     coefficient of rho_s is sum_{e>d} c_e sigma_(e-d-1) with the moments
     sigma_j = e_d0^T a_DD^j a_{D,s}, j < n-2.  One run of the Newton loop
-    of charpoly_int on the (n-2)-dimensional block gives c_D and the
+    (_newton) on the (n-2)-dimensional block gives c_D and the
     moments, read off the powers it forms.  The 2x2 tail works on integer
     coefficient tuples in q; its q^2 part vanishes by the rank-1 form and
     is checked.

@@ -66,8 +66,8 @@ __all__ = [
     "initial_values_symbolic", "conjectured_order", "probe_conjecture", "MAX_K", "check_k",
 ]
 
-# The largest k derived: the largest with a recorded cost, 307 s and 69 MB
-# peak RSS for recurrence_for_k(256), against 44 s at k = 192.
+# The largest k derived: the largest with a recorded cost, 647 s and 110 MB
+# peak RSS for recurrence_for_k(256), 402 s without its initial values.
 MAX_K = 256
 
 

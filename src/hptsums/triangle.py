@@ -22,8 +22,8 @@ row's entries counted per value and tag (entry_counts), and so do the tag
 power sums of sums; pair_rows yields each row with those counts, decoded
 once, for the statistics and the step to the next row alike.
 
-The size of every row follows from the type-count step alone (row_counts),
-so the entry cap is decided before any row is built (capped_depth).
+pair_rows caps the keys a row holds; an entry cap is decided from the sizes
+of the type-count step (row_counts) before any row is built (capped_depth).
 """
 from __future__ import annotations
 
@@ -152,17 +152,26 @@ def next_pairs(pairs: tuple, counts: tuple, params: TriangleParams) -> tuple:
     return out, copy_pairs
 
 
-def pair_rows(params: TriangleParams):
-    """The pair multisets of rows 0, 1, 2, ... without end, each with its
-    entry counts, as (pairs, counts): row 0, a single vertex, has no pair,
-    and row 1 is its two wingers, one bb pair.  Each row is decoded once,
-    by entry_counts, for its caller and for the step to the next row."""
+def pair_rows(params: TriangleParams, key_cap: int | None = None):
+    """The pair multisets of rows 0, 1, 2, ..., each with its entry counts,
+    as (pairs, counts): row 0, a single vertex, has no pair, and row 1 is
+    its two wingers, one bb pair.  Each row is decoded once, by
+    entry_counts, for its caller and for the step to the next row.
+
+    Rows 0 and 1 always come; row n+1 only if 4 keys(n) <= key_cap, if
+    given, keys being len(ab) + len(bb).  An ab key gives at most 2 keys,
+    a bb key 1, and the copy keys number at most the distinct values,
+    2 len(ab) + len(bb): so no row holds more than key_cap keys."""
+    if key_cap is not None and key_cap <= 0:
+        raise ValueError("key_cap must be > 0")
     row = {}, {}
     yield row, entry_counts(row)
     row = {}, {1: 1}
     while True:
         counts = entry_counts(row)
         yield row, counts
+        if key_cap is not None and 4 * (len(row[0]) + len(row[1])) > key_cap:
+            return
         row = next_pairs(row, counts, params)
 
 

@@ -7,11 +7,11 @@ The checks take their inputs as arguments, numbers read from rows, never
 the rows; nothing is cached.  run_grid derives each recurrence once and
 streams the rows of each q once, as pair multisets (see triangle), keeping
 of each row its tag power sums and state vectors for every k at once (see
-sums) and dropping the row; it passes them to every check that reads them
-and adds the counting checks of each q, so that its report is the whole of
-verify.  Each check returns its record as the verify command prints it, a
-dict of JSON values whose mismatches and failing equations give their
-numbers as decimal strings.
+sums) and dropping the row; every check reads every row streamed, and the
+counting checks of each q join the report, which is the whole of verify.
+Each check returns its record as the verify command prints it, a dict of
+JSON values whose mismatches and failing equations give their numbers as
+decimal strings.
 
 verify_system_steps is the step oracle: it evaluates the equations that
 advance a state vector from one row to the next from their defining
@@ -23,17 +23,13 @@ Everything is exact integer equality; there are no tolerances anywhere.
 """
 from __future__ import annotations
 
-from itertools import islice
-
 from . import sums, systembuilder, tables, triangle
 from .exactalg import QPoly, binom
 from .systembuilder import fold_state
 
-DEFAULT_ENTRY_CAP = 10**5
+DEFAULT_KEY_CAP = 5000  # rows to 12 at q = 5 and to 11 at q = 6, 7 and 9
 DEFAULT_K_RANGE = (2, 8)
 DEFAULT_Q_LIST = (5, 6, 7, 9)
-DEPTH_LIMIT = 64  # the deepest row verify generates, below the entry cap
-COUNTING_DEPTH = 12  # the deepest row the counting checks read
 
 
 def _misses(seq: list, cs: list) -> list:
@@ -134,12 +130,11 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
 
     tag_sums holds the tag power sums (A, B) of rows 1, 2, ... at q, read
     at k = 0 and k = 1; s_rec and hat_rec are the k = 0 and k = 1
-    recurrences with their initial values.  The row sums come from pair
-    multisets, whose size is the number of distinct adjacent pairs, so deep
-    rows are checked without materializing hundreds of millions of
-    entries.
+    recurrences with their initial values; only the rows given are checked.
+    The row sums come from pair multisets, whose size is the number of
+    distinct adjacent pairs, so deep rows are checked without materializing
+    hundreds of millions of entries.
     """
-    depth = len(tag_sums)
     params = triangle.TriangleParams(q)
     mismatches = []  # (sequence, n, expected, actual)
     counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
@@ -162,11 +157,11 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
             ("a_hat", ahat, hat_cs, [0, 2, 6]),
             ("b_hat", bhat, hat_cs, [2, 2, 2 * q - 6]),
             ("s_hat", shat, hat_cs, [v(q) for v in hat_rec.initial_values])):
-        for n, want in enumerate(initial, 1):
-            if want != seq[n]:
-                mismatches.append((name, n, want, seq[n]))
+        for n, (want, got) in enumerate(zip(initial, seq[1:]), 1):
+            if want != got:
+                mismatches.append((name, n, want, got))
         mismatches += [(name, *m) for m in _misses(seq, cs)]
-    return {"q": q, "depth": depth, "mismatches": [
+    return {"q": q, "depth": len(tag_sums), "mismatches": [
         {"sequence": name, "n": n, "expected": str(e), "actual": str(a)}
         for name, n, e, a in mismatches]}
 
@@ -197,21 +192,26 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
 # Grid runner: the report is the dict the verify command prints
 # ---------------------------------------------------------------------------
 
+def mismatches_found(report: dict) -> bool:
+    """Whether a check of a run_grid report failed; the printed reduced
+    equations are reported, never judged."""
+    return any(c["mismatches"] for c in report["recurrence_checks"]
+               + report["counting_checks"]) or any(c["failing_equations"]
+               for c in report["system_checks"] if c["variant"] == "full")
+
+
 def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
-             entry_cap: int = DEFAULT_ENTRY_CAP,
-             reduced: bool = False) -> dict:
+             key_cap: int = DEFAULT_KEY_CAP, reduced: bool = False) -> dict:
     """Verify recurrences and system steps over a (k, q) grid, then the
     counting recurrences of each q, in q_list order.
 
     Each recurrence is derived once.  The rows of each q are streamed once,
-    to the entry cap or COUNTING_DEPTH, whichever is deeper; of each row
-    only its statistics are kept, for every k at once, and the row itself
-    is dropped.  The stream decodes each row once, into the entry counts
-    that its tag power sums and its step to the next row both read; the
-    tag power sums are computed once and passed to state_vectors.  With
-    reduced=True the printed reduced equations are swept by the oracle too,
-    on the same state vectors; their failures are recorded in the report
-    (they do not flip all_exact, which judges the verified systems only)."""
+    under key_cap (triangle.pair_rows), to every check; of each row only
+    its statistics are kept, for every k at once, its tag power sums
+    computed once and passed to state_vectors.  With reduced=True the
+    printed reduced equations are swept by the oracle too, on the same
+    state vectors (see mismatches_found).  all_exact is false on a mismatch
+    and on a check that covers no row (last_n < first_n)."""
     k_lo, k_hi = k_range
     systembuilder.check_k(k_hi)
     ks = range(k_lo, k_hi + 1)
@@ -220,43 +220,35 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
     recs = [systembuilder.recurrence_for_k(k, with_initial_values=False)
             for k in ks]
     counting_recs = [systembuilder.recurrence_for_k(k) for k in (0, 1)]
-    checks = {}  # (k, q) -> (recurrence check, system checks)
+    by_kq = {}  # (k, q) -> (recurrence check, system checks)
     counting_checks = []
     for q in q_list:
-        params = triangle.TriangleParams(q)
-        depth = triangle.capped_depth(params, DEPTH_LIMIT, entry_cap)
-        seqs = [[] for _ in ks]  # seqs[i][n] = (s^k)_n, k = ks[i]
-        vectors = [[] for _ in vector_ks]  # of rows 1..depth
-        tag_sums = []  # of rows 1..COUNTING_DEPTH, read at k = 0 and 1
-        rows = islice(triangle.pair_rows(params),
-                      max(depth, COUNTING_DEPTH) + 1)
+        tag_sums = []  # of rows 0, 1, ...
+        vectors = [[] for _ in vector_ks]  # of rows 1, 2, ...
+        rows = triangle.pair_rows(triangle.TriangleParams(q), key_cap)
         for n, (row, counts) in enumerate(rows):
-            if n > depth:
-                a, b = sums.tag_power_sums(counts, range(2))
-            else:
-                a, b = sums.tag_power_sums(counts, range(max(k_hi, 1) + 1))
-                for seq, k in zip(seqs, ks):
-                    seq.append(a[k] + b[k])
-                if n >= 1 and vector_ks:
-                    for vs, g in zip(vectors, sums.state_vectors(
-                            row, vector_ks, (a, b))):
-                        vs.append(g)
-            if 1 <= n <= COUNTING_DEPTH:
-                tag_sums.append((a, b))
-        for rec, seq in zip(recs, seqs):
-            checks[rec.k, q] = (verify_recurrence(rec, q, seq), [])
+            a, b = sums.tag_power_sums(counts, range(max(k_hi, 1) + 1))
+            tag_sums.append((a, b))
+            if n >= 1 and vector_ks:
+                for vs, g in zip(vectors, sums.state_vectors(
+                        row, vector_ks, (a, b))):
+                    vs.append(g)
+        for rec in recs:
+            seq = [a[rec.k] + b[rec.k] for a, b in tag_sums]  # (s^k)_n
+            by_kq[rec.k, q] = (verify_recurrence(rec, q, seq), [])
         for k, vs in zip(vector_ks, vectors):
-            checks[k, q][1].extend(verify_system_steps(k, q, vs, system)
-                                   for system in systems)
-        counting_checks.append(verify_counting(q, tag_sums, *counting_recs))
-    recurrence_checks = [checks[k, q][0] for k in ks for q in q_list]
-    system_checks = [c for k in ks for q in q_list for c in checks[k, q][1]]
-    all_exact = not any(c["mismatches"]
-                        for c in recurrence_checks + counting_checks) \
-        and not any(c["failing_equations"] for c in system_checks
-                    if c["variant"] == "full")
+            by_kq[k, q][1].extend(verify_system_steps(k, q, vs, system)
+                                  for system in systems)
+        counting_checks.append(
+            verify_counting(q, tag_sums[1:], *counting_recs))
+    checks = {"recurrence_checks": [by_kq[k, q][0] for k in ks
+                                    for q in q_list],
+              "system_checks": [c for k in ks for q in q_list
+                                for c in by_kq[k, q][1]],
+              "counting_checks": counting_checks}
+    uncovered = any(c["last_n"] < c["first_n"] for c in
+                    checks["recurrence_checks"] + checks["system_checks"])
     return {"k_range": [k_lo, k_hi], "q_list": list(q_list),
-            "entry_cap": entry_cap, "all_exact": all_exact,
-            "recurrence_checks": recurrence_checks,
-            "system_checks": system_checks,
-            "counting_checks": counting_checks}
+            "key_cap": key_cap,
+            "all_exact": not uncovered and not mismatches_found(checks),
+            **checks}

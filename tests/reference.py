@@ -4,6 +4,9 @@ that tests compare the product path against.  No command runs them.
   * RingPoly, a QPoly with the ring operations, and the symbol Q, QZERO
     and QONE as ring values: the package builds each QPoly once and does
     no arithmetic on it, and the references and expected values here do;
+  * charpoly_int, det(xI - m) for an integer matrix m alone, from the
+    Newton loop that exactalg.charpoly_q runs on its q-free block; the
+    tests' integer oracle at a held-out q;
   * lagrange_interpolate, the integer polynomial through sample points
     over exact rationals, with extra points that verify its degree bound;
   * charpoly_rank_one, the characteristic polynomial of a + q u v^T for
@@ -37,7 +40,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import mul
 
-from hptsums.exactalg import ExactAlgError, QPoly, binom, charpoly_int
+from hptsums.exactalg import ExactAlgError, QPoly, _newton, binom
 from hptsums.systembuilder import LinearSystem, fold_classes, fold_state
 
 
@@ -167,6 +170,12 @@ def det_q(m) -> QPoly:
     points = [(q0, det_int([[e(q0) for e in row] for row in m]))
               for q0 in range(5, 5 + deg_bound + 2)]
     return lagrange_interpolate(points, deg_bound)
+
+
+def charpoly_int(m) -> list:
+    """det(xI - m) for an integer matrix m, as an ascending coefficient
+    list: the Newton loop of exactalg (_newton), with no moment."""
+    return _newton(m, 0, ())[0]
 
 
 def charpoly_rank_one(a, u, v) -> list:

@@ -12,24 +12,24 @@ from itertools import islice
 from hptsums import systembuilder as sb
 from hptsums import tables, verify
 from hptsums.cli import main
-from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_int,
-                              charpoly_q)
+from hptsums.exactalg import ExactAlgError, QPoly, binom, charpoly_q
 from hptsums.sums import state_vectors, tag_power_sums
 from hptsums.systembuilder import fold_state
 from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
                               entry_rows)
 from reference import (Q, build_full_matrix, build_structured_charpoly,
-                       matrix_from_orbit, row_pairs, system_at)
+                       charpoly_int, matrix_from_orbit, row_pairs, system_at)
 
 GRID_K = range(2, 7)
 GRID_Q = (5, 6, 7, 9)
-GRID_CAP = 10**5
+ROW_CAP = 10**5  # entries of a materialised row
 GRID_KQ = [(k, q) for k in GRID_K for q in GRID_Q]
 
 
 def _grid():
-    """The criterion-3 grid, run as the verify command runs it."""
-    return verify.run_grid((GRID_K[0], GRID_K[-1]), GRID_Q, GRID_CAP)
+    """The criterion-3 grid, run as the verify command runs it, at its
+    default key cap."""
+    return verify.run_grid((GRID_K[0], GRID_K[-1]), GRID_Q)
 
 
 def _report(n, text):
@@ -108,8 +108,9 @@ def test_criterion_5_structured_path_equivalence(capsys):
 
 
 def test_criterion_6_counting_recurrences(capsys):
-    checks = verify.run_grid((0, 1), range(5, 10),
-                             GRID_CAP)["counting_checks"]
+    # A cap of 6,000 keys streams every q to row 12: row 11 holds at most
+    # 1,367 keys (4 * 1,367 <= 6,000), and row 12 at least 1,860.
+    checks = verify.run_grid((0, 1), range(5, 10), 6000)["counting_checks"]
     assert [c["q"] for c in checks] == list(range(5, 10))
     for check in checks:
         assert not check["mismatches"], (check["q"], check["mismatches"])
@@ -175,7 +176,7 @@ def test_criterion_9_reduced_system(capsys):
     for q in GRID_Q:
         params = TriangleParams(q)
         rows = list(islice(entry_rows(params),
-                           capped_depth(params, 64, GRID_CAP) + 1))
+                           capped_depth(params, 64, ROW_CAP) + 1))
         for k in GRID_K:
             m, h = system_at(sb.build_reduced_matrix(k), q)
             folded = [fold_state(g) for t in map(row_pairs, rows[1:])

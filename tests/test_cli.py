@@ -61,15 +61,27 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json")
 @pytest.mark.parametrize("argv", [
     ("row", "--q", "6", "--n", "10", "--entry-cap", "10"),
     ("sums", "--q", "6", "--k", "2", "--n-max", "10", "--entry-cap", "50")])
-def test_truncation_builds_no_row(capsys, monkeypatch, argv):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a row was built past the entry cap")
+def test_truncation_builds_no_row_past_the_cap(capsys, monkeypatch, argv):
+    # row decides its entry cap before it builds any row; sums streams rows
+    # while the next one fits its key cap, so none it builds holds more
+    # than 50 keys.
+    sizes = []
+    real_pairs = triangle.next_pairs
+
+    def refuse(*args):
+        raise AssertionError("row built a row past its entry cap")
+
+    def next_pairs(*args):
+        ab, bb = out = real_pairs(*args)
+        sizes.append(len(ab) + len(bb))
+        return out
 
     monkeypatch.setattr(triangle, "next_row", refuse)
-    monkeypatch.setattr(triangle, "next_pairs", refuse)
+    monkeypatch.setattr(triangle, "next_pairs", next_pairs)
     (case,) = [c for c in GOLDEN if c["argv"] == [*argv, "--format", "plain"]]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (case["exit"], "", case["stderr"])
+    assert max(sizes, default=0) <= int(argv[-1])
 
 
 def test_row_json_deterministic(capsys):
@@ -422,8 +434,8 @@ def test_verify_reports_a_wrong_coefficient(capsys, monkeypatch, fmt):
     code, out, err = run(capsys, *VERIFY_K2_Q6, "--format", fmt)
     assert (code, err) == (1, "")
     assert out.splitlines() == [
-        "recurrence k=2 q=6 [full] n=5..8: FAIL (4 mismatches)",
-        "system    k=2 q=6 [full] n=1..7: ok",
+        "recurrence k=2 q=6 [full] n=5..12: FAIL (8 mismatches)",
+        "system    k=2 q=6 [full] n=1..11: ok",
         "counting  q=6 depth=12: ok",
         "MISMATCHES FOUND"]
 
@@ -435,12 +447,13 @@ def test_verify_reports_a_wrong_coefficient_json(capsys, monkeypatch):
     record = json.loads(out)
     assert record["all_exact"] is False
     (check,) = record["recurrence_checks"]
-    # the row sums (s^2)_5..8 at q=6 against what the wrong c1 predicts
-    assert check["mismatches"] == [
+    # the row sums (s^2)_5..12 at q=6 against what the wrong c1 predicts
+    assert check["mismatches"][:4] == [
         {"n": 5, "expected": "1120", "actual": "960"},
         {"n": 6, "expected": "6772", "actual": "5812"},
         {"n": 7, "expected": "41052", "actual": "35240"},
         {"n": 8, "expected": "248964", "actual": "213724"}]
+    assert [m["n"] for m in check["mismatches"]] == list(range(5, 13))
     assert [c["failing_equations"] for c in record["system_checks"]] == [[]]
     assert [c["mismatches"] for c in record["counting_checks"]] == [[]]
 
@@ -569,18 +582,42 @@ def test_closed_stdout_is_a_usage_error():
 
 
 def test_checks_that_cover_no_row_are_uncovered(capsys):
-    # An entry cap of 1 stops at row 1: no recurrence or system step can be
-    # tested, so neither check may read "ok".
+    # A key cap of 1 stops at row 1: no recurrence or system step can be
+    # tested, so neither check may read "ok", and the run fails without
+    # claiming a mismatch.
     code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
                        "6", "--cap", "1")
     lines = out.splitlines()
-    assert lines[:2] == ["recurrence k=2 q=6 [full] n=5..1: uncovered",
-                         "system    k=2 q=6 [full] n=1..0: uncovered"]
-    assert code == 0 and lines[-1] == "all-exact"
+    assert lines == ["recurrence k=2 q=6 [full] n=5..1: uncovered",
+                     "system    k=2 q=6 [full] n=1..0: uncovered",
+                     "counting  q=6 depth=1: ok",
+                     "UNCOVERED CHECKS FOUND"]
+    assert code == 1
     code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
                        "6", "--cap", "1", "--format", "csv")
-    assert out.splitlines()[:2] == lines[:2]
+    assert (code, out.splitlines()) == (1, lines)
     code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
                        "6", "--cap", "1", "--format", "json")
-    assert "uncovered" not in out
-    assert json.loads(out)["recurrence_checks"][0]["last_n"] == 1
+    assert code == 1 and "uncovered" not in out
+    record = json.loads(out)
+    assert record["all_exact"] is False
+    assert record["recurrence_checks"][0]["last_n"] == 1
+
+
+@pytest.mark.parametrize("cap", ["1", "3"])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_a_cap_below_row_2_exits_1(capsys, cap, fmt):
+    # Rows 0 and 1 always stream, and row 2 needs a cap of 4 keys: every
+    # recurrence and system check is uncovered, and the counting check
+    # reads row 1 alone, its initial values included, with no error.
+    code, out, err = run(capsys, "verify", "--k-range", "0..3", "--q-list",
+                         "6", "--cap", cap, "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        record = json.loads(out)
+        assert record["all_exact"] is False
+        assert [c["depth"] for c in record["counting_checks"]] == [1]
+        assert not record["counting_checks"][0]["mismatches"]
+    else:
+        assert out.splitlines()[-2:] == ["counting  q=6 depth=1: ok",
+                                         "UNCOVERED CHECKS FOUND"]

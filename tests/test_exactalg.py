@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from hptsums import exactalg
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_int,
-                              charpoly_q, format_qpoly)
-from reference import (Q, RingPoly, build_full_matrix, charpoly_rank_one,
-                       det_int, lagrange_interpolate, matrix_from_orbit,
-                       rank_one_update, xq_eval_x)
+from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_q,
+                              format_qpoly)
+from reference import (Q, RingPoly, build_full_matrix, charpoly_int,
+                       charpoly_rank_one, det_int, lagrange_interpolate,
+                       matrix_from_orbit, rank_one_update, xq_eval_x)
 
 small_ints = st.integers(-50, 50)
 qpolys = st.lists(small_ints, max_size=5).map(RingPoly)

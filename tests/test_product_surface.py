@@ -22,12 +22,9 @@ from hptsums.cli import main
 SRC = Path(hptsums.__file__).resolve().parent
 
 # Entered by no command, and kept: the methods that make values comparable,
-# hashable and printable, the console-script wrapper around cli.main, and
-# charpoly_int, the integer characteristic polynomial on the Newton loop
-# that charpoly_q runs with its moments: the tests' integer oracle at a
-# held-out q, and a layer the benchmark harness traces by that name.
+# hashable and printable, and the console-script wrapper around cli.main.
 ALLOWED_NAMES = {"__eq__", "__hash__", "__repr__"}
-ALLOWED = {"cli.entry", "exactalg.charpoly_int"}
+ALLOWED = {"cli.entry"}
 
 COMMANDS = [
     ["row", "--q", "6", "--n", "3"],

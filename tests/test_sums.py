@@ -72,11 +72,11 @@ def test_tag_power_sums_match_entry_sums(q):
 def test_state_vectors_match_pair_sums(q):
     """The state vectors of many k from one pass over the pair step,
     against the reference pair sums on the materialised rows 1.. as deep as
-    the default entry cap of verify reaches, for a k range, single ks and
-    tuples with gaps.  A gap wider than one k, as in (3, 17, 18, 30),
+    a row fits in 10^5 entries, for a k range, single ks and tuples with
+    gaps.  A gap wider than one k, as in (3, 17, 18, 30),
     steps the y-power lists by division; a run of ks never divides."""
     params = TriangleParams(q)
-    depth = capped_depth(params, 64, verify.DEFAULT_ENTRY_CAP)
+    depth = capped_depth(params, 64, 10**5)
     rows = zip(rows_for(q, depth)[1:], islice(pair_rows(params), 1, None))
     k_sets = (range(2, 12), (3, 17, 18, 30), (2,), (40,), (5,), (3, 7),
               (11, 2))

@@ -5,15 +5,15 @@ from operator import mul
 import pytest
 
 from hptsums import systembuilder as sb
-from hptsums.exactalg import (ExactAlgError, QPoly, binom, charpoly_int,
-                              charpoly_q)
+from hptsums.exactalg import ExactAlgError, QPoly, binom, charpoly_q
 from hptsums.sums import state_vectors, tag_power_sums
 from hptsums.systembuilder import fold_state
 from hptsums.triangle import (TriangleParams, _type_counts, entry_counts,
                               entry_rows)
 from hptsums.verify import _full_rhs
 from reference import (Q, QZERO, build_full_matrix, build_structured_charpoly,
-                       fold_system, row_pairs, structured_addends, system_at)
+                       charpoly_int, fold_system, row_pairs,
+                       structured_addends, system_at)
 
 
 def qp(*coeffs):

@@ -211,11 +211,41 @@ def test_capped_depth_matches_the_pair_step(q, cap, n_max):
     assert capped_depth(params, n_max, cap) == depth
 
 
+def keys_of(row) -> int:
+    ab, bb = row
+    return len(ab) + len(bb)
+
+
+@pytest.mark.parametrize("q", [5, 6, 9])
+def test_the_pair_step_at_most_quadruples_the_keys(q):
+    """keys(n+1) <= 4 keys(n) up to row 16: each ab key gives at most 2
+    keys and each bb key 1, and there is at most one copy key per distinct
+    value, of which a row has at most 2 len(ab) + len(bb)."""
+    keys = [keys_of(row) for row, _ in
+            islice(pair_rows(TriangleParams(q)), 1, 17)]
+    assert all(b <= 4 * a for a, b in zip(keys, keys[1:])), keys
+
+
+@pytest.mark.parametrize("q", [5, 6, 9])
+@pytest.mark.parametrize("cap", [1, 3, 4, 50, 5000, 10**5])
+def test_pair_rows_stop_at_the_key_cap(q, cap):
+    """Rows 0 and 1 always come, then row n+1 only if 4 keys(n) <= cap:
+    no streamed row holds more than cap keys, and the stream ends at the
+    first row past which the bound does not fit."""
+    keys = [keys_of(row) for row, _ in pair_rows(TriangleParams(q), cap)]
+    assert len(keys) >= 2
+    assert max(keys) <= cap
+    assert all(4 * k <= cap for k in keys[1:-1])
+    assert 4 * keys[-1] > cap
+
+
 def test_capped_depth_rejects_bad_limits():
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         capped_depth(TriangleParams(6), -1, 0)
     with pytest.raises(ValueError, match="entry_cap must be > 0"):
         capped_depth(TriangleParams(6), 3, 0)
+    with pytest.raises(ValueError, match="key_cap must be > 0"):
+        next(pair_rows(TriangleParams(6), 0))
     with pytest.raises(ValueError):
         row = row_pairs([(1, "B")])
         next_pairs(row, entry_counts(row), TriangleParams(6))

@@ -98,10 +98,14 @@ def test_the_step_oracle_reads_no_system_matrix():
 
 
 def test_verify_counting():
-    for check in verify.run_grid((2, 2), range(5, 10),
-                                 10**5)["counting_checks"]:
+    # The counting check reads every row the stream yields, as the grid
+    # checks do: at the default key cap, rows to 12 at q=5 and 11 at q>=6.
+    report = verify.run_grid((2, 2), range(5, 10))
+    for check, rec in zip(report["counting_checks"],
+                          report["recurrence_checks"]):
         assert not check["mismatches"], check["mismatches"]
-        assert check["depth"] == verify.COUNTING_DEPTH == 12
+        assert check["depth"] == rec["last_n"] \
+            == (12 if check["q"] == 5 else 11)
 
 
 def test_reproduce_tables_empty_diff():
@@ -161,15 +165,16 @@ def test_verify_counting_reads_the_k1_recurrence(monkeypatch):
 
 
 def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
-    # Row 10 at q=9 holds 4,976,786 entries: past what a 2e5-entry cap on
-    # materialised rows reaches (row 8) and past the 1e5-entry cap of the
-    # grid checks (row 7), so only the counting check reads it, from the one
-    # stream of q=9.  One count of that row moved from an A-then-B pair
+    # Row 10 at q=9 holds 4,976,786 entries in 669 keys: past what a
+    # 2e5-entry cap on materialised rows reaches (row 8), and the last row
+    # that a cap of 2,000 keys streams, since 4 * 325 <= 2,000 < 4 * 669
+    # (rows 9 and 10).  One count of that row moved from an A-then-B pair
     # (s, y) to the B copy pairs of values s and y turns an A entry into a
-    # B entry and keeps the row's size, so only the per-tag counts can show
-    # it, and they do, since the stream decodes the perturbed row itself.
-    # It must show there, from row 10 on, while the grid check of rows <= 7
-    # stays exact.
+    # B entry and keeps the row's size and values, so only the per-tag
+    # counts can show it, and they do, since the stream decodes the
+    # perturbed row itself.  It must show in the counting check, at row 10
+    # first, and in the step into row 10, while the power sums of every
+    # row, which no tag enters, stay exact.
     params = triangle.TriangleParams(9)
     row10 = triangle.row_counts(params, 10).s
     real = triangle.next_pairs
@@ -185,14 +190,18 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(triangle, "next_pairs", perturbed)
-    report = verify.run_grid((2, 2), (9,), 10**5)
+    report = verify.run_grid((2, 2), (9,), 2000)
     (check,) = report["counting_checks"]
+    assert check["depth"] == 10
     assert ("row_counts", 10) \
         in {(m["sequence"], m["n"]) for m in check["mismatches"]}
     assert min(m["n"] for m in check["mismatches"]) == 10
+    (system_check,) = report["system_checks"]
+    assert {f["n"] for f in system_check["failing_equations"]} == {9}
     (rec_check,) = report["recurrence_checks"]
-    assert rec_check["last_n"] == 7
+    assert rec_check["last_n"] == 10
     assert not rec_check["mismatches"]
+    assert report["all_exact"] is False
 
 
 def test_verify_materialises_no_rows(monkeypatch):
@@ -236,8 +245,8 @@ def test_run_grid_builds_each_input_once(monkeypatch):
 def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
     # Each streamed row's tag power sums are computed once, from the row's
     # entry counts, and passed to state_vectors, never computed again there:
-    # on the default grid the streams reach row 13 at q=5 and row 12 at
-    # q=6, 7 and 9, so 14 + 3 * 13 rows.
+    # on the default grid the streams reach row 12 at q=5 and row 11 at
+    # q=6, 7 and 9, so 13 + 3 * 12 rows.
     calls = []
     real = sums.tag_power_sums
 
@@ -247,14 +256,14 @@ def test_run_grid_reads_each_rows_tag_sums_once(monkeypatch):
 
     monkeypatch.setattr(sums, "tag_power_sums", counted)
     verify.run_grid((2, 11))
-    assert len(calls) == 14 + 3 * 13 == 53
+    assert len(calls) == 13 + 3 * 12 == 49
 
 
 def test_run_grid_decodes_each_row_once(monkeypatch):
-    # entry_counts decodes each streamed row once, 14 + 3 * 13 times on the
+    # entry_counts decodes each streamed row once, 13 + 3 * 12 times on the
     # default grid, and the counts it returns, the very objects, feed both
     # the row's tag power sums and the step to the next row.  Rows 0 and
-    # the last of each stream take no step, so 4 streams step 53 - 2 * 4
+    # the last of each stream take no step, so 4 streams step 49 - 2 * 4
     # rows.
     decoded, tagged, stepped = [], [], []
     real_counts, real_tags = triangle.entry_counts, sums.tag_power_sums
@@ -276,8 +285,8 @@ def test_run_grid_decodes_each_row_once(monkeypatch):
     monkeypatch.setattr(sums, "tag_power_sums", tags)
     monkeypatch.setattr(triangle, "next_pairs", step)
     verify.run_grid((2, 11))
-    assert len(decoded) == 14 + 3 * 13 == 53
-    assert len(tagged) == 53
+    assert len(decoded) == 13 + 3 * 12 == 49
+    assert len(tagged) == 49
     assert all(t is d for t, d in zip(tagged, decoded))
-    assert len(stepped) == 53 - 2 * 4
+    assert len(stepped) == 49 - 2 * 4
     assert {id(c) for c in stepped} < {id(c) for c in decoded}
