@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, uncovered check or
-truncation, 2 usage or validation error, out of memory, or output that
-cannot be written.  All numeric output is exact decimal text.
+truncation, 2 usage or validation error, a sums run past its size limit,
+out of memory, or output that cannot be written.  All numeric output is
+exact decimal text.
 
 Every command is its own process, so this module imports at its top only
 what the parser needs.  Each cmd_* function imports the package modules it
@@ -119,6 +120,12 @@ def cmd_sums(args) -> int:
     if args.n_max < 0:
         print("error: n_max must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if sums.held_bits(params, args.k, args.n_max,
+                      args.state_vectors) > sums.HELD_BITS_LIMIT:
+        print(f"error: rows 1..{args.n_max} at k = {args.k} may hold more "
+              f"than {sums.HELD_BITS_LIMIT >> 23} MiB of numbers; try a "
+              "smaller k or n-max", file=sys.stderr)
+        return EXIT_USAGE
     records = []
     rows = itertools.islice(triangle.pair_rows(params, args.entry_cap),
                             1, args.n_max + 1)
@@ -179,13 +186,18 @@ def cmd_recurrence(args) -> int:
     return EXIT_OK
 
 
+def _status(c: dict, failures: list, what: str) -> str:
+    """How a check of a verify record ended; a check whose row range is
+    empty covered nothing and says so."""
+    return (f"FAIL ({len(failures)} {what})" if failures else
+            "uncovered" if c["last_n"] < c["first_n"] else "ok")
+
+
 def _check_line(label: str, c: dict, failures: list, what: str) -> str:
-    """One recurrence or system check of a verify record; a check whose
-    row range is empty covered nothing and says so."""
-    status = (f"FAIL ({len(failures)} {what})" if failures else
-              "uncovered" if c["last_n"] < c["first_n"] else "ok")
+    """One recurrence or system check of a verify record."""
     return (f"{label} k={c['k']} q={c['q']} [{c['variant']}] "
-            f"n={c['first_n']}..{c['last_n']}: {status}")
+            f"n={c['first_n']}..{c['last_n']}: "
+            f"{_status(c, failures, what)}")
 
 
 def cmd_verify(args) -> int:
@@ -207,10 +219,9 @@ def cmd_verify(args) -> int:
     plain += [_check_line("system   ", c, c["failing_equations"],
                           "equation failures")
               for c in record["system_checks"]]
-    for c in record["counting_checks"]:
-        n = len(c["mismatches"])
-        status = f"FAIL ({n} mismatches)" if n else "ok"
-        plain.append(f"counting  q={c['q']} depth={c['depth']}: {status}")
+    plain += [f"counting  q={c['q']} depth={c['depth']}: "
+              f"{_status(c, c['mismatches'], 'mismatches')}"
+              for c in record["counting_checks"]]
     plain.append("all-exact" if record["all_exact"] else
                  "MISMATCHES FOUND" if verify.mismatches_found(record) else
                  "UNCOVERED CHECKS FOUND")

@@ -89,9 +89,6 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
 
-QZERO = QPoly()
-
-
 def format_qpoly(p: QPoly) -> str:
     """Descending powers with explicit signs, e.g. ``-62q+404``."""
     if not p:
@@ -217,9 +214,13 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
     coefficient of rho_s is sum_{e>d} c_e sigma_(e-d-1) with the moments
     sigma_j = e_d0^T a_DD^j a_{D,s}, j < n-2.  One run of the Newton loop
     (_newton) on the (n-2)-dimensional block gives c_D and the
-    moments, read off the powers it forms.  The 2x2 tail works on integer
-    coefficient tuples in q; its q^2 part vanishes by the rank-1 form and
-    is checked.
+    moments, read off the powers it forms.
+
+    Only the 2x2 tail depends on q, and it is linear in q for every input
+    of this form: the q^2 part of det(X) is q^2 det(u_S v_S^T) = 0, and
+    that of rho^T adj(X) p is -v_d0 rho^T adj(u_S v_S^T) u_S = 0, since a
+    2x2 adjugate is linear and adj(u_S v_S^T) u_S = 0.  So the tail is
+    evaluated exactly at q = 0 and q = 1, and c1 is the difference.
     """
     n = len(a)
     qrows = [i for i in range(n) if u[i]]
@@ -238,35 +239,20 @@ def charpoly_q(a: Sequence[Sequence[int]], u: Sequence[int],
     rho = [[sum(map(mul, c[d + 1:], sigma)) for d in range(len(rest))]
            for sigma in moments]
 
-    def entry(i, j):  # M_ij as its (constant, q) pair
-        return a[i][j], u[i] * v[j]
+    def tail(q0):  # det(xI - M) at q = q0, exactly
+        (m00, m01), (m10, m11) = [[a[i][j] + q0 * u[i] * v[j] for j in qrows]
+                                  for i in qrows]
+        p0, p1 = [a[s][d0] + q0 * u[s] * v[d0] for s in qrows]
+        out = _polymul([m00 * m11 - m01 * m10, -m00 - m11, 1], c)
+        # x-coefficients of the two entries of adj(X) p
+        for w, r in zip(([m01 * p1 - m11 * p0, p0],
+                         [m10 * p0 - m00 * p1, p1]), rho):
+            for d, x in enumerate(_polymul(w, r)):
+                out[d] -= x
+        return out
 
-    (m00, m01), (m10, m11) = [[entry(i, j) for j in qrows] for i in qrows]
-    p0, p1 = entry(qrows[0], d0), entry(qrows[1], d0)
-    # x-coefficients of det(X) and of the two entries of adj(X) p, each
-    # as its (q^0, q^1, q^2) parts
-    det_x = [_cross(m00, m11, m01, m10),
-             (-m00[0] - m11[0], -m00[1] - m11[1], 0), (1, 0, 0)]
-    adj_p = [[_cross(m01, p1, m11, p0), (*p0, 0)],
-             [_cross(m10, p0, m00, p1), (*p1, 0)]]
-    out = []
-    for g in range(3):  # the q^g part
-        acc = _polymul([e[g] for e in det_x], c)
-        for w, r in zip(adj_p, rho):
-            for d, x in enumerate(_polymul([e[g] for e in w], r)):
-                acc[d] -= x
-        out.append(acc)
-    if any(out[2]):
-        raise ExactAlgError("q^2 term in a rank-1 characteristic polynomial")
-    return list(zip(out[0], out[1]))
-
-
-def _cross(x: tuple, y: tuple, z: tuple, w: tuple) -> tuple:
-    """x y - z w for the (constant, q) pairs x, y, z and w, as its
-    (q^0, q^1, q^2) parts."""
-    return (x[0] * y[0] - z[0] * w[0],
-            x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0],
-            x[1] * y[1] - z[1] * w[1])
+    t0, t1 = tail(0), tail(1)
+    return [(lo, hi - lo) for lo, hi in zip(t0, t1)]
 
 
 def _polymul(x: list, y: list) -> list:

@@ -17,10 +17,18 @@ length minus 2.  Its pair sums are a pure adjacency scan: the winger
 corrections (-2, -1, -2(q-4)) live in the step equations (systembuilder,
 and the step oracle in verify), never here.  Their fold into the reduced
 coordinates is systembuilder.fold_state, next to the reduced system.
+
+held_bits bounds the size of what the sums command holds, from q, k and
+the number of rows alone, before any row is built.
 """
 from __future__ import annotations
 
 from operator import floordiv, mul
+
+from . import triangle
+
+# The most bits of numbers the sums command may hold (held_bits): 64 MiB.
+HELD_BITS_LIMIT = 2**29
 
 
 def _power_lists(values: list, weights: list, ks):
@@ -108,3 +116,34 @@ def state_vectors(pairs: tuple, ks, tag_sums: tuple) -> list:
                   for d, p in powers.items() if d > 1}
     return [[a[k]] + mixed[k][::-1] + [b[k], u[k]] for k in ks]
 
+
+def held_bits(params: triangle.TriangleParams, k: int, n_max: int,
+              vectors: bool) -> int:
+    """An upper bound on the bits of the numbers held at once for the power
+    sums of k, and with vectors the state vectors, of rows 1..n_max: every
+    row's printed numbers, kept to the end, and the largest row's two lists
+    of per-value powers (_power_lists).  Past HELD_BITS_LIMIT it stops
+    adding rows and returns what it has, already past the limit.
+
+    Row n holds s_n entries (triangle.type_counts), each at most F_{n+1},
+    F_1 = F_2 = 1 being the Fibonacci numbers: an A entry of row n+1 sums
+    two adjacent entries of row n, one of them a B entry, since no two A
+    entries are adjacent, and a B entry copies an entry of the row above
+    or is a winger 1.  So max_{n+1} <= max_n + max_{n-1}, with
+    max_0 = max_1 = 1.  Every power sum, state-vector entry and power of
+    row n is at most s_n F_{n+1}^k, and F^64 <= 2^b with
+    b = (F^64 - 1).bit_length(), so it has at most
+    s_n.bit_length() + ceil(k b / 64) bits.  Row n prints one of them, or
+    k+3 with vectors, and holds at most min(s_n, F_{n+1}) distinct values.
+    """
+    printed = per_value = 0
+    f, f_next = 1, 2  # F_{n+1} and F_{n+2} at row n = 1
+    for _, (a, b) in zip(range(n_max), triangle.type_counts(params)):
+        bits = ((a + b).bit_length()
+                - (-k * (f**64 - 1).bit_length() // 64))
+        printed += bits * (k + 3 if vectors else 1)
+        per_value = max(per_value, 2 * min(a + b, f) * bits)
+        if printed + per_value > HELD_BITS_LIMIT:
+            break
+        f, f_next = f_next, f + f_next
+    return printed + per_value

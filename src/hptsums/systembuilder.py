@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exactalg import QZERO, QPoly, charpoly_q, format_qpoly
+from .exactalg import QPoly, charpoly_q, format_qpoly
 
 __all__ = [
     "LinearSystem", "Recurrence", "fold_classes", "fold_state",
@@ -96,11 +96,6 @@ class Recurrence:
         self.k, self.order, self.x_strip_count = k, order, x_strip_count
         self.coefficients = coefficients  # QPoly c_1..c_order
         self.initial_values = []  # QPoly per n
-
-    def coefficients_padded(self, width: int) -> list:
-        if width < self.order:
-            raise ValueError("cannot pad below the stripped order")
-        return self.coefficients + [QZERO] * (width - self.order)
 
     def evaluated_at(self, q0: int) -> list:
         return [c(q0) for c in self.coefficients]
@@ -220,8 +215,6 @@ def recurrence_from_polynomial(p: list, k: int) -> Recurrence:
         raise ValueError("polynomial is not monic "
                          f"(leading {format_qpoly(QPoly(coeffs[-1]))})")
     cs = [QPoly((-c0, -c1)) for c0, c1 in reversed(coeffs[:-1])]
-    if cs and not cs[-1]:
-        raise AssertionError("stripping was not maximal")
     return Recurrence(k, len(cs), cs, strip)
 
 

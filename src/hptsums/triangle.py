@@ -23,7 +23,7 @@ power sums of sums; pair_rows yields each row with those counts, decoded
 once, for the statistics and the step to the next row alike.
 
 pair_rows caps the keys a row holds; an entry cap is decided from the sizes
-of the type-count step (row_counts) before any row is built (capped_depth).
+of the type-count step (type_counts) before any row is built (capped_depth).
 """
 from __future__ import annotations
 
@@ -41,13 +41,6 @@ class TriangleParams:
         if q < 5:
             raise ValueError(f"q must be >= 5, got {q}")
         self.q = q
-
-
-class RowCounts:
-    def __init__(self, a: int, b: int, s: int):
-        self.a = a  # type-A vertices
-        self.b = b  # type-B vertices (wingers included)
-        self.s = s  # all vertices
 
 
 def validate_row(e: list) -> None:
@@ -175,23 +168,16 @@ def pair_rows(params: TriangleParams, key_cap: int | None = None):
         row = next_pairs(row, counts, params)
 
 
-def _type_counts(q: int):
-    """(a, b) of rows 1, 2, 3, ... without end, by the structural step
-    rules: each adjacent pair yields one A vertex (a_{n+1} = s_n - 1) and
-    each interior vertex yields q-4 or q-3 B copies plus the two new
-    wingers."""
+def type_counts(params: TriangleParams):
+    """(a, b), the numbers of type-A and type-B vertices (wingers included)
+    of rows 1, 2, 3, ... without end, by the structural step rules: each
+    adjacent pair yields one A vertex (a_{n+1} = s_n - 1) and each interior
+    vertex yields q-4 or q-3 B copies plus the two new wingers."""
+    q = params.q
     a, b = 0, 2  # row 1
     while True:
         yield a, b
         a, b = a + b - 1, 2 + (q - 4) * a + (q - 3) * (b - 2)
-
-
-def row_counts(params: TriangleParams, n: int) -> RowCounts:
-    """Type counts of row n without generating it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a, b = next(islice(_type_counts(params.q), n - 1, None))
-    return RowCounts(a, b, a + b)
 
 
 def capped_depth(params: TriangleParams, n_max: int, entry_cap: int) -> int:
@@ -203,7 +189,7 @@ def capped_depth(params: TriangleParams, n_max: int, entry_cap: int) -> int:
     if entry_cap <= 0:
         raise ValueError("entry_cap must be > 0")
     depth = min(n_max, 1)
-    for a, b in islice(_type_counts(params.q), 1, n_max):  # rows 2..n_max
+    for a, b in islice(type_counts(params), 1, n_max):  # rows 2..n_max
         if a + b > entry_cap:
             break
         depth += 1

@@ -128,25 +128,25 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
     """Check the ternary recurrences and initial values for the four row
     sequences: vertex counts s_n and the value sums a-hat, b-hat, s-hat.
 
-    tag_sums holds the tag power sums (A, B) of rows 1, 2, ... at q, read
+    tag_sums holds the tag power sums (A, B) of rows 0, 1, ... at q, read
     at k = 0 and k = 1; s_rec and hat_rec are the k = 0 and k = 1
     recurrences with their initial values; only the rows given are checked.
+    The recurrences compare rows first_n..last_n, first_n being one past
+    the larger order and last_n the depth, the last row given.  The vertex
+    counts of rows 1, 2, ... are also compared with the type-count step
+    (triangle.type_counts), walked once alongside them.
     The row sums come from pair multisets, whose size is the number of
     distinct adjacent pairs, so deep rows are checked without materializing
     hundreds of millions of entries.
     """
-    params = triangle.TriangleParams(q)
     mismatches = []  # (sequence, n, expected, actual)
-    counts, ahat, bhat = [(0, 1)], [0], [1]  # row 0 is the single base vertex
-    for n, (a, b) in enumerate(tag_sums, 1):
-        rc = triangle.row_counts(params, n)
-        if (a[0], b[0]) != (rc.a, rc.b):
-            mismatches.append(("row_counts", n, (rc.a, rc.b), (a[0], b[0])))
-        counts.append((a[0], b[0]))
-        ahat.append(a[1])
-        bhat.append(b[1])
-
-    s = [a + b for a, b in counts]
+    walk = triangle.type_counts(triangle.TriangleParams(q))
+    for n, ((a, b), want) in enumerate(zip(tag_sums[1:], walk), 1):
+        if (a[0], b[0]) != want:
+            mismatches.append(("type_counts", n, want, (a[0], b[0])))
+    s = [a[0] + b[0] for a, b in tag_sums]
+    ahat = [a[1] for a, _ in tag_sums]
+    bhat = [b[1] for _, b in tag_sums]
     shat = [x + y for x, y in zip(ahat, bhat)]
     # s follows the k = 0 recurrence and every value sum the k = 1 one;
     # a-hat and b-hat have initial values of their own.
@@ -161,9 +161,12 @@ def verify_counting(q: int, tag_sums: list, s_rec: systembuilder.Recurrence,
             if want != got:
                 mismatches.append((name, n, want, got))
         mismatches += [(name, *m) for m in _misses(seq, cs)]
-    return {"q": q, "depth": len(tag_sums), "mismatches": [
-        {"sequence": name, "n": n, "expected": str(e), "actual": str(a)}
-        for name, n, e, a in mismatches]}
+    depth = len(tag_sums) - 1
+    return {"q": q, "depth": depth,
+            "first_n": max(s_rec.order, hat_rec.order) + 1, "last_n": depth,
+            "mismatches": [{"sequence": name, "n": n, "expected": str(e),
+                            "actual": str(a)}
+                           for name, n, e, a in mismatches]}
 
 
 def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
@@ -180,7 +183,8 @@ def reproduce_tables(k_max: int = tables.MAX_TABLED_K) -> tuple:
             rows.append((k, rec.coefficients, "no fixture (exploratory)"))
             continue
         expected = tables.reference_row(k)
-        computed = rec.coefficients_padded(max(len(expected), rec.order))
+        computed = (rec.coefficients
+                    + [QPoly()] * (len(expected) - rec.order))
         rows.append((k, computed, ""))
         expected += [QPoly()] * (len(computed) - len(expected))
         diffs += [(k, j, e, c) for j, (e, c)
@@ -240,14 +244,14 @@ def run_grid(k_range=DEFAULT_K_RANGE, q_list=DEFAULT_Q_LIST,
             by_kq[k, q][1].extend(verify_system_steps(k, q, vs, system)
                                   for system in systems)
         counting_checks.append(
-            verify_counting(q, tag_sums[1:], *counting_recs))
+            verify_counting(q, tag_sums, *counting_recs))
     checks = {"recurrence_checks": [by_kq[k, q][0] for k in ks
                                     for q in q_list],
               "system_checks": [c for k in ks for q in q_list
                                 for c in by_kq[k, q][1]],
               "counting_checks": counting_checks}
-    uncovered = any(c["last_n"] < c["first_n"] for c in
-                    checks["recurrence_checks"] + checks["system_checks"])
+    uncovered = any(c["last_n"] < c["first_n"]
+                    for checks_of in checks.values() for c in checks_of)
     return {"k_range": [k_lo, k_hi], "q_list": list(q_list),
             "key_cap": key_cap,
             "all_exact": not uncovered and not mismatches_found(checks),

@@ -374,6 +374,32 @@ def test_deep_sums_under_1gib_address_space():
     assert seq[-1] == 553318915314
 
 
+def test_sums_past_the_size_limit_exits_2_under_1gib():
+    # 40,003 numbers per row, of up to 2e5 bits each: the bound from --k
+    # and --n-max refuses the run with one line before it builds any row,
+    # where the state vectors would need gigabytes.
+    proc = run_under_1gib("sums", "--q", "6", "--k", "40000", "--n-max", "4",
+                          "--state-vectors")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: rows 1..4 at k = 40000 may hold more "
+                           "than 64 MiB of numbers; try a smaller k or "
+                           "n-max\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "6", "--k", "40000", "--n-max", "4", "--state-vectors"),
+    ("--q", "9", "--k", "1000000", "--n-max", "12"),
+    ("--q", "6", "--k", "0", "--n-max", "1000000000000")])
+def test_sums_past_the_size_limit_builds_no_row(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("sums built a row past its size limit")
+
+    monkeypatch.setattr(triangle, "pair_rows", refuse)
+    code, out, err = run(capsys, "sums", *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: rows 1..")
+
+
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
@@ -582,15 +608,15 @@ def test_closed_stdout_is_a_usage_error():
 
 
 def test_checks_that_cover_no_row_are_uncovered(capsys):
-    # A key cap of 1 stops at row 1: no recurrence or system step can be
-    # tested, so neither check may read "ok", and the run fails without
-    # claiming a mismatch.
+    # A key cap of 1 stops at row 1: no recurrence, system step or counting
+    # recurrence can be tested, so no check may read "ok", and the run
+    # fails without claiming a mismatch.
     code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
                        "6", "--cap", "1")
     lines = out.splitlines()
     assert lines == ["recurrence k=2 q=6 [full] n=5..1: uncovered",
                      "system    k=2 q=6 [full] n=1..0: uncovered",
-                     "counting  q=6 depth=1: ok",
+                     "counting  q=6 depth=1: uncovered",
                      "UNCOVERED CHECKS FOUND"]
     assert code == 1
     code, out, _ = run(capsys, "verify", "--k-range", "2..2", "--q-list",
@@ -608,8 +634,9 @@ def test_checks_that_cover_no_row_are_uncovered(capsys):
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_a_cap_below_row_2_exits_1(capsys, cap, fmt):
     # Rows 0 and 1 always stream, and row 2 needs a cap of 4 keys: every
-    # recurrence and system check is uncovered, and the counting check
-    # reads row 1 alone, its initial values included, with no error.
+    # check is uncovered, the counting check too, which reads row 1 alone,
+    # its initial values included, with no error, but no row its k = 0 and
+    # 1 recurrences predict.
     code, out, err = run(capsys, "verify", "--k-range", "0..3", "--q-list",
                          "6", "--cap", cap, "--format", fmt)
     assert (code, err) == (1, "")
@@ -618,6 +645,8 @@ def test_a_cap_below_row_2_exits_1(capsys, cap, fmt):
         assert record["all_exact"] is False
         assert [c["depth"] for c in record["counting_checks"]] == [1]
         assert not record["counting_checks"][0]["mismatches"]
+        assert [(c["first_n"], c["last_n"])
+                for c in record["counting_checks"]] == [(4, 1)]
     else:
-        assert out.splitlines()[-2:] == ["counting  q=6 depth=1: ok",
+        assert out.splitlines()[-2:] == ["counting  q=6 depth=1: uncovered",
                                          "UNCOVERED CHECKS FOUND"]

@@ -47,6 +47,8 @@ EDGES = [
      1),
     (["sums", "--q", "6", "--k", "-1", "--n-max", "3"], 2),
     (["sums", "--q", "6", "--k", "1", "--n-max", "3", "--state-vectors"], 2),
+    (["sums", "--q", "6", "--k", "40000", "--n-max", "4", "--state-vectors"],
+     2),
     (["row", "--q", "4", "--n", "1"], 2),
     (["recurrence", "--k", "-1"], 2),
     (["verify", "--q-list", "4"], 2),

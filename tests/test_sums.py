@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hptsums import verify
-from hptsums.sums import state_vectors, tag_power_sums
+from hptsums.sums import (HELD_BITS_LIMIT, held_bits, state_vectors,
+                          tag_power_sums)
 from hptsums.systembuilder import fold_state
 from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
                               entry_rows, pair_rows)
@@ -251,3 +252,42 @@ def test_reduced_printed_oracle_k3_fails_on_c1():
     (fail,) = failures
     assert fail == {"n": 1, "equation": "c1", "predicted": "263",
                     "actual": "342"}
+
+
+@pytest.mark.parametrize("q", [5, 6, 9])
+@pytest.mark.parametrize("k,vectors", [(0, False), (3, False), (2, True),
+                                       (7, True)])
+def test_held_bits_bounds_the_numbers_held(q, k, vectors):
+    """Over rows 1..9 the largest value of row n is F_{n+1}, the bound
+    held_bits reads, and held_bits bounds the bits of every printed number
+    of rows 1..n plus the per-value powers of the largest of them, two
+    lists per tag (v^k and m v^k)."""
+    params = TriangleParams(q)
+    fib = [0, 1, 1]  # fib[i] = F_i
+    printed = per_value = 0
+    for n, (pairs, counts) in enumerate(islice(pair_rows(params), 1, 10), 1):
+        fib.append(fib[-1] + fib[-2])
+        assert max(max(c, default=0) for c in counts) == fib[n + 1]
+        a, b = tag_power_sums(counts, (k,))
+        numbers = [a[k] + b[k]]
+        if vectors:
+            numbers += state_vectors(pairs, (k,), (a, b))[0]
+        printed += sum(x.bit_length() for x in numbers)
+        per_value = max(per_value, *(
+            sum((v**k).bit_length() + (m * v**k).bit_length()
+                for v, m in c.items()) for c in counts))
+        assert held_bits(params, k, n, vectors) >= printed + per_value
+
+
+def test_held_bits_stops_past_its_limit():
+    # The walk ends once the bound passes the limit: for a huge n-max at
+    # k = 0 at row 33, and for a huge k with state vectors at row 1, whose
+    # k + 3 numbers are past it alone.
+    params = TriangleParams(6)
+    assert held_bits(params, 0, 10**18, False) > HELD_BITS_LIMIT
+    assert held_bits(params, 10**100, 10**18, True) > HELD_BITS_LIMIT
+    assert held_bits(params, 0, 0, True) == 0
+    # At q = 6 and n-max 4 the largest k with state vectors lies between
+    # 10,000 and 11,000.
+    assert held_bits(params, 10000, 4, True) <= HELD_BITS_LIMIT \
+        < held_bits(params, 11000, 4, True)

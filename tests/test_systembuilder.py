@@ -8,9 +8,9 @@ from hptsums import systembuilder as sb
 from hptsums.exactalg import ExactAlgError, QPoly, binom, charpoly_q
 from hptsums.sums import state_vectors, tag_power_sums
 from hptsums.systembuilder import fold_state
-from hptsums.triangle import (TriangleParams, _type_counts, entry_counts,
-                              entry_rows)
-from hptsums.verify import _full_rhs
+from hptsums.triangle import (TriangleParams, entry_counts, entry_rows,
+                              pair_rows, type_counts)
+from hptsums.verify import DEFAULT_KEY_CAP, _full_rhs
 from reference import (Q, QZERO, build_full_matrix, build_structured_charpoly,
                        charpoly_int, fold_system, row_pairs,
                        structured_addends, system_at)
@@ -56,12 +56,34 @@ def test_k0_system_steps_the_type_counts_and_bb_pairs():
     # materialised rows.
     for q in (5, 6, 7, 9):
         m, h = system_at(build_full_matrix(0), q)
-        rows = islice(entry_rows(TriangleParams(q)), 1, 11)
+        params = TriangleParams(q)
+        rows = islice(entry_rows(params), 1, 11)
         g = [0, 2, 1]  # row 1: two B wingers, one bb pair
-        for n, (counts, row) in enumerate(zip(_type_counts(q), rows), 1):
+        for n, (counts, row) in enumerate(zip(type_counts(params), rows), 1):
             assert (g[0], g[1]) == counts, (q, n)
             assert g[2] == sum(row_pairs(row)[1].values()), (q, n)
             g = [sum(map(mul, r, g)) + c for r, c in zip(m, h)]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_k0_k1_systems_step_the_streamed_rows(k):
+    # The reduced systems that derive the counting recurrences, against
+    # every row the default key cap streams: g_n is [#A, #B, #bb] at k = 0
+    # and [a, b, u] at k = 1, read off the tag power sums of row n and its
+    # bb pairs, and (A + q u v^T) g_n + h0 + q h1 must be g_{n+1}.
+    s = sb.build_reduced_matrix(k)
+    for q in (5, 6, 7, 9):
+        rows = islice(pair_rows(TriangleParams(q), DEFAULT_KEY_CAP), 1, None)
+        gs = []
+        for (_, bb), counts in rows:
+            a, b = tag_power_sums(counts, (k,))
+            gs.append([a[k], b[k], sum(m * y**k for y, m in bb.items())])
+        assert len(gs) == (12 if q == 5 else 11)
+        for n, (g, g_next) in enumerate(zip(gs, gs[1:]), 1):
+            vg = q * sum(map(mul, s.v, g))
+            stepped = [sum(map(mul, row, g)) + ui * vg + c0 + q * c1
+                       for row, ui, c0, c1 in zip(s.a, s.u, s.h0, s.h1)]
+            assert stepped == g_next, (k, q, n)
 
 
 def test_full_matrix_agrees_with_step_oracle():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hptsums.triangle import (TriangleParams, capped_depth, entry_counts,
                               entry_rows, next_pairs, next_row, pair_rows,
-                              row_counts, validate_row)
+                              type_counts, validate_row)
 from reference import entry_pairs, row_pairs
 
 
@@ -18,6 +18,11 @@ def row_of(spec):
 def rows_upto(params, n):
     """The entry lists of rows 0..n."""
     return list(islice(entry_rows(params), n + 1))
+
+
+def counts_of(params, n):
+    """(a, b), the type counts of row n >= 1, from the type-count step."""
+    return next(islice(type_counts(params), n - 1, None))
 
 
 def test_q_validation():
@@ -66,10 +71,10 @@ def test_capped_depth_stops_below_the_cap():
     assert len(rows[depth]) <= 20 < len(rows[depth + 1])
 
 
-def test_row_counts_examples():
-    assert row_counts(TriangleParams(6), 3).s == 6
-    assert row_counts(TriangleParams(6), 4).s == 17
-    assert row_counts(TriangleParams(5), 2).s == 3
+def test_type_counts_examples():
+    assert sum(counts_of(TriangleParams(6), 3)) == 6
+    assert sum(counts_of(TriangleParams(6), 4)) == 17
+    assert sum(counts_of(TriangleParams(5), 2)) == 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,9 +82,9 @@ def test_row_counts_examples():
 def test_generated_rows_match_counts_and_structure(q, n):
     params = TriangleParams(q)
     row = rows_upto(params, n)[n]
-    rc = row_counts(params, n)
-    assert len(row) == rc.s
-    assert sum(1 for _, t in row if t == "A") == rc.a
+    a, b = counts_of(params, n)
+    assert len(row) == a + b
+    assert sum(1 for _, t in row if t == "A") == a
     validate_row(row) if n >= 1 else None
     # every value bounded by 2^n
     assert all(1 <= v <= 2**n for v, _ in row)
@@ -175,7 +180,7 @@ def test_pair_step_matches_generated_rows(q):
         assert all(s > 1 for s, _ in ab)
         assert sum(m for (_, y), m in ab.items() if y == 1) \
             + bb.get(1, 0) == 1
-        assert entries_of((ab, bb)) == row_counts(params, n).s
+        assert entries_of((ab, bb)) == sum(counts_of(params, n))
 
 
 @pytest.mark.parametrize("q", [5, 9])

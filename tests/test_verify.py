@@ -108,6 +108,43 @@ def test_verify_counting():
             == (12 if check["q"] == 5 else 11)
 
 
+def test_counting_check_states_its_rows():
+    # first_n is one past the larger order of the k = 0 and 1 recurrences
+    # (3 and 3), last_n the depth: a key cap of 1 streams rows 0 and 1, so
+    # no row the recurrences predict is compared, and the run fails.
+    report = verify.run_grid((2, 3), (6,), 1)
+    (check,) = report["counting_checks"]
+    assert (check["first_n"], check["last_n"], check["depth"]) == (4, 1, 1)
+    assert not check["mismatches"]
+    assert report["all_exact"] is False
+
+
+def test_counting_check_reads_first_n_off_its_recurrences(monkeypatch):
+    # Two zero coefficients appended to the k = 1 recurrence keep it valid
+    # and raise its order to 5, so the counting check starts at row 6.  A
+    # key cap of 28 streams rows to 5 at q=6, where the k = 2 recurrence
+    # (order 4) and the system steps are covered: the counting check alone
+    # is uncovered, and that alone fails the run.
+    real = verify.systembuilder.recurrence_for_k
+
+    def padded(k, *args, **kwargs):
+        rec = real(k, *args, **kwargs)
+        if k == 1:
+            rec.coefficients += [QPoly(), QPoly()]
+            rec.order += 2
+        return rec
+
+    monkeypatch.setattr(verify.systembuilder, "recurrence_for_k", padded)
+    report = verify.run_grid((2, 2), (6,), 28)
+    (check,) = report["counting_checks"]
+    assert (check["first_n"], check["last_n"]) == (6, 5)
+    assert not check["mismatches"]
+    (rec_check,) = report["recurrence_checks"]
+    assert rec_check["first_n"] <= rec_check["last_n"] == 5
+    assert not verify.mismatches_found(report)
+    assert report["all_exact"] is False
+
+
 def test_reproduce_tables_empty_diff():
     _, diffs = verify.reproduce_tables(11)
     assert diffs == []
@@ -176,7 +213,7 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     # first, and in the step into row 10, while the power sums of every
     # row, which no tag enters, stay exact.
     params = triangle.TriangleParams(9)
-    row10 = triangle.row_counts(params, 10).s
+    row10 = sum(next(islice(triangle.type_counts(params), 9, None)))
     real = triangle.next_pairs
 
     def perturbed(pairs, counts, params):
@@ -193,7 +230,7 @@ def test_verify_counting_reads_rows_past_the_old_cap(monkeypatch):
     report = verify.run_grid((2, 2), (9,), 2000)
     (check,) = report["counting_checks"]
     assert check["depth"] == 10
-    assert ("row_counts", 10) \
+    assert ("type_counts", 10) \
         in {(m["sequence"], m["n"]) for m in check["mismatches"]}
     assert min(m["n"] for m in check["mismatches"]) == 10
     (system_check,) = report["system_checks"]
